@@ -5,7 +5,8 @@
 GO ?= go
 
 .PHONY: build test race bench bench-smoke bench-json bench-kernels fmt \
-	fmt-check vet all golden cover fuzz-smoke fuzz-econ docs-check soak-smoke
+	fmt-check vet all golden cover fuzz-smoke fuzz-econ docs-check soak-smoke \
+	servicebench-check
 
 all: build test
 
@@ -30,7 +31,9 @@ test:
 # loops). The crypto-kernel packages (fixed-base tables, GLV, the shared
 # precomputation and short-log registries, the requester's lazy decrypt
 # table, Pedersen commitments) run here too — their property tests and the
-# concurrent-init regression tests are race-sensitive by design.
+# concurrent-init regression tests are race-sensitive by design. So do the
+# contract (on-chain verification must charge gas from one goroutine, whatever
+# the pool size) and the VPKE prover the requester runs on the pool.
 race:
 	$(GO) test -race ./internal/parallel ./internal/market ./internal/sim \
 		./internal/service ./internal/adversary ./internal/chain \
@@ -38,7 +41,7 @@ race:
 		./internal/qap ./internal/groth16 ./internal/bn254 \
 		./internal/elgamal ./internal/group ./internal/protocol \
 		./internal/commit ./internal/incentive ./internal/worker \
-		./internal/limb ./internal/ff
+		./internal/limb ./internal/ff ./internal/contract ./internal/vpke
 
 # Regenerate the committed golden fingerprint files after an INTENTIONAL
 # protocol/gas/rng-order change (then commit the testdata diff). The golden
@@ -106,6 +109,12 @@ bench-kernels:
 # to settle. Run `go run ./cmd/soak -assert` for the full 10^4-task soak.
 soak-smoke:
 	$(GO) run ./cmd/soak -duration 30s -assert
+
+# The service benchmark (servicebench/) is a Go module of its own, so the
+# root `go build ./...` and `go test ./...` never compile it: vet it and run
+# its short tests from inside, against this checkout (replace dragoon => ../).
+servicebench-check:
+	cd servicebench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -short ./...
 
 # Documentation lint (cmd/docscheck): requires a godoc comment on every
 # exported facade symbol and checks every relative markdown link in

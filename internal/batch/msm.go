@@ -36,14 +36,8 @@ func genericMSM(g group.Group, points []group.Element, scalars []*big.Int) group
 	if n < genericMSMThreshold || workers <= 1 {
 		return genericMSMChunk(g, points[:n], scalars[:n])
 	}
-	type span struct{ start, end int }
-	var spans []span
-	parallel.Chunks(n, workers, func(_, start, end int) {
-		spans = append(spans, span{start, end})
-	})
-	partials, _ := parallel.Map(context.Background(), len(spans), len(spans), func(c int) (group.Element, error) {
-		s := spans[c]
-		return genericMSMChunk(g, points[s.start:s.end], scalars[s.start:s.end]), nil
+	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (group.Element, error) {
+		return genericMSMChunk(g, points[start:end], scalars[start:end]), nil
 	})
 	acc := g.Identity()
 	for _, p := range partials {

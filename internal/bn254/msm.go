@@ -89,14 +89,8 @@ func MSMG1(points []*G1, scalars []*big.Int) *G1 {
 	if n < msmParallelThreshold || workers <= 1 {
 		return msmG1Chunk(points[:n], scalars[:n]).affine()
 	}
-	type span struct{ start, end int }
-	var spans []span
-	parallel.Chunks(n, workers, func(_, start, end int) {
-		spans = append(spans, span{start, end})
-	})
-	partials, _ := parallel.Map(context.Background(), len(spans), len(spans), func(c int) (g1Jac, error) {
-		s := spans[c]
-		return msmG1Chunk(points[s.start:s.end], scalars[s.start:s.end]), nil
+	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (g1Jac, error) {
+		return msmG1Chunk(points[start:end], scalars[start:end]), nil
 	})
 	p := params().P
 	acc := g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}

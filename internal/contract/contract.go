@@ -569,7 +569,10 @@ func (h *HIT) evaluate(env *chain.Env, from chain.Address, data []byte) error {
 		pf.Wrong = append(pf.Wrong, wa)
 	}
 	if valid {
-		valid = poqoea.Verify(pk, cts, msg.Chi, pf, st)
+		// One goroutine, in revelation order, stopping at the first
+		// invalid one: the metered group charges this transaction's Env,
+		// and the EVM never runs the checks after a failing revelation.
+		valid = poqoea.VerifySequential(pk, cts, msg.Chi, pf, st)
 	}
 	if !valid {
 		// VerifyQuality = 0 ⇒ pay (Fig. 4): a false report costs the

@@ -1,6 +1,7 @@
 package contract_test
 
 import (
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"dragoon/internal/chain"
 	"dragoon/internal/commit"
 	"dragoon/internal/contract"
+	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/ledger"
@@ -26,6 +28,10 @@ type harness struct {
 	sk    *elgamal.PrivateKey
 	inst  *task.Instance
 	gkey  commit.Key
+	// rnd seeds every key, encryption, commitment and proof the harness
+	// makes, so two identical runs send identical calldata and pay
+	// identical gas.
+	rnd io.Reader
 
 	requester chain.Address
 }
@@ -33,7 +39,8 @@ type harness struct {
 func newHarness(t *testing.T, workers int) *harness {
 	t.Helper()
 	g := group.TestSchnorr()
-	sk, err := elgamal.KeyGen(g, nil)
+	rnd := drbg.New(99, "contract-harness")
+	sk, err := elgamal.KeyGen(g, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +58,7 @@ func newHarness(t *testing.T, workers int) *harness {
 	if _, err := ch.Deploy("h", contract.New(g), contract.DeployCodeSize, "req"); err != nil {
 		t.Fatal(err)
 	}
-	return &harness{t: t, chain: ch, led: led, g: g, sk: sk, inst: inst, requester: "req"}
+	return &harness{t: t, chain: ch, led: led, g: g, sk: sk, inst: inst, rnd: rnd, requester: "req"}
 }
 
 // send submits a tx and mines a round, returning its receipt.
@@ -105,7 +112,7 @@ func (h *harness) mustRevert(r *chain.Receipt, substr string) {
 }
 
 func (h *harness) publishMsg() *contract.PublishMsg {
-	key, err := commit.NewKey(nil)
+	key, err := commit.NewKey(h.rnd)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -132,13 +139,13 @@ func (h *harness) workerSubmission(answers []int64) (*contract.CommitMsg, *contr
 	h.t.Helper()
 	cts := make([][]byte, len(answers))
 	for i, a := range answers {
-		ct, _, err := h.sk.Encrypt(a, nil)
+		ct, _, err := h.sk.Encrypt(a, h.rnd)
 		if err != nil {
 			h.t.Fatal(err)
 		}
 		cts[i] = elgamal.MarshalCiphertext(h.g, ct)
 	}
-	key, err := commit.NewKey(nil)
+	key, err := commit.NewKey(h.rnd)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -323,7 +330,7 @@ func TestEvaluateValidProofRejects(t *testing.T) {
 		}
 		cts[i] = ct
 	}
-	chi, pf, err := poqoea.Prove(h.sk, cts, st, nil)
+	chi, pf, err := poqoea.Prove(h.sk, cts, st, h.rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,12 +376,12 @@ func TestEvaluateTamperedCiphertextPays(t *testing.T) {
 	// The requester supplies a DIFFERENT ciphertext (one that decrypts to a
 	// wrong answer) in place of the worker's actual submission: the stored
 	// hash check must catch it, and the worker must be paid.
-	otherCt, _, err := h.sk.Encrypt(0, nil)
+	otherCt, _, err := h.sk.Encrypt(0, h.rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gi := h.inst.Golden.Indices[0]
-	plain, pi, err := vpke.Prove(h.sk, otherCt, h.inst.Task.RangeSize, nil)
+	plain, pi, err := vpke.Prove(h.sk, otherCt, h.inst.Task.RangeSize, h.rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +408,7 @@ func TestOutrangeBogusClaimPays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, pi, err := vpke.Prove(h.sk, ct, h.inst.Task.RangeSize, nil)
+	plain, pi, err := vpke.Prove(h.sk, ct, h.inst.Task.RangeSize, h.rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +437,7 @@ func TestOutrangeValidClaimRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, pi, err := vpke.Prove(h.sk, ct, h.inst.Task.RangeSize, nil)
+	plain, pi, err := vpke.Prove(h.sk, ct, h.inst.Task.RangeSize, h.rnd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func outrangeReceiptGas(t *testing.T, inRange bool) (uint64, group.Element, int6
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, pi, err := vpke.Prove(h.sk, ct, h.inst.Task.RangeSize, nil)
+	plain, pi, err := vpke.Prove(h.sk, ct, h.inst.Task.RangeSize, h.rnd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,21 +138,15 @@ func (f *Field) QuotientPointwise(a, b, c []*big.Int, k *big.Int) []*big.Int {
 	if n == 0 {
 		return out
 	}
-	type span struct{ start, end int }
-	var spans []span
-	parallel.Chunks(n, 0, func(_, start, end int) {
-		spans = append(spans, span{start, end})
-	})
 	useLimb := f.lf != nil && limb.Enabled()
 	var kL limb.Element
 	if useLimb {
 		f.lf.SetBig(&kL, k)
 	}
-	_ = parallel.For(context.Background(), len(spans), len(spans), func(ci int) error {
-		sp := spans[ci]
+	_ = parallel.ForSpans(context.Background(), n, 0, func(start, end int) error {
 		if useLimb {
 			var av, bv, cv limb.Element
-			for i := sp.start; i < sp.end; i++ {
+			for i := start; i < end; i++ {
 				f.lf.SetBig(&av, a[i])
 				f.lf.SetBig(&bv, b[i])
 				f.lf.SetBig(&cv, c[i])
@@ -163,7 +157,7 @@ func (f *Field) QuotientPointwise(a, b, c []*big.Int, k *big.Int) []*big.Int {
 			}
 			return nil
 		}
-		for i := sp.start; i < sp.end; i++ {
+		for i := start; i < end; i++ {
 			out[i] = f.Mul(f.Sub(f.Mul(a[i], b[i]), c[i]), k)
 		}
 		return nil

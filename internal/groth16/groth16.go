@@ -288,14 +288,8 @@ func msm[P curvePoint[P]](identity P, points []P, scalars []*big.Int, order *big
 	if n < msmParallelThreshold || workers <= 1 {
 		return msmChunk(identity, points, scalars, order)
 	}
-	type span struct{ start, end int }
-	var spans []span
-	parallel.Chunks(n, workers, func(_, start, end int) {
-		spans = append(spans, span{start, end})
-	})
-	partials, _ := parallel.Map(context.Background(), len(spans), len(spans), func(c int) (P, error) {
-		s := spans[c]
-		return msmChunk(identity, points[s.start:s.end], scalars[s.start:s.end], order), nil
+	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (P, error) {
+		return msmChunk(identity, points[start:end], scalars[start:end], order), nil
 	})
 	acc := identity
 	for _, p := range partials {

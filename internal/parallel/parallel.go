@@ -209,11 +209,36 @@ func Do(tasks ...func() error) error {
 	})
 }
 
+// ForSpans runs fn(start, end) over Chunks' spans of [0, n) on the pool, one
+// work unit per span, so dispatch is paid per span rather than per element.
+// It returns the error of the lowest failing span; a span that stops at its
+// first failing element therefore reports the lowest failing index overall,
+// as a sequential scan would. Cancellation and panics behave as in For.
+func ForSpans(ctx context.Context, n, workers int, fn func(start, end int) error) error {
+	_, err := MapSpans(ctx, n, workers, func(start, end int) (struct{}, error) {
+		return struct{}{}, fn(start, end)
+	})
+	return err
+}
+
+// MapSpans is ForSpans returning each span's result in span order — e.g. the
+// partial sums of a chunked multi-scalar multiplication, which combined in
+// that order equal the sequential sum.
+func MapSpans[T any](ctx context.Context, n, workers int, fn func(start, end int) (T, error)) ([]T, error) {
+	var spans [][2]int
+	Chunks(n, workers, func(_, start, end int) {
+		spans = append(spans, [2]int{start, end})
+	})
+	return Map(ctx, len(spans), len(spans), func(c int) (T, error) {
+		return fn(spans[c][0], spans[c][1])
+	})
+}
+
 // Chunks splits [0, n) into at most Workers(workers) contiguous spans of
-// near-equal size and reports them through span. It is used by callers that
-// need chunk-level parallelism (e.g. partial multi-scalar multiplications
-// that are cheaper per chunk than per element). The spans are emitted in
-// order; span receives (chunk index, start, end).
+// near-equal size and reports them through span, in order, on the calling
+// goroutine: it partitions work but runs nothing concurrently (ForSpans and
+// MapSpans run the spans on the pool). span receives (chunk index, start,
+// end); the return value is the number of spans.
 func Chunks(n, workers int, span func(c, start, end int)) int {
 	if n <= 0 {
 		return 0

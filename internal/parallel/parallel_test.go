@@ -217,3 +217,58 @@ func TestChunksCoverRange(t *testing.T) {
 		t.Errorf("Chunks(0) = %d", c)
 	}
 }
+
+// TestForSpansRunsSpansConcurrently: unlike Chunks, ForSpans hands each span
+// to its own pool worker — two spans must be able to meet at a rendezvous.
+func TestForSpansRunsSpansConcurrently(t *testing.T) {
+	var arrived sync.WaitGroup
+	arrived.Add(2)
+	err := parallel.ForSpans(context.Background(), 10, 2, func(start, end int) error {
+		arrived.Done()
+		done := make(chan struct{})
+		go func() { arrived.Wait(); close(done) }()
+		select {
+		case <-done:
+			return nil
+		case <-time.After(5 * time.Second):
+			return fmt.Errorf("span [%d,%d) ran alone", start, end)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestForSpansLowestSpanErrorWins(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		err := parallel.ForSpans(context.Background(), 9, workers, func(start, end int) error {
+			for i := start; i < end; i++ {
+				if i%4 == 3 {
+					return fmt.Errorf("index %d", i)
+				}
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "index 3" {
+			t.Errorf("workers=%d: got %v, want the lowest failing index 3", workers, err)
+		}
+	}
+}
+
+func TestMapSpansCoverRangeInOrder(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{{10, 3}, {1, 8}, {100, 7}, {0, 4}} {
+		got, err := parallel.MapSpans(context.Background(), tc.n, tc.workers, func(start, end int) ([2]int, error) {
+			return [2]int{start, end}, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want [][2]int
+		parallel.Chunks(tc.n, tc.workers, func(_, start, end int) {
+			want = append(want, [2]int{start, end})
+		})
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("n=%d w=%d: spans %v, want %v", tc.n, tc.workers, got, want)
+		}
+	}
+}

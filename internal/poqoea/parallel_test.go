@@ -9,6 +9,7 @@ import (
 	"dragoon/internal/group"
 	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
+	"dragoon/internal/vpke"
 )
 
 // streamReader is a deterministic randomness stream (seeded math/rand) used
@@ -89,5 +90,58 @@ func TestParallelCryptoMatchesSequential(t *testing.T) {
 				t.Fatalf("workers=%d: VPKE transcript %d differs from sequential", workers, i)
 			}
 		}
+	}
+}
+
+// TestProveOpenedMatchesProve: a quality proof built from decryptions the
+// caller already holds is byte-for-byte Prove's for the same randomness
+// stream — golden answers right, wrong in range and out of range.
+func TestProveOpenedMatchesProve(t *testing.T) {
+	g := group.TestSchnorr()
+	sk, err := elgamal.KeyGen(g, stream(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := poqoea.Statement{
+		GoldenIndices: []int{0, 3, 5, 8},
+		GoldenAnswers: []int64{1, 0, 2, 1},
+		RangeSize:     4,
+	}
+	answers := []int64{1, 0, 0, 2, 0, 9, 0, 0, 3, 0} // right, wrong, out of range, wrong
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, stream(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := elgamal.NewShortLogTable(g, st.RangeSize)
+	plains := make([]elgamal.Plaintext, len(cts))
+	for i, ct := range cts {
+		plains[i] = sk.DecryptWith(table, ct)
+	}
+
+	chi, want, err := poqoea.Prove(sk, cts, st, stream(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotChi, got, err := poqoea.ProveOpened(sk, cts, plains, st, stream(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if chi != 1 || gotChi != chi || len(want.Wrong) != 3 || len(got.Wrong) != len(want.Wrong) {
+		t.Fatalf("Prove: χ=%d with %d revelations; ProveOpened: χ=%d with %d",
+			chi, len(want.Wrong), gotChi, len(got.Wrong))
+	}
+	for i, w := range want.Wrong {
+		o := got.Wrong[i]
+		if o.Index != w.Index || o.Plain.InRange != w.Plain.InRange || o.Plain.Value != w.Plain.Value ||
+			!g.Equal(o.Plain.Element, w.Plain.Element) ||
+			!bytes.Equal(vpke.MarshalProof(g, o.Proof), vpke.MarshalProof(g, w.Proof)) {
+			t.Fatalf("revelation %d: ProveOpened differs from Prove", i)
+		}
+	}
+	if !poqoea.Verify(&sk.PublicKey, cts, gotChi, got, st) {
+		t.Fatal("ProveOpened proof rejected")
+	}
+	if _, _, err := poqoea.ProveOpened(sk, cts, plains[1:], st, stream(3)); err == nil {
+		t.Fatal("ProveOpened accepted a plaintext vector of the wrong length")
 	}
 }

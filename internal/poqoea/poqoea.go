@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
@@ -102,14 +101,37 @@ type Proof struct {
 // Prove computes the true quality χ of the encrypted answer vector cts and a
 // proof that χ is (an upper bound on) that quality. Only golden-standard
 // positions are ever decrypted into the proof; all other answers stay
-// confidential.
-// Prove draws one Schnorr nonce per golden standard sequentially from rnd
-// (so seeded runs stay reproducible) and then computes the per-question
-// decryptions and VPKE transcripts concurrently; the resulting proof is
-// byte-for-byte the sequential one.
+// confidential. It decrypts the golden positions concurrently and hands
+// them to ProveOpened, so the proof is byte-for-byte ProveOpened's for the
+// same randomness stream.
 func Prove(sk *elgamal.PrivateKey, cts []elgamal.Ciphertext, st Statement, rnd io.Reader) (int, *Proof, error) {
 	if err := st.Validate(len(cts)); err != nil {
 		return 0, nil, err
+	}
+	plains := make([]elgamal.Plaintext, len(cts))
+	_ = parallel.For(context.Background(), len(st.GoldenIndices), 0, func(j int) error {
+		idx := st.GoldenIndices[j]
+		plains[idx] = sk.Decrypt(cts[idx], st.RangeSize)
+		return nil
+	})
+	return ProveOpened(sk, cts, plains, st, rnd)
+}
+
+// ProveOpened is Prove for a caller that has already decrypted the answers:
+// plains[i] must be the decryption of cts[i] under sk (with the statement's
+// range) for every golden index i; other entries are not read. A requester
+// that decrypts every submission once for its own evaluation and harvest
+// proves quality without decrypting a golden answer a second time.
+// ProveOpened draws one Schnorr nonce per golden standard sequentially from
+// rnd (so seeded runs stay reproducible) and then computes the VPKE
+// transcripts concurrently; the resulting proof is byte-for-byte the
+// sequential one.
+func ProveOpened(sk *elgamal.PrivateKey, cts []elgamal.Ciphertext, plains []elgamal.Plaintext, st Statement, rnd io.Reader) (int, *Proof, error) {
+	if err := st.Validate(len(cts)); err != nil {
+		return 0, nil, err
+	}
+	if len(plains) != len(cts) {
+		return 0, nil, fmt.Errorf("poqoea: %d plaintexts for %d ciphertexts", len(plains), len(cts))
 	}
 	nonces := make([]*big.Int, len(st.GoldenIndices))
 	for j, idx := range st.GoldenIndices {
@@ -119,23 +141,19 @@ func Prove(sk *elgamal.PrivateKey, cts []elgamal.Ciphertext, st Statement, rnd i
 		}
 		nonces[j] = x
 	}
-	type opened struct {
-		plain elgamal.Plaintext
-		proof *vpke.Proof
-	}
-	results, _ := parallel.Map(context.Background(), len(st.GoldenIndices), 0, func(j int) (opened, error) {
-		plain, pi := vpke.ProveWithNonce(sk, cts[st.GoldenIndices[j]], st.RangeSize, nonces[j])
-		return opened{plain: plain, proof: pi}, nil
+	proofs, _ := parallel.Map(context.Background(), len(st.GoldenIndices), 0, func(j int) (*vpke.Proof, error) {
+		idx := st.GoldenIndices[j]
+		return vpke.ProveOpened(sk, cts[idx], plains[idx], nonces[j]), nil
 	})
 	quality := 0
 	pf := &Proof{}
 	for j, idx := range st.GoldenIndices {
-		r := results[j]
-		if r.plain.InRange && r.plain.Value == st.GoldenAnswers[j] {
+		plain := plains[idx]
+		if plain.InRange && plain.Value == st.GoldenAnswers[j] {
 			quality++
 			continue
 		}
-		pf.Wrong = append(pf.Wrong, WrongAnswer{Index: idx, Plain: r.plain, Proof: r.proof})
+		pf.Wrong = append(pf.Wrong, WrongAnswer{Index: idx, Plain: plain, Proof: proofs[j]})
 	}
 	return quality, pf, nil
 }
@@ -146,6 +164,23 @@ func Prove(sk *elgamal.PrivateKey, cts []elgamal.Ciphertext, st Statement, rnd i
 // and must carry a valid VPKE proof; the claim is accepted iff
 // claimedQuality + #valid revelations ≥ |G|.
 func Verify(pk *elgamal.PublicKey, cts []elgamal.Ciphertext, claimedQuality int, pf *Proof, st Statement) bool {
+	return verify(pk, cts, claimedQuality, pf, st, 0)
+}
+
+// VerifySequential is Verify on the calling goroutine: revelations are
+// checked in order and checking stops at the first invalid one, as an EVM
+// executing the verifier would. On-chain evaluation uses it — a metered
+// group charges gas to its transaction's environment, which is not safe
+// for concurrent use, and the gas charged must be the in-order prefix of
+// verification work, independent of any worker count. The verdict always
+// equals Verify's.
+func VerifySequential(pk *elgamal.PublicKey, cts []elgamal.Ciphertext, claimedQuality int, pf *Proof, st Statement) bool {
+	return verify(pk, cts, claimedQuality, pf, st, 1)
+}
+
+// verify is Verify with the VPKE checks spread over at most workers spans
+// (0 = the pool default).
+func verify(pk *elgamal.PublicKey, cts []elgamal.Ciphertext, claimedQuality int, pf *Proof, st Statement, workers int) bool {
 	if pf == nil || st.Validate(len(cts)) != nil {
 		return false
 	}
@@ -174,13 +209,8 @@ func Verify(pk *elgamal.PublicKey, cts []elgamal.Ciphertext, claimedQuality int,
 		}
 		return vpke.VerifyElement(pk, w.Plain.Element, cts[w.Index], w.Proof)
 	}
-	type span struct{ start, end int }
-	var spans []span
-	parallel.Chunks(len(pf.Wrong), 0, func(_, start, end int) {
-		spans = append(spans, span{start, end})
-	})
-	err := parallel.For(context.Background(), len(spans), len(spans), func(c int) error {
-		for i := spans[c].start; i < spans[c].end; i++ {
+	err := parallel.ForSpans(context.Background(), len(pf.Wrong), workers, func(start, end int) error {
+		for i := start; i < end; i++ {
 			if !verifyOne(pf.Wrong[i]) {
 				return errInvalid
 			}
@@ -238,10 +268,10 @@ func Quality(answers []int64, st Statement) int {
 // EncryptAnswers encrypts a full answer vector under pk — the worker-side
 // helper used throughout the protocol and tests. Encryption randomness is
 // drawn sequentially from rnd (one scalar per question, matching the
-// sequential consumption order), then the crypto runs as chunked batch
-// encryptions — fixed-base tables for both bases and one batch
-// normalization per chunk — so the ciphertext vector is identical to a
-// sequential encryption with the same stream.
+// sequential consumption order), then the crypto runs as one batch
+// encryption — fixed-base tables for both bases and one batch
+// normalization — so the ciphertext vector is identical to a sequential
+// encryption with the same stream.
 func EncryptAnswers(pk *elgamal.PublicKey, answers []int64, rnd io.Reader) ([]elgamal.Ciphertext, error) {
 	rs := make([]*big.Int, len(answers))
 	for i := range answers {
@@ -251,25 +281,11 @@ func EncryptAnswers(pk *elgamal.PublicKey, answers []int64, rnd io.Reader) ([]el
 		}
 		rs[i] = r
 	}
-	out := make([]elgamal.Ciphertext, len(answers))
-	var firstErr error
-	var mu sync.Mutex
-	parallel.Chunks(len(answers), 0, func(_, start, end int) {
-		cts, err := pk.EncryptBatchWithRandomness(answers[start:end], rs[start:end])
-		if err != nil {
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("poqoea: encrypting answers [%d,%d): %w", start, end, err)
-			}
-			mu.Unlock()
-			return
-		}
-		copy(out[start:end], cts)
-	})
-	if firstErr != nil {
-		return nil, firstErr
+	cts, err := pk.EncryptBatchWithRandomness(answers, rs)
+	if err != nil {
+		return nil, fmt.Errorf("poqoea: encrypting answers: %w", err)
 	}
-	return out, nil
+	return cts, nil
 }
 
 // ProofSize returns the marshaled size of the proof in bytes for the given

@@ -8,9 +8,11 @@
 package protocol
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"dragoon/internal/batch"
@@ -20,6 +22,7 @@ import (
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/ledger"
+	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/swarm"
 	"dragoon/internal/task"
@@ -104,6 +107,14 @@ type Requester struct {
 	// half-built table).
 	logTableOnce sync.Once
 	logTable     *elgamal.ShortLogTable
+
+	// harvest holds the answer vector (−1 for an out-of-range answer) of
+	// every submission opened so far, indexed like the view's
+	// submissions; nil until that submission is opened. Evaluation fills
+	// it, so Answers decrypts only what evaluation never opened. Only
+	// these compact vectors outlive an evaluation: ciphertexts and
+	// decrypted group elements do not.
+	harvest [][]int64
 }
 
 // RequesterConfig configures a requester client.
@@ -327,29 +338,34 @@ func (r *Requester) Step() error {
 	return nil
 }
 
-// evaluateAll decrypts every revealed submission and sends the rejection
+// evaluateAll opens every revealed submission and sends the rejection
 // transactions the policy calls for.
 func (r *Requester) evaluateAll(view *chainView) error {
 	st := r.inst.Golden.Statement(r.inst.Task.RangeSize)
-	for _, sub := range view.submissions {
-		cts, err := r.decode(sub.data)
-		if err != nil {
-			return fmt.Errorf("protocol: decoding submission of %s: %w", sub.worker, err)
-		}
-		switch r.policy {
-		case PolicyFalseReport:
+	for i, sub := range view.submissions {
+		if r.policy == PolicyFalseReport {
 			// Underclaim χ=0 with no proof: the contract must treat this
-			// as an invalid rejection and pay the worker.
+			// as an invalid rejection and pay the worker. Nothing needs
+			// decrypting.
+			if _, err := r.decode(sub.data); err != nil {
+				return fmt.Errorf("protocol: decoding submission of %s: %w", sub.worker, err)
+			}
 			msg := &contract.EvaluateMsg{Worker: sub.worker, Chi: 0}
 			if err := r.submitEval(contract.MethodEvaluate, msg.Marshal()); err != nil {
 				return err
 			}
 			continue
+		}
+		cts, plains, err := r.open(i, sub)
+		if err != nil {
+			return fmt.Errorf("protocol: decoding submission of %s: %w", sub.worker, err)
+		}
+		switch r.policy {
 		case PolicyGarbledProof:
 			// Underclaim χ=0 backed by honestly-generated but garbled
 			// VPKE proofs: on-chain verification must fail and pay the
 			// worker.
-			if err := r.garbledEvaluate(sub.worker, cts, st); err != nil {
+			if err := r.garbledEvaluate(sub.worker, cts, plains, st); err != nil {
 				return err
 			}
 			continue
@@ -358,14 +374,14 @@ func (r *Requester) evaluateAll(view *chainView) error {
 			continue
 		}
 
-		if idx, plain, pi, found, err := r.findOutOfRange(cts); err != nil {
+		if idx, pi, found, err := r.findOutOfRange(cts, plains); err != nil {
 			return err
 		} else if found {
 			msg := &contract.OutrangeMsg{
 				Worker:  sub.worker,
 				QIdx:    idx,
 				Ct:      elgamal.MarshalCiphertext(r.sk.Group, cts[idx]),
-				Element: r.sk.Group.Marshal(plain.Element),
+				Element: r.sk.Group.Marshal(plains[idx].Element),
 				Proof:   vpke.MarshalProof(r.sk.Group, pi),
 			}
 			if err := r.submitEval(contract.MethodOutrange, msg.Marshal()); err != nil {
@@ -374,27 +390,14 @@ func (r *Requester) evaluateAll(view *chainView) error {
 			continue
 		}
 
-		quality, pf, err := poqoea.Prove(r.sk, cts, st, r.rand)
+		quality, pf, err := poqoea.ProveOpened(r.sk, cts, plains, st, r.rand)
 		if err != nil {
 			return fmt.Errorf("protocol: proving quality of %s: %w", sub.worker, err)
 		}
 		if quality >= r.inst.Task.Threshold {
 			continue // qualified: stay silent, the default pays the worker
 		}
-		msg := &contract.EvaluateMsg{Worker: sub.worker, Chi: quality}
-		for _, w := range pf.Wrong {
-			entry := contract.WrongEntry{
-				QIdx:    w.Index,
-				Ct:      elgamal.MarshalCiphertext(r.sk.Group, cts[w.Index]),
-				InRange: w.Plain.InRange,
-				Value:   w.Plain.Value,
-				Proof:   vpke.MarshalProof(r.sk.Group, w.Proof),
-			}
-			if !w.Plain.InRange {
-				entry.Element = r.sk.Group.Marshal(w.Plain.Element)
-			}
-			msg.Wrong = append(msg.Wrong, entry)
-		}
+		msg := r.evaluateMsg(sub.worker, quality, cts, pf)
 		if err := r.submitEval(contract.MethodEvaluate, msg.Marshal()); err != nil {
 			return err
 		}
@@ -405,12 +408,24 @@ func (r *Requester) evaluateAll(view *chainView) error {
 // garbledEvaluate sends the forged-proof rejection of PolicyGarbledProof:
 // a χ=0 claim whose wrong-answer entries carry honestly-generated VPKE
 // proofs with their bytes corrupted.
-func (r *Requester) garbledEvaluate(worker chain.Address, cts []elgamal.Ciphertext, st poqoea.Statement) error {
-	_, pf, err := poqoea.Prove(r.sk, cts, st, r.rand)
+func (r *Requester) garbledEvaluate(worker chain.Address, cts []elgamal.Ciphertext, plains []elgamal.Plaintext, st poqoea.Statement) error {
+	_, pf, err := poqoea.ProveOpened(r.sk, cts, plains, st, r.rand)
 	if err != nil {
 		return fmt.Errorf("protocol: proving quality of %s: %w", worker, err)
 	}
-	msg := &contract.EvaluateMsg{Worker: worker, Chi: 0}
+	msg := r.evaluateMsg(worker, 0, cts, pf)
+	for i := range msg.Wrong {
+		if len(msg.Wrong[i].Proof) > 0 {
+			msg.Wrong[i].Proof[0] ^= 0xFF // the forgery
+		}
+	}
+	return r.submitEval(contract.MethodEvaluate, msg.Marshal())
+}
+
+// evaluateMsg builds the quality claim χ = chi whose wrong-answer entries
+// carry pf's revelations.
+func (r *Requester) evaluateMsg(worker chain.Address, chi int, cts []elgamal.Ciphertext, pf *poqoea.Proof) *contract.EvaluateMsg {
+	msg := &contract.EvaluateMsg{Worker: worker, Chi: chi}
 	for _, w := range pf.Wrong {
 		entry := contract.WrongEntry{
 			QIdx:    w.Index,
@@ -422,12 +437,9 @@ func (r *Requester) garbledEvaluate(worker chain.Address, cts []elgamal.Cipherte
 		if !w.Plain.InRange {
 			entry.Element = r.sk.Group.Marshal(w.Plain.Element)
 		}
-		if len(entry.Proof) > 0 {
-			entry.Proof[0] ^= 0xFF // the forgery
-		}
 		msg.Wrong = append(msg.Wrong, entry)
 	}
-	return r.submitEval(contract.MethodEvaluate, msg.Marshal())
+	return msg
 }
 
 // decryptTable returns the lazily-built short-log table for the task's
@@ -441,22 +453,50 @@ func (r *Requester) decryptTable() *elgamal.ShortLogTable {
 	return r.logTable
 }
 
-// findOutOfRange scans a submission for the first out-of-range answer and
-// builds its VPKE opening.
-func (r *Requester) findOutOfRange(cts []elgamal.Ciphertext) (int, elgamal.Plaintext, *vpke.Proof, bool, error) {
+// open decodes revealed submission i and decrypts each of its ciphertexts
+// exactly once, in contiguous spans on the work pool (one work unit per
+// pool worker; each span writes only its own slots). It records the
+// submission's answer vector for Answers and returns the ciphertexts and
+// plaintexts for evaluation to prove from.
+func (r *Requester) open(i int, sub submission) ([]elgamal.Ciphertext, []elgamal.Plaintext, error) {
+	cts, err := r.decode(sub.data)
+	if err != nil {
+		return nil, nil, err
+	}
 	table := r.decryptTable()
-	for i, ct := range cts {
-		plain := r.sk.DecryptWith(table, ct)
+	plains := make([]elgamal.Plaintext, len(cts))
+	answers := make([]int64, len(cts))
+	_ = parallel.ForSpans(context.Background(), len(cts), 0, func(start, end int) error {
+		for q := start; q < end; q++ {
+			plains[q] = r.sk.DecryptWith(table, cts[q])
+			answers[q] = -1 // out of range
+			if plains[q].InRange {
+				answers[q] = plains[q].Value
+			}
+		}
+		return nil
+	})
+	if i >= len(r.harvest) {
+		r.harvest = append(r.harvest, make([][]int64, i+1-len(r.harvest))...)
+	}
+	r.harvest[i] = answers
+	return cts, plains, nil
+}
+
+// findOutOfRange finds the first out-of-range answer among a submission's
+// decryptions and builds its VPKE opening.
+func (r *Requester) findOutOfRange(cts []elgamal.Ciphertext, plains []elgamal.Plaintext) (int, *vpke.Proof, bool, error) {
+	for i, plain := range plains {
 		if plain.InRange {
 			continue
 		}
-		plain, pi, err := vpke.Prove(r.sk, ct, r.inst.Task.RangeSize, r.rand)
+		x, err := group.RandomScalar(r.sk.Group, r.rand)
 		if err != nil {
-			return 0, elgamal.Plaintext{}, nil, false, fmt.Errorf("protocol: out-of-range proof: %w", err)
+			return 0, nil, false, fmt.Errorf("protocol: out-of-range proof: %w", err)
 		}
-		return i, plain, pi, true, nil
+		return i, vpke.ProveOpened(r.sk, cts[i], plain, x), true, nil
 	}
-	return 0, elgamal.Plaintext{}, nil, false, nil
+	return 0, nil, false, nil
 }
 
 func (r *Requester) submitEval(method string, data []byte) error {
@@ -468,31 +508,24 @@ func (r *Requester) submitEval(method string, data []byte) error {
 	})
 }
 
-// Answers decrypts all revealed submissions (the requester's deliverable:
-// the crowdsourced data). It returns a map from worker to plaintext answer
-// vector.
+// Answers returns all revealed submissions decrypted (the requester's
+// deliverable: the crowdsourced data) as a map from worker to plaintext
+// answer vector, −1 marking an out-of-range answer. Submissions evaluation
+// already opened are not decrypted again; the caller owns the returned
+// slices.
 func (r *Requester) Answers() (map[chain.Address][]int64, error) {
 	view, err := r.obs.refresh()
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[chain.Address][]int64, len(view.submissions))
-	for _, sub := range view.submissions {
-		cts, err := r.decode(sub.data)
-		if err != nil {
-			return nil, err
-		}
-		table := r.decryptTable()
-		answers := make([]int64, len(cts))
-		for i, ct := range cts {
-			plain := r.sk.DecryptWith(table, ct)
-			if plain.InRange {
-				answers[i] = plain.Value
-			} else {
-				answers[i] = -1 // out of range
+	for i, sub := range view.submissions {
+		if i >= len(r.harvest) || r.harvest[i] == nil {
+			if _, _, err := r.open(i, sub); err != nil {
+				return nil, err
 			}
 		}
-		out[sub.worker] = answers
+		out[sub.worker] = slices.Clone(r.harvest[i])
 	}
 	return out, nil
 }

@@ -44,15 +44,22 @@ func Prove(sk *elgamal.PrivateKey, ct elgamal.Ciphertext, rangeSize int64, rnd i
 	return plain, pi, nil
 }
 
-// ProveWithNonce is Prove with a caller-supplied Schnorr nonce x. Batch
-// provers (PoQoEA over many golden standards) draw their nonces sequentially
-// from one randomness stream and then run the expensive decryptions and
-// group operations concurrently; given the same nonce, the output transcript
-// is identical to Prove's.
+// ProveWithNonce is Prove with a caller-supplied Schnorr nonce x, so batch
+// provers can draw their nonces sequentially from one randomness stream and
+// then run the group operations concurrently; given the same nonce, the
+// output transcript is identical to Prove's.
 func ProveWithNonce(sk *elgamal.PrivateKey, ct elgamal.Ciphertext, rangeSize int64, x *big.Int) (elgamal.Plaintext, *Proof) {
-	g := sk.Group
 	plain := sk.Decrypt(ct, rangeSize)
+	return plain, ProveOpened(sk, ct, plain, x)
+}
 
+// ProveOpened proves that ct decrypts to plain, a decryption of ct under sk
+// the caller already holds, with Schnorr nonce x: ProveWithNonce without
+// the decryption (only plain.Element enters the transcript). PoQoEA's
+// ProveOpened and a requester that decrypted a whole submission once use
+// it. Given the same nonce the proof is identical to ProveWithNonce's.
+func ProveOpened(sk *elgamal.PrivateKey, ct elgamal.Ciphertext, plain elgamal.Plaintext, x *big.Int) *Proof {
+	g := sk.Group
 	a := g.ScalarMul(ct.C1, x)
 	b := g.ScalarBaseMul(x)
 	c := challenge(g, a, b, sk.H, ct, plain.Element)
@@ -60,7 +67,7 @@ func ProveWithNonce(sk *elgamal.PrivateKey, ct elgamal.Ciphertext, rangeSize int
 	z := new(big.Int).Mul(sk.K, c)
 	z.Add(z, x)
 	z.Mod(z, g.Order())
-	return plain, &Proof{A: a, B: b, Z: z}
+	return &Proof{A: a, B: b, Z: z}
 }
 
 // VerifyValue checks that ct decrypts to the in-range integer m.

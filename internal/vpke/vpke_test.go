@@ -1,10 +1,12 @@
 package vpke_test
 
 import (
+	"bytes"
 	"math/big"
 	"testing"
 	"testing/quick"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/vpke"
@@ -213,6 +215,45 @@ func TestProofMarshalRoundtrip(t *testing.T) {
 			}
 			if _, err := vpke.UnmarshalProof(g, enc[:len(enc)-1]); err == nil {
 				t.Error("expected length error")
+			}
+		})
+	}
+}
+
+// TestProveOpenedMatchesProveWithNonce: proving from a decryption the
+// caller already holds — exact or through a short-log table — yields the
+// very proof ProveWithNonce builds with the same nonce, in range and out.
+func TestProveOpenedMatchesProveWithNonce(t *testing.T) {
+	for _, g := range []group.Group{group.TestSchnorr(), group.BN254G1()} {
+		t.Run(g.Name(), func(t *testing.T) {
+			rnd := drbg.New(5, "prove-opened")
+			sk, err := elgamal.KeyGen(g, rnd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table := elgamal.NewShortLogTable(g, rangeSize)
+			for _, m := range []int64{0, rangeSize - 1, 99} {
+				ct, _, err := sk.Encrypt(m, rnd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				x, err := group.RandomScalar(g, rnd)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plain, want := vpke.ProveWithNonce(sk, ct, rangeSize, x)
+				if plain.InRange != (m < rangeSize) {
+					t.Fatalf("m=%d: decrypted %+v", m, plain)
+				}
+				for name, opened := range map[string]elgamal.Plaintext{
+					"decrypt": sk.Decrypt(ct, rangeSize),
+					"table":   sk.DecryptWith(table, ct),
+				} {
+					got := vpke.ProveOpened(sk, ct, opened, x)
+					if !bytes.Equal(vpke.MarshalProof(g, got), vpke.MarshalProof(g, want)) {
+						t.Errorf("m=%d, %s: ProveOpened differs from ProveWithNonce", m, name)
+					}
+				}
 			}
 		})
 	}
