@@ -2,9 +2,6 @@ package adversary_test
 
 import (
 	"errors"
-	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"dragoon/internal/adversary"
@@ -14,10 +11,6 @@ import (
 	"dragoon/internal/ledger"
 	"dragoon/internal/protocol"
 )
-
-// Regenerate the committed econ golden fingerprint with
-// `go test ./internal/adversary -run TestGoldenFingerprint -update-golden`.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fingerprint files")
 
 // econScenarios returns the catalogue entries declaring an economic
 // structure — the rational/collusion/sybil matrix additions.
@@ -292,25 +285,5 @@ func TestGoldenFingerprintEcon(t *testing.T) {
 	if err := rep.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	got := fingerprint(rep)
-	path := filepath.Join("testdata", "golden_econ.txt")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run `make golden` to create it): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("econ matrix fingerprint drifted from %s.\n"+
-			"If the change is intentional (protocol, gas or rng-order change), regenerate with `make golden` and commit the diff.\n"+
-			"got %d bytes, want %d bytes", path, len(got), len(want))
-	}
+	checkGolden(t, "golden_econ.txt", "econ matrix", fingerprint(rep))
 }
