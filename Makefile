@@ -97,11 +97,12 @@ bench-json:
 	$(GO) run ./cmd/benchtables -json BENCH_parallel.json -workers $(BENCH_WORKERS)
 
 # One iteration of every crypto-kernel benchmark (fixed-base tables, GLV
-# scalar mul, batch encryption/short-log, Pedersen commitments) — a CI
-# smoke check that the kernel paths still run, not a timing measurement.
+# scalar mul, batch encryption/short-log, Pedersen commitments, the NTT and
+# the Montgomery field ops) — a CI smoke check that the kernel paths still
+# run, not a timing measurement.
 bench-kernels:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/bn254 \
-		./internal/elgamal ./internal/commit
+		./internal/elgamal ./internal/commit ./internal/ff ./internal/limb
 
 # Bounded-memory soak slice for CI: stream tasks through a background
 # service for ~30 seconds (or 10^4 tasks, whichever comes first) and fail

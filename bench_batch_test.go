@@ -19,6 +19,7 @@ import (
 
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
+	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/task"
 )
@@ -74,8 +75,8 @@ func BenchmarkBatchVerify(b *testing.B) {
 		for _, w := range pools {
 			run := func(mode string, body func()) {
 				b.Run(fmt.Sprintf("size=%d/workers=%d/%s", size, w, mode), func(b *testing.B) {
-					prev := SetParallelism(w)
-					defer SetParallelism(prev)
+					prev := parallel.SetDefaultWorkers(w)
+					defer parallel.SetDefaultWorkers(prev)
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

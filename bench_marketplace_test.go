@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"dragoon/internal/market"
+	"dragoon/internal/parallel"
 	"dragoon/internal/protocol"
 )
 
@@ -76,8 +77,8 @@ func BenchmarkMarketplace(b *testing.B) {
 	}
 	for _, w := range sizes {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			prev := SetParallelism(w)
-			defer SetParallelism(prev)
+			prev := parallel.SetDefaultWorkers(w)
+			defer parallel.SetDefaultWorkers(prev)
 			// The config is stateless (deterministic models, fresh chain
 			// per run), so it is built once outside the timed loop.
 			cfg := benchMarketConfig(b)

@@ -18,6 +18,7 @@ import (
 	"dragoon/internal/elgamal"
 	"dragoon/internal/groth16"
 	"dragoon/internal/group"
+	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/sim"
 	"dragoon/internal/task"
@@ -93,8 +94,8 @@ func workerSweep(b *testing.B, questions int, body func(b *testing.B)) {
 	}
 	for _, w := range sizes {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			prev := SetParallelism(w)
-			defer SetParallelism(prev)
+			prev := parallel.SetDefaultWorkers(w)
+			defer parallel.SetDefaultWorkers(prev)
 			b.ReportAllocs()
 			b.ResetTimer()
 			body(b)

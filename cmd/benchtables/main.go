@@ -219,9 +219,8 @@ func writeParallelJSON(path string, parWorkers int) error {
 		return err
 	}
 	adversaryMatrix := adversary.ParticipantMatrix()
-	// Variable-base scalar-mul fixture for the field-backend comparison: an
-	// off-generator point (so no fixed-base table applies) and a full-width
-	// scalar, shared by the scalar_mul_limb / scalar_mul_bigint ops.
+	// Variable-base scalar-mul fixture: an off-generator point (so no
+	// fixed-base table applies) and a full-width scalar.
 	scalarMulBase := bn254.G1Generator().ScalarMul(big.NewInt(987654321))
 	scalarMulK := new(big.Int).Rsh(bn254.Order(), 1)
 
@@ -245,43 +244,9 @@ func writeParallelJSON(path string, parWorkers int) error {
 				panic(err)
 			}
 		}},
-		// encrypt_fixedbase vs encrypt_generic isolates the crypto-kernel
-		// win: the same batch encryption through the precomputed fixed-base
-		// tables (the default path, so it tracks encrypt_answers) and with
-		// both the precomputation registry and the GLV split disabled. The
-		// ratio is the strength-reduction factor, independent of pool size.
-		{"encrypt_fixedbase", nQuestions, func() {
-			if _, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil); err != nil {
-				panic(err)
-			}
-		}},
-		{"encrypt_generic", nQuestions, func() {
-			prevPre := group.SetPrecompute(false)
-			prevGLV := bn254.SetGLV(false)
-			defer func() {
-				group.SetPrecompute(prevPre)
-				bn254.SetGLV(prevGLV)
-			}()
-			if _, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil); err != nil {
-				panic(err)
-			}
-		}},
-		// scalar_mul_limb vs scalar_mul_bigint isolates the field-arithmetic
-		// backend: the same variable-base GLV scalar multiplication on BN254
-		// G1 with the Montgomery-limb Fp kernels (the default) and with the
-		// big.Int reference forced. The ratio is the limb backend's
-		// strength-reduction factor; it is independent of pool size and of
-		// the precompute/GLV knobs above.
+		// scalar_mul_limb times the variable-base GLV scalar multiplication
+		// on BN254 G1, which runs on the Montgomery-limb Fp kernels.
 		{"scalar_mul_limb", 0, func() {
-			prev := bn254.SetLimbArithmetic(true)
-			defer bn254.SetLimbArithmetic(prev)
-			for i := 0; i < 16; i++ {
-				scalarMulBase.ScalarMul(scalarMulK)
-			}
-		}},
-		{"scalar_mul_bigint", 0, func() {
-			prev := bn254.SetLimbArithmetic(false)
-			defer bn254.SetLimbArithmetic(prev)
 			for i := 0; i < 16; i++ {
 				scalarMulBase.ScalarMul(scalarMulK)
 			}

@@ -72,18 +72,12 @@
 // and batch verification, Groth16 proving (per-wire MSMs and the QAP
 // quotient) and pairing-product verification, and the per-round off-chain
 // worker computation of the simulation harness — run on a bounded work
-// pool (internal/parallel) sized to runtime.NumCPU() by default. Two knobs
-// control it:
-//
-//   - SetParallelism(n) bounds the process-wide pool, affecting every
-//     library call (SetParallelism(1) forces fully sequential execution);
-//   - Options.Parallelism — embedded in SimulationConfig, MarketplaceConfig,
-//     ScenarioOptions and ServiceConfig — bounds only that run's pool,
-//     overriding the process default.
-//
-// Prefer the per-run Options struct, which consolidates Parallelism,
-// BatchVerify and ParallelExec in one place; the process-wide setters are
-// retained as compatibility shims.
+// pool (internal/parallel) sized to runtime.NumCPU() by default.
+// Options.Parallelism — embedded in SimulationConfig, MarketplaceConfig,
+// ScenarioOptions and ServiceConfig — bounds that run's pool
+// (Parallelism 1 forces fully sequential execution). The Options struct
+// consolidates every per-run knob: Parallelism, BatchVerify and
+// ParallelExec.
 //
 // Parallel execution is deterministic: results are combined in input order
 // and randomness is always drawn sequentially from the caller's stream
@@ -116,9 +110,9 @@
 // # Batch verification
 //
 // Verification — the requester's single hottest per-question cost — can be
-// amortized: SetBatchVerify(true) folds independent verification equations
-// into ONE multi-scalar multiplication (or one multi-pairing, for Groth16)
-// per batch via a random linear combination with transcript-seeded
+// amortized: Options.BatchVerify > 0 folds independent verification
+// equations into ONE multi-scalar multiplication (or one multi-pairing, for
+// Groth16) per batch via a random linear combination with transcript-seeded
 // exponents. VerifyQualityBatch checks many PoQoEA claims in a single fold,
 // the requester client decodes revealed submissions through a batched
 // well-formedness pass, and the marketplace re-verifies every rejection
@@ -126,9 +120,10 @@
 // round auditor). On a failed fold the engine bisects down to per-proof
 // verification, so verdicts (who gets paid, who gets slashed) are identical
 // to per-proof verification; the adversarial scenario sweep asserts
-// byte-identical fingerprints with batching on and off. Per-run overrides:
-// SimulationConfig.BatchVerify / MarketplaceConfig.BatchVerify /
-// ScenarioOptions.BatchVerify (> 0 on, < 0 off, 0 follows the global knob).
+// byte-identical fingerprints with batching on and off. The knob is
+// per-run: SimulationConfig.BatchVerify / MarketplaceConfig.BatchVerify /
+// ScenarioOptions.BatchVerify (> 0 on; 0, the default, and < 0 off).
+// VerifyQualityBatch always folds.
 //
 // # Threat model & adversarial scenarios
 //
@@ -172,8 +167,6 @@ import (
 	"io"
 	"math/rand"
 
-	"dragoon/internal/batch"
-	"dragoon/internal/bn254"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/ledger"
@@ -183,49 +176,8 @@ import (
 	"dragoon/internal/vpke"
 )
 
-// SetParallelism bounds the process-wide worker pool used by every parallel
-// hot path (MSMs, pairing products, batch encryption/proving/verification,
-// simulated worker rounds). n <= 0 restores the runtime.NumCPU() default;
-// n == 1 forces fully sequential execution. It returns the previous setting
-// so callers can restore it.
-//
-// SetParallelism is a compatibility shim kept for existing callers: it
-// mutates global state, so concurrent runs step on each other. New code
-// should set Options.Parallelism on the run's configuration instead.
-func SetParallelism(n int) int { return parallel.SetDefaultWorkers(n) }
-
 // Parallelism reports the effective process-wide worker pool size.
 func Parallelism() int { return parallel.Workers(0) }
-
-// SetBatchVerify flips the process-wide batch-verification knob and returns
-// the previous setting. With batching on, verification consumers fold many
-// proof equations into one multi-scalar multiplication (one multi-pairing
-// for Groth16) with bisection on failure, so throughput rises while every
-// accept/reject verdict stays identical to per-proof verification. Off by
-// default.
-//
-// SetBatchVerify is a compatibility shim kept for existing callers: it
-// mutates global state, so concurrent runs step on each other. New code
-// should set Options.BatchVerify (> 0 on, < 0 off) on the run's
-// configuration instead.
-func SetBatchVerify(on bool) bool { return batch.SetEnabled(on) }
-
-// BatchVerifyEnabled reports the process-wide batch-verification knob.
-func BatchVerifyEnabled() bool { return batch.Enabled() }
-
-// SetLimbArithmetic flips the process-wide field-arithmetic backend and
-// returns the previous setting. On (the default), the BN254 base-field and
-// scalar-field hot paths — Jacobian ladders, Pippenger MSM buckets,
-// fixed-base windows, NTT butterflies — run on 4×64-bit Montgomery limbs
-// with zero heap allocations; off, they run on the original big.Int
-// reference implementation. The backends are bit-for-bit interchangeable
-// (a pure change of representation), so flipping the knob never changes a
-// transcript — only speed. Like the knobs above it mutates global state,
-// so flip it only around whole runs, never concurrently with one.
-func SetLimbArithmetic(on bool) bool { return bn254.SetLimbArithmetic(on) }
-
-// LimbArithmeticEnabled reports the process-wide field-backend knob.
-func LimbArithmeticEnabled() bool { return bn254.LimbArithmeticEnabled() }
 
 // Group is a prime-order cyclic group backend for the protocol crypto.
 type Group = group.Group

@@ -30,35 +30,13 @@
 // (protocol), and the marketplace round auditor that folds every rejection
 // proof landing in one mined round across all tasks (market).
 //
-// The process-wide knob (SetEnabled, surfaced as dragoon.SetBatchVerify)
-// and per-run overrides (Resolve) let every consumer be flipped between
-// batched and per-proof verification; the adversary-matrix sweep asserts
+// Every consumer takes the per-run choice between batched and per-proof
+// verification through Resolve; the adversary-matrix knob sweep asserts
 // the two modes are fingerprint-identical.
 package batch
 
-import "sync/atomic"
-
-// enabled is the process-wide batching knob (off by default: per-proof
-// verification remains the reference semantics).
-var enabled atomic.Bool
-
-// SetEnabled flips the process-wide batch-verification knob and returns the
-// previous setting. The facade exposes it as dragoon.SetBatchVerify.
-func SetEnabled(on bool) bool { return enabled.Swap(on) }
-
-// Enabled reports the process-wide batch-verification knob.
-func Enabled() bool { return enabled.Load() }
-
-// Resolve resolves a per-run tri-state override against the process-wide
-// knob: > 0 forces batching on, < 0 forces it off, 0 follows Enabled().
-// Harness configs (market, sim, adversary) carry the tri-state so test
-// sweeps can pin both modes without racing on the global.
-func Resolve(override int) bool {
-	if override > 0 {
-		return true
-	}
-	if override < 0 {
-		return false
-	}
-	return Enabled()
-}
+// Resolve turns a per-run override into the batching decision: > 0 selects
+// folded verification, anything else per-proof verification (the reference
+// semantics). Harness configs (market, sim, adversary, service) carry the
+// override as opts.Options.BatchVerify.
+func Resolve(override int) bool { return override > 0 }

@@ -234,13 +234,7 @@ func TestGenericMSMMatchesNaive(t *testing.T) {
 }
 
 func TestResolve(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	if Resolve(0) || Resolve(-1) || !Resolve(1) {
-		t.Error("Resolve with knob off")
-	}
-	SetEnabled(true)
-	if !Resolve(0) || Resolve(-1) || !Resolve(1) {
-		t.Error("Resolve with knob on")
+	if Resolve(0) || Resolve(-1) || !Resolve(1) || !Resolve(2) {
+		t.Error("Resolve must batch exactly for positive overrides")
 	}
 }

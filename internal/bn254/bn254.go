@@ -14,12 +14,11 @@
 //     (p¹²-1)/r final exponentiation. The style favours auditability over
 //     raw speed; it is more than fast enough for the paper's workloads.
 //
-// Two Fp backends coexist under the same exported surface. The reference
-// path keeps elements as *big.Int reduced in [0, p). The default fast path
-// (fp.go) runs the G1 hot core — scalar ladders, Pippenger buckets,
-// fixed-base windows — on internal/limb's 4×64-bit Montgomery
-// representation, allocation-free; SetLimbArithmetic pins either backend,
-// and differential tests assert they agree bit for bit.
+// Exported values and the affine group law keep Fp elements as *big.Int
+// reduced in [0, p). G1 scalar multiplication — the GLV ladder, Pippenger
+// buckets, fixed-base windows — runs on internal/limb's 4×64-bit
+// Montgomery representation instead, allocation-free (fp.go); the tests
+// check it against an affine double-and-add over the big.Int group law.
 //
 // Curve parameters (BN parameterization with u = 4965661367192848881):
 //

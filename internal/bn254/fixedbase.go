@@ -3,8 +3,6 @@ package bn254
 import (
 	"math/big"
 	"sync"
-
-	"dragoon/internal/limb"
 )
 
 // Fixed-base precomputation. Most scalar multiplications in the protocol's
@@ -19,10 +17,10 @@ import (
 //
 // so k·B = Σ_w table[w][digit_w(k)] is at most ⌈255/width⌉ mixed Jacobian
 // additions. The table width is the package constant FixedBaseWindowBits
-// (6): 43 windows of 63 points each, ≈2700 affine points per base. Tables
-// are built in Jacobian coordinates and normalized with ONE shared field
-// inversion (batchAffine — the same trick MSMG1 uses for its bucket sums),
-// and MulMany/MulManyAdd extend that idiom to whole batches of results: one
+// (8): 32 windows of 255 points each, 8,160 affine points per base, held as
+// limbs (~512 KiB of coordinates). Tables are built in Jacobian coordinates
+// and normalized with ONE shared field inversion (batchAffineLAff), and
+// MulMany/MulManyAdd extend that idiom to whole batches of results: one
 // inversion per batch of ciphertexts instead of one per group operation.
 
 const (
@@ -43,63 +41,20 @@ const (
 // Tables are immutable after construction and safe for concurrent use.
 type FixedBaseTable struct {
 	base *G1
-	// win[w][d-1] = d·2^(w·width)·base, in affine coordinates so every
-	// table hit is a cheap mixed addition.
-	win [][]*G1
-	// winL is the same table in Montgomery limb form, for the limb Mul
-	// path. Both representations are always populated (conversion between
-	// them is exact); which one was COMPUTED depends on the backend toggle
-	// at build time, so a disabled-limb build remains a pure math/big
-	// reference for the differential sweeps.
+	// winL[w][d-1] = d·2^(w·width)·base, affine in Montgomery limb form so
+	// every table hit is a cheap mixed addition.
 	winL [][]g1AffL
 }
 
 // NewFixedBaseTable builds the window table for base. Building costs
 // ~⌈255/w⌉·2^w Jacobian additions and a single field inversion; Mul then
 // costs at most ⌈255/w⌉ mixed additions (versus ~254 doublings + ~127
-// additions for a cold double-and-add). The table is computed with
-// whichever field backend is active (see SetLimbArithmetic) and stored in
-// both representations.
+// additions for a cold double-and-add).
 func NewFixedBaseTable(base *G1) *FixedBaseTable {
 	t := &FixedBaseTable{base: base.Clone()}
 	if base.Inf {
 		return t // every Mul returns the identity
 	}
-	if limb.Enabled() {
-		t.buildLimb(base)
-		return t
-	}
-	p := params().P
-	cur := base.jacobian()
-	flat := make([]g1Jac, 0, fixedBaseWindows*fixedBaseRowLen)
-	for w := 0; w < fixedBaseWindows; w++ {
-		row := make([]g1Jac, fixedBaseRowLen)
-		row[0] = cur
-		for d := 1; d < fixedBaseRowLen; d++ {
-			row[d] = jacAdd(row[d-1], cur, p)
-		}
-		flat = append(flat, row...)
-		for b := 0; b < FixedBaseWindowBits; b++ {
-			cur = jacDouble(cur, p)
-		}
-	}
-	affine := batchAffine(flat)
-	t.win = make([][]*G1, fixedBaseWindows)
-	t.winL = make([][]g1AffL, fixedBaseWindows)
-	for w := 0; w < fixedBaseWindows; w++ {
-		t.win[w] = affine[w*fixedBaseRowLen : (w+1)*fixedBaseRowLen]
-		rowL := make([]g1AffL, fixedBaseRowLen)
-		for d, pt := range t.win[w] {
-			rowL[d].fromG1(pt)
-		}
-		t.winL[w] = rowL
-	}
-	return t
-}
-
-// buildLimb constructs the window rows entirely in limb arithmetic and
-// derives the big.Int representation from the result.
-func (t *FixedBaseTable) buildLimb(base *G1) {
 	var cur g1JacL
 	var baseL g1AffL
 	baseL.fromG1(base)
@@ -118,39 +73,17 @@ func (t *FixedBaseTable) buildLimb(base *G1) {
 		}
 	}
 	affine := batchAffineLAff(flat)
-	t.win = make([][]*G1, fixedBaseWindows)
 	t.winL = make([][]g1AffL, fixedBaseWindows)
-	for w := 0; w < fixedBaseWindows; w++ {
+	for w := range t.winL {
 		t.winL[w] = affine[w*fixedBaseRowLen : (w+1)*fixedBaseRowLen]
-		row := make([]*G1, fixedBaseRowLen)
-		for d := range t.winL[w] {
-			row[d] = t.winL[w][d].toG1()
-		}
-		t.win[w] = row
 	}
+	return t
 }
 
 // Base returns (a copy of) the table's base point.
 func (t *FixedBaseTable) Base() *G1 { return t.base.Clone() }
 
-// mulJac computes s·base in Jacobian coordinates; s must be reduced mod r
-// and sc is the caller's scratch space (shared across a batch).
-func (t *FixedBaseTable) mulJac(s *big.Int, sc *jacScratch) g1Jac {
-	acc := g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
-	if t.win == nil || s.Sign() == 0 {
-		return acc
-	}
-	p := params().P
-	for w := 0; w*FixedBaseWindowBits < s.BitLen(); w++ {
-		if d := msmBucketIndex(s, w, FixedBaseWindowBits); d != 0 {
-			sc.addMixed(&acc, t.win[w][d-1], p)
-		}
-	}
-	return acc
-}
-
-// mulJacL is the limb twin of mulJac: s must be reduced mod r; no scratch
-// is needed because limb additions never touch the heap.
+// mulJacL computes s·base in Jacobian coordinates; s must be reduced mod r.
 func (t *FixedBaseTable) mulJacL(s *big.Int) g1JacL {
 	var acc g1JacL
 	if t.winL == nil || s.Sign() == 0 {
@@ -166,12 +99,8 @@ func (t *FixedBaseTable) mulJacL(s *big.Int) g1JacL {
 
 // Mul returns k·base (k reduced modulo the group order).
 func (t *FixedBaseTable) Mul(k *big.Int) *G1 {
-	s := new(big.Int).Mod(k, params().R)
-	if limb.Enabled() {
-		acc := t.mulJacL(s)
-		return acc.affine()
-	}
-	return t.mulJac(s, newJacScratch()).affine()
+	acc := t.mulJacL(new(big.Int).Mod(k, params().R))
+	return acc.affine()
 }
 
 // MulMany returns k·base for every scalar, sharing ONE field inversion
@@ -179,37 +108,15 @@ func (t *FixedBaseTable) Mul(k *big.Int) *G1 {
 // points are identical to calling Mul per scalar.
 func (t *FixedBaseTable) MulMany(ks []*big.Int) []*G1 {
 	r := params().R
-	if limb.Enabled() {
-		jacs := make([]g1JacL, len(ks))
-		skip := make([]bool, len(ks))
-		for i, k := range ks {
-			if k == nil {
-				skip[i] = true
-				continue
-			}
+	jacs := make([]g1JacL, len(ks))
+	for i, k := range ks {
+		if k != nil {
 			jacs[i] = t.mulJacL(new(big.Int).Mod(k, r))
 		}
-		out := batchAffineL(jacs)
-		for i := range out {
-			if skip[i] {
-				out[i] = nil
-			}
-		}
-		return out
 	}
-	jacs := make([]g1Jac, len(ks))
-	skip := make([]bool, len(ks))
-	sc := newJacScratch()
+	out := batchAffineL(jacs)
 	for i, k := range ks {
 		if k == nil {
-			skip[i] = true
-			continue
-		}
-		jacs[i] = t.mulJac(new(big.Int).Mod(k, r), sc)
-	}
-	out := batchAffine(jacs)
-	for i := range out {
-		if skip[i] {
 			out[i] = nil
 		}
 	}
@@ -220,73 +127,21 @@ func (t *FixedBaseTable) MulMany(ks []*big.Int) []*G1 {
 // shared inversion per batch — the encryption kernel's c2 = g^m · h^r shape
 // (nil addends are treated as the identity).
 func (t *FixedBaseTable) MulManyAdd(ks []*big.Int, addends []*G1) []*G1 {
-	r, p := params().R, params().P
-	if limb.Enabled() {
-		jacs := make([]g1JacL, len(ks))
-		var aff g1AffL
-		for i, k := range ks {
-			s := new(big.Int)
-			if k != nil {
-				s.Mod(k, r)
-			}
-			j := t.mulJacL(s)
-			if i < len(addends) && addends[i] != nil {
-				aff.fromG1(addends[i])
-				jacLAddMixed(&j, &aff)
-			}
-			jacs[i] = j
-		}
-		return batchAffineL(jacs)
-	}
-	jacs := make([]g1Jac, len(ks))
-	sc := newJacScratch()
+	r := params().R
+	jacs := make([]g1JacL, len(ks))
+	var aff g1AffL
 	for i, k := range ks {
 		s := new(big.Int)
 		if k != nil {
 			s.Mod(k, r)
 		}
-		j := t.mulJac(s, sc)
+		jacs[i] = t.mulJacL(s)
 		if i < len(addends) && addends[i] != nil {
-			sc.addMixed(&j, addends[i], p)
+			aff.fromG1(addends[i])
+			jacLAddMixed(&jacs[i], &aff)
 		}
-		jacs[i] = j
 	}
-	return batchAffine(jacs)
-}
-
-// batchAffine normalizes a batch of Jacobian points to affine with a single
-// field inversion (Montgomery's trick): the product of all Z coordinates is
-// inverted once and unwound into the individual 1/Z values. Identity points
-// (Z = 0) are skipped and come back as the affine identity.
-func batchAffine(js []g1Jac) []*G1 {
-	p := params().P
-	out := make([]*G1, len(js))
-	// prefix[i] = Z_0 · … · Z_{i-1} over the non-identity points.
-	prefix := make([]*big.Int, 0, len(js))
-	live := make([]int, 0, len(js))
-	acc := big.NewInt(1)
-	for i, j := range js {
-		if j.Z == nil || j.Z.Sign() == 0 {
-			out[i] = G1Infinity()
-			continue
-		}
-		prefix = append(prefix, acc)
-		live = append(live, i)
-		acc = fpMul(acc, j.Z, p)
-	}
-	if len(live) == 0 {
-		return out
-	}
-	inv := fpInv(acc, p) // the one inversion
-	for n := len(live) - 1; n >= 0; n-- {
-		i := live[n]
-		zi := fpMul(inv, prefix[n], p) // 1/Z_i
-		inv = fpMul(inv, js[i].Z, p)   // strip Z_i for the next step
-		zi2 := fpMul(zi, zi, p)
-		zi3 := fpMul(zi2, zi, p)
-		out[i] = &G1{X: fpMul(js[i].X, zi2, p), Y: fpMul(js[i].Y, zi3, p)}
-	}
-	return out
+	return batchAffineL(jacs)
 }
 
 // --- generator tables -------------------------------------------------------

@@ -1,25 +1,20 @@
 package bn254
 
 import (
-	"math/big"
 	"sync"
 
 	"dragoon/internal/limb"
 )
 
-// Limb-arithmetic backend for the G1 hot core. The exported surface of the
-// package is unchanged — G1 still carries *big.Int affine coordinates, and
-// every constructor and codec speaks big.Int — but the inner loops of
-// scalar multiplication (generic ladder, GLV ladder, Pippenger buckets,
-// fixed-base windows) run on fpElem, the 4×64-bit Montgomery representation
-// from internal/limb. Conversion happens once on ingress (affine big.Int →
-// Montgomery limbs) and once on egress (the normalized result back to
-// big.Int); the thousands of field multiplications in between touch no
-// heap and pay no division.
-//
-// The math/big formulas in g1.go/msm.go/jacscratch.go remain compiled and
-// reachable: SetLimbArithmetic(false) pins them, and the differential and
-// fingerprint sweeps assert both backends produce identical group elements.
+// Limb arithmetic for G1. The exported surface of the package speaks
+// big.Int — G1 carries *big.Int affine coordinates, and every constructor
+// and codec takes or returns big.Int — but scalar multiplication (the GLV
+// and generic ladders, Pippenger buckets, fixed-base windows) runs on
+// fpElem, the 4×64-bit Montgomery representation from internal/limb.
+// Conversion happens once on ingress (affine big.Int → Montgomery limbs)
+// and once on egress (the normalized result back to big.Int); the
+// thousands of field multiplications in between touch no heap and pay no
+// division.
 
 // fpElem is a BN254 base-field element in Montgomery limb form.
 type fpElem = limb.Element
@@ -37,16 +32,6 @@ func fpField() *limb.Field {
 	})
 	return fpFieldVal
 }
-
-// SetLimbArithmetic enables or disables the Montgomery-limb fast paths,
-// returning the previous setting. The toggle is process-wide and shared
-// with internal/ff (both delegate to internal/limb), so one switch pins
-// every field-arithmetic backend to the math/big reference at once. The
-// computed group elements are identical either way.
-func SetLimbArithmetic(on bool) bool { return limb.SetEnabled(on) }
-
-// LimbArithmeticEnabled reports whether the limb backend is active.
-func LimbArithmeticEnabled() bool { return limb.Enabled() }
 
 // g1AffL is an affine G1 point on limbs (the table/ingress representation).
 type g1AffL struct {
@@ -82,16 +67,6 @@ func (a *g1AffL) toG1() *G1 {
 	return &G1{X: f.ToBig(nil, &a.X), Y: f.ToBig(nil, &a.Y)}
 }
 
-// jacBig converts to the big.Int Jacobian representation (used where a limb
-// chunk result feeds a big.Int combiner).
-func (j *g1JacL) jacBig() g1Jac {
-	if j.Z.IsZero() {
-		return g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
-	}
-	f := fpField()
-	return g1Jac{X: f.ToBig(nil, &j.X), Y: f.ToBig(nil, &j.Y), Z: f.ToBig(nil, &j.Z)}
-}
-
 // setAffine loads an affine point as Z = 1 Jacobian.
 func (j *g1JacL) setAffine(a *g1AffL) {
 	if a.Inf {
@@ -118,8 +93,7 @@ func (j *g1JacL) affine() *G1 {
 	return &G1{X: f.ToBig(nil, &x), Y: f.ToBig(nil, &y)}
 }
 
-// jacLDouble doubles j in place (a = 0 doubling, 2M + 5S — the same
-// formulas as jacDouble, on limbs).
+// jacLDouble doubles j in place (a = 0 doubling, 2M + 5S).
 func jacLDouble(j *g1JacL) {
 	if j.Z.IsZero() || j.Y.IsZero() {
 		*j = g1JacL{}
@@ -152,8 +126,7 @@ func jacLDouble(j *g1JacL) {
 	j.X, j.Y = x3, t
 }
 
-// jacLAddMixed sets j = j + b in place, with b affine (7M + 4S — the limb
-// twin of jacAddMixed/jacScratch.addMixed).
+// jacLAddMixed sets j = j + b in place, with b affine (7M + 4S).
 func jacLAddMixed(j *g1JacL, b *g1AffL) {
 	if b.Inf {
 		return
@@ -196,7 +169,7 @@ func jacLAddMixed(j *g1JacL, b *g1AffL) {
 }
 
 // jacLAdd sets a = a + b in place (general Jacobian addition; handles
-// doubling and inverse pairs — the limb twin of jacAdd).
+// doubling and inverse pairs).
 func jacLAdd(a, b *g1JacL) {
 	if b.Z.IsZero() {
 		return
@@ -244,48 +217,24 @@ func jacLAdd(a, b *g1JacL) {
 }
 
 // batchAffineL normalizes a batch of limb Jacobian points to exported
-// affine points with a single field inversion — the limb twin of
-// batchAffine. Identity points come back as the affine identity.
+// affine points (see batchAffineLAff).
 func batchAffineL(js []g1JacL) []*G1 {
-	f := fpField()
-	out := make([]*G1, len(js))
-	prefix := make([]fpElem, len(js)) // prefix[n] = Z product over earlier live points
-	live := make([]int, 0, len(js))
-	acc := f.One()
-	for i := range js {
-		if js[i].Z.IsZero() {
-			out[i] = G1Infinity()
-			continue
-		}
-		prefix[len(live)] = acc
-		live = append(live, i)
-		f.Mul(&acc, &acc, &js[i].Z)
-	}
-	if len(live) == 0 {
-		return out
-	}
-	var inv fpElem
-	f.Inverse(&inv, &acc) // the one inversion
-	for n := len(live) - 1; n >= 0; n-- {
-		i := live[n]
-		var zi, zi2, x, y fpElem
-		f.Mul(&zi, &inv, &prefix[n]) // 1/Z_i
-		f.Mul(&inv, &inv, &js[i].Z)  // strip Z_i for the next step
-		f.Square(&zi2, &zi)
-		f.Mul(&x, &js[i].X, &zi2)
-		f.Mul(&zi2, &zi2, &zi)
-		f.Mul(&y, &js[i].Y, &zi2)
-		out[i] = &G1{X: f.ToBig(nil, &x), Y: f.ToBig(nil, &y)}
+	affs := batchAffineLAff(js)
+	out := make([]*G1, len(affs))
+	for i := range affs {
+		out[i] = affs[i].toG1()
 	}
 	return out
 }
 
-// batchAffineLAff is batchAffineL staying in limb representation (the
-// fixed-base table build).
+// batchAffineLAff normalizes a batch of limb Jacobian points to limb affine
+// points with a single field inversion (Montgomery's trick): the product
+// of all Z coordinates is inverted once and unwound into the individual
+// 1/Z values. Identity points come back as the affine identity.
 func batchAffineLAff(js []g1JacL) []g1AffL {
 	f := fpField()
 	out := make([]g1AffL, len(js))
-	prefix := make([]fpElem, len(js))
+	prefix := make([]fpElem, len(js)) // prefix[n] = Z product over earlier live points
 	live := make([]int, 0, len(js))
 	acc := f.One()
 	for i := range js {
@@ -301,99 +250,16 @@ func batchAffineLAff(js []g1JacL) []g1AffL {
 		return out
 	}
 	var inv fpElem
-	f.Inverse(&inv, &acc)
+	f.Inverse(&inv, &acc) // the one inversion
 	for n := len(live) - 1; n >= 0; n-- {
 		i := live[n]
 		var zi, zi2 fpElem
-		f.Mul(&zi, &inv, &prefix[n])
-		f.Mul(&inv, &inv, &js[i].Z)
+		f.Mul(&zi, &inv, &prefix[n]) // 1/Z_i
+		f.Mul(&inv, &inv, &js[i].Z)  // strip Z_i for the next step
 		f.Square(&zi2, &zi)
 		f.Mul(&out[i].X, &js[i].X, &zi2)
 		f.Mul(&zi2, &zi2, &zi)
 		f.Mul(&out[i].Y, &js[i].Y, &zi2)
 	}
 	return out
-}
-
-// genericScalarMulL is the limb double-and-add ladder (same bit schedule as
-// genericScalarMul, so both backends take identical branch sequences).
-func genericScalarMulL(a *G1, s *big.Int) *G1 {
-	var aff g1AffL
-	aff.fromG1(a)
-	var acc g1JacL
-	for i := s.BitLen() - 1; i >= 0; i-- {
-		jacLDouble(&acc)
-		if s.Bit(i) == 1 {
-			jacLAddMixed(&acc, &aff)
-		}
-	}
-	return acc.affine()
-}
-
-// glvLadderL is the limb Shamir ladder over a precomputed (P1, P2, P1+P2)
-// triple; k1, k2 are the non-negative GLV half-scalars.
-func glvLadderL(p1, p2, p12 *G1, k1, k2 *big.Int, n int) *G1 {
-	var l1, l2, l12 g1AffL
-	l1.fromG1(p1)
-	l2.fromG1(p2)
-	l12.fromG1(p12)
-	var acc g1JacL
-	for i := n - 1; i >= 0; i-- {
-		jacLDouble(&acc)
-		b1 := k1.Bit(i) == 1
-		b2 := k2.Bit(i) == 1
-		switch {
-		case b1 && b2:
-			jacLAddMixed(&acc, &l12)
-		case b1:
-			jacLAddMixed(&acc, &l1)
-		case b2:
-			jacLAddMixed(&acc, &l2)
-		}
-	}
-	return acc.affine()
-}
-
-// msmG1ChunkL is the limb Pippenger core over preprocessed (finite point,
-// reduced nonzero scalar) pairs — the limb twin of msmG1Chunk's bucket loop.
-func msmG1ChunkL(ps []*G1, ss []*big.Int, maxBits int) g1JacL {
-	window := msmWindow(len(ps))
-	numWindows := (maxBits + window - 1) / window
-	affs := make([]g1AffL, len(ps))
-	for i := range ps {
-		affs[i].fromG1(ps[i])
-	}
-	var acc g1JacL
-	buckets := make([]g1JacL, 1<<window)
-	used := make([]bool, 1<<window)
-	for w := numWindows - 1; w >= 0; w-- {
-		for i := 0; i < window; i++ {
-			jacLDouble(&acc)
-		}
-		for b := range used {
-			used[b] = false
-		}
-		for i := range affs {
-			idx := msmBucketIndex(ss[i], w, window)
-			if idx == 0 {
-				continue
-			}
-			if !used[idx] {
-				buckets[idx].setAffine(&affs[i])
-				used[idx] = true
-			} else {
-				jacLAddMixed(&buckets[idx], &affs[i])
-			}
-		}
-		// Running-sum bucket aggregation.
-		var sum, windowAcc g1JacL
-		for b := (1 << window) - 1; b >= 1; b-- {
-			if used[b] {
-				jacLAdd(&sum, &buckets[b])
-			}
-			jacLAdd(&windowAcc, &sum)
-		}
-		jacLAdd(&acc, &windowAcc)
-	}
-	return acc
 }

@@ -6,13 +6,19 @@ import (
 	"testing"
 )
 
-// withLimbArithmetic runs fn with the limb backend pinned on or off,
-// restoring the previous setting afterwards.
-func withLimbArithmetic(t *testing.T, on bool, fn func()) {
-	t.Helper()
-	prev := SetLimbArithmetic(on)
-	defer SetLimbArithmetic(prev)
-	fn()
+// affineLadder is the test oracle for every limb G1 path: a plain
+// double-and-add over the exported affine G1.Add/G1.Double, which run on
+// math/big and share no code with internal/limb. k is reduced mod r.
+func affineLadder(a *G1, k *big.Int) *G1 {
+	s := new(big.Int).Mod(k, Order())
+	acc := G1Infinity()
+	for i := s.BitLen() - 1; i >= 0; i-- {
+		acc = acc.Double()
+		if s.Bit(i) == 1 {
+			acc = acc.Add(a)
+		}
+	}
+	return acc
 }
 
 func limbTestScalars(n int, seed int64) []*big.Int {
@@ -32,29 +38,26 @@ func limbTestScalars(n int, seed int64) []*big.Int {
 	return out
 }
 
-// TestScalarMulLimbVsBigInt pins each backend in turn and asserts identical
-// group elements from both the GLV and the generic ladder.
+// TestScalarMulLimbVsBigInt checks both limb ladders — the GLV split
+// behind ScalarMul and the generic fallback — against the affine oracle.
 func TestScalarMulLimbVsBigInt(t *testing.T) {
 	base := G1Generator().ScalarMul(big.NewInt(987654321)) // a non-generator base
-	for _, glvOn := range []bool{true, false} {
-		prevGLV := SetGLV(glvOn)
-		for _, k := range limbTestScalars(24, 7) {
-			var limbRes, bigRes *G1
-			withLimbArithmetic(t, true, func() { limbRes = base.ScalarMul(k) })
-			withLimbArithmetic(t, false, func() { bigRes = base.ScalarMul(k) })
-			if !limbRes.Equal(bigRes) {
-				t.Fatalf("glv=%v k=%v: limb %v != big %v", glvOn, k, limbRes, bigRes)
-			}
-			if !limbRes.IsOnCurve() {
-				t.Fatalf("glv=%v k=%v: limb result off curve", glvOn, k)
-			}
+	for _, k := range limbTestScalars(24, 7) {
+		want := affineLadder(base, k)
+		if got := base.ScalarMul(k); !got.Equal(want) {
+			t.Fatalf("GLV k=%v: got %v want %v", k, got, want)
 		}
-		SetGLV(prevGLV)
+		if got := genericScalarMul(base, new(big.Int).Mod(k, Order())); !got.Equal(want) {
+			t.Fatalf("generic k=%v: got %v want %v", k, got, want)
+		}
+		if !want.IsOnCurve() {
+			t.Fatalf("k=%v: result off curve", k)
+		}
 	}
 }
 
-// TestMSMLimbVsBigInt covers the Pippenger bucket loop on both backends,
-// including nil entries and identity points.
+// TestMSMLimbVsBigInt covers the Pippenger bucket loop, sequential and
+// chunked, including nil entries and identity points.
 func TestMSMLimbVsBigInt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	r := Order()
@@ -69,85 +72,66 @@ func TestMSMLimbVsBigInt(t *testing.T) {
 			points[1] = G1Infinity()
 			scalars[2] = nil
 		}
-		var limbRes, bigRes *G1
-		withLimbArithmetic(t, true, func() { limbRes = MSMG1(points, scalars) })
-		withLimbArithmetic(t, false, func() { bigRes = MSMG1(points, scalars) })
-		if !limbRes.Equal(bigRes) {
-			t.Fatalf("n=%d: MSM limb %v != big %v", n, limbRes, bigRes)
+		want := G1Infinity()
+		for i := range points {
+			if scalars[i] != nil {
+				want = want.Add(affineLadder(points[i], scalars[i]))
+			}
+		}
+		if got := MSMG1(points, scalars); !got.Equal(want) {
+			t.Fatalf("n=%d: MSM %v != oracle %v", n, got, want)
 		}
 	}
 }
 
-// TestFixedBaseTableLimbVsBigInt builds tables under each backend and
-// cross-checks Mul/MulMany/MulManyAdd between all four combinations of
-// build backend × query backend.
+// TestFixedBaseTableLimbVsBigInt checks Mul, MulMany and MulManyAdd of one
+// table against the affine oracle, with nil scalars and nil addends.
 func TestFixedBaseTableLimbVsBigInt(t *testing.T) {
 	base := G1Generator().ScalarMul(big.NewInt(31337))
-	var tblLimb, tblBig *FixedBaseTable
-	withLimbArithmetic(t, true, func() { tblLimb = NewFixedBaseTable(base) })
-	withLimbArithmetic(t, false, func() { tblBig = NewFixedBaseTable(base) })
+	tbl := NewFixedBaseTable(base)
 
 	ks := limbTestScalars(12, 13)
-	for _, k := range ks {
-		want := base.ScalarMul(k)
-		for _, on := range []bool{true, false} {
-			withLimbArithmetic(t, on, func() {
-				for name, tbl := range map[string]*FixedBaseTable{"limb-built": tblLimb, "big-built": tblBig} {
-					if got := tbl.Mul(k); !got.Equal(want) {
-						t.Fatalf("%s table, query limb=%v, k=%v: got %v want %v", name, on, k, got, want)
-					}
-				}
-			})
+	wants := make([]*G1, len(ks))
+	for i, k := range ks {
+		wants[i] = affineLadder(base, k)
+		if got := tbl.Mul(k); !got.Equal(wants[i]) {
+			t.Fatalf("Mul k=%v: got %v want %v", k, got, wants[i])
+		}
+	}
+
+	many := tbl.MulMany(append(append([]*big.Int{}, ks...), nil))
+	if many[len(ks)] != nil {
+		t.Fatal("MulMany: nil scalar must yield nil result")
+	}
+	for i := range ks {
+		if !many[i].Equal(wants[i]) {
+			t.Fatalf("MulMany[%d]: got %v want %v", i, many[i], wants[i])
 		}
 	}
 
 	addends := make([]*G1, len(ks))
 	for i := range addends {
-		if i%3 == 0 {
-			addends[i] = nil
-			continue
-		}
-		addends[i] = G1Generator().ScalarMul(big.NewInt(int64(i + 1)))
-	}
-	ksWithNil := append(append([]*big.Int{}, ks...), nil)
-	var manyLimb, manyBig, maLimb, maBig []*G1
-	withLimbArithmetic(t, true, func() {
-		manyLimb = tblLimb.MulMany(ksWithNil)
-		maLimb = tblLimb.MulManyAdd(ks, addends)
-	})
-	withLimbArithmetic(t, false, func() {
-		manyBig = tblBig.MulMany(ksWithNil)
-		maBig = tblBig.MulManyAdd(ks, addends)
-	})
-	for i := range ksWithNil {
-		if (manyLimb[i] == nil) != (manyBig[i] == nil) {
-			t.Fatalf("MulMany[%d]: nil mismatch", i)
-		}
-		if manyLimb[i] != nil && !manyLimb[i].Equal(manyBig[i]) {
-			t.Fatalf("MulMany[%d]: limb %v != big %v", i, manyLimb[i], manyBig[i])
+		if i%3 != 0 {
+			addends[i] = G1Generator().ScalarMul(big.NewInt(int64(i + 1)))
 		}
 	}
-	for i := range ks {
-		if !maLimb[i].Equal(maBig[i]) {
-			t.Fatalf("MulManyAdd[%d]: limb %v != big %v", i, maLimb[i], maBig[i])
+	for i, got := range tbl.MulManyAdd(ks, addends) {
+		want := wants[i]
+		if addends[i] != nil {
+			want = want.Add(addends[i])
+		}
+		if !got.Equal(want) {
+			t.Fatalf("MulManyAdd[%d]: got %v want %v", i, got, want)
 		}
 	}
 }
 
-// TestG1ScalarBaseMulLimb sanity-checks the generator table path against a
-// direct multiplication on both backends.
+// TestG1ScalarBaseMulLimb checks the generator table path against the
+// affine oracle.
 func TestG1ScalarBaseMulLimb(t *testing.T) {
 	for _, k := range limbTestScalars(6, 17) {
-		want := genericScalarMul(G1Generator(), new(big.Int).Mod(k, Order()))
-		if k.Sign() == 0 || new(big.Int).Mod(k, Order()).Sign() == 0 {
-			want = G1Infinity()
-		}
-		for _, on := range []bool{true, false} {
-			withLimbArithmetic(t, on, func() {
-				if got := G1ScalarBaseMul(k); !got.Equal(want) {
-					t.Fatalf("limb=%v k=%v: got %v want %v", on, k, got, want)
-				}
-			})
+		if got, want := G1ScalarBaseMul(k), affineLadder(G1Generator(), k); !got.Equal(want) {
+			t.Fatalf("k=%v: got %v want %v", k, got, want)
 		}
 	}
 }
@@ -176,20 +160,6 @@ func TestJacMixedAddZeroAllocs(t *testing.T) {
 }
 
 func BenchmarkScalarMulLimb(b *testing.B) {
-	prev := SetLimbArithmetic(true)
-	defer SetLimbArithmetic(prev)
-	base := G1Generator().ScalarMul(big.NewInt(987654321))
-	k := new(big.Int).Rsh(Order(), 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base.ScalarMul(k)
-	}
-}
-
-func BenchmarkScalarMulBigInt(b *testing.B) {
-	prev := SetLimbArithmetic(false)
-	defer SetLimbArithmetic(prev)
 	base := G1Generator().ScalarMul(big.NewInt(987654321))
 	k := new(big.Int).Rsh(Order(), 1)
 	b.ReportAllocs()

@@ -102,94 +102,17 @@ func (a *G1) Double() *G1 {
 // Sub returns a − b.
 func (a *G1) Sub(b *G1) *G1 { return a.Add(b.Neg()) }
 
-// g1Jac is an internal Jacobian-coordinate point used for fast scalar
-// multiplication ((X/Z², Y/Z³); Z = 0 encodes the identity).
-type g1Jac struct {
-	X, Y, Z *big.Int
-}
-
-func (a *G1) jacobian() g1Jac {
-	if a.Inf {
-		return g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
-	}
-	return g1Jac{X: new(big.Int).Set(a.X), Y: new(big.Int).Set(a.Y), Z: big.NewInt(1)}
-}
-
-func (j g1Jac) affine() *G1 {
-	if j.Z.Sign() == 0 {
-		return G1Infinity()
-	}
-	p := params().P
-	zi := fpInv(j.Z, p)
-	zi2 := fpMul(zi, zi, p)
-	zi3 := fpMul(zi2, zi, p)
-	return &G1{X: fpMul(j.X, zi2, p), Y: fpMul(j.Y, zi3, p)}
-}
-
-// jacDouble doubles a Jacobian point (standard a=0 doubling formulas).
-func jacDouble(j g1Jac, p *big.Int) g1Jac {
-	if j.Z.Sign() == 0 || j.Y.Sign() == 0 {
-		return g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
-	}
-	a := fpMul(j.X, j.X, p) // A = X²
-	b := fpMul(j.Y, j.Y, p) // B = Y²
-	c := fpMul(b, b, p)     // C = B²
-	t := fpAdd(j.X, b, p)   // X+B
-	d := fpSub(fpSub(fpMul(t, t, p), a, p), c, p)
-	d = fpAdd(d, d, p)               // D = 2((X+B)² − A − C)
-	e := fpAdd(fpAdd(a, a, p), a, p) // E = 3A
-	f := fpMul(e, e, p)              // F = E²
-	x3 := fpSub(f, fpAdd(d, d, p), p)
-	c8 := fpAdd(c, c, p)
-	c8 = fpAdd(c8, c8, p)
-	c8 = fpAdd(c8, c8, p)
-	y3 := fpSub(fpMul(e, fpSub(d, x3, p), p), c8, p)
-	z3 := fpMul(fpAdd(j.Y, j.Y, p), j.Z, p)
-	return g1Jac{X: x3, Y: y3, Z: z3}
-}
-
-// jacAddMixed adds an affine point b to a Jacobian point j.
-func jacAddMixed(j g1Jac, b *G1, p *big.Int) g1Jac {
-	if b.Inf {
-		return j
-	}
-	if j.Z.Sign() == 0 {
-		return b.jacobian()
-	}
-	z1z1 := fpMul(j.Z, j.Z, p)
-	u2 := fpMul(b.X, z1z1, p)
-	s2 := fpMul(fpMul(b.Y, j.Z, p), z1z1, p)
-	if u2.Cmp(j.X) == 0 {
-		if s2.Cmp(j.Y) == 0 {
-			return jacDouble(j, p)
-		}
-		return g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
-	}
-	h := fpSub(u2, j.X, p)
-	hh := fpMul(h, h, p)
-	hhh := fpMul(h, hh, p)
-	v := fpMul(j.X, hh, p)
-	r := fpSub(s2, j.Y, p)
-	x3 := fpSub(fpSub(fpMul(r, r, p), hhh, p), fpAdd(v, v, p), p)
-	y3 := fpSub(fpMul(r, fpSub(v, x3, p), p), fpMul(j.Y, hhh, p), p)
-	z3 := fpMul(j.Z, h, p)
-	return g1Jac{X: x3, Y: y3, Z: z3}
-}
-
 // ScalarMul returns k·a. The scalar is reduced modulo the group order, so
 // negative scalars behave as their additive inverses. The multiplication
-// runs through the GLV endomorphism split (see glv.go) unless disabled via
-// SetGLV; both paths return the identical group element.
+// runs through the GLV endomorphism split (see glv.go).
 func (a *G1) ScalarMul(k *big.Int) *G1 {
 	cp := params()
 	s := new(big.Int).Mod(k, cp.R)
 	if s.Sign() == 0 || a.Inf {
 		return G1Infinity()
 	}
-	if GLVEnabled() {
-		if res := a.glvMul(s); res != nil {
-			return res
-		}
+	if res := a.glvMul(s); res != nil {
+		return res
 	}
 	return genericScalarMul(a, s)
 }

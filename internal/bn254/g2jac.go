@@ -2,8 +2,8 @@ package bn254
 
 import "math/big"
 
-// g2Jac is an internal Jacobian-coordinate point on the twist, mirroring
-// g1Jac over Fp2 ((X/Z², Y/Z³); Z = 0 encodes the identity). It exists so
+// g2Jac is an internal Jacobian-coordinate point on the twist, over Fp2
+// ((X/Z², Y/Z³); Z = 0 encodes the identity). It exists so
 // G2 scalar multiplication and the G2 fixed-base table accumulate without
 // an Fp2 inversion per addition — affine twist additions each cost a field
 // inversion, which dominated the trusted setup's per-wire G2 work.
@@ -34,7 +34,7 @@ func (j g2Jac) affine() *G2 {
 }
 
 // g2JacDouble doubles a Jacobian twist point (a = 0 doubling formulas,
-// identical to jacDouble with Fp2 arithmetic).
+// identical to jacLDouble with Fp2 arithmetic).
 func g2JacDouble(j g2Jac, p *big.Int) g2Jac {
 	if j.Z.isZero() || j.Y.isZero() {
 		return g2JacInfinity()
@@ -116,7 +116,7 @@ func g2JacAddMixed(j g2Jac, b *G2, p *big.Int) g2Jac {
 }
 
 // g2BatchAffine normalizes a batch of Jacobian twist points with a single
-// Fp2 inversion (Montgomery's trick over Fp2, mirroring batchAffine).
+// Fp2 inversion (Montgomery's trick over Fp2, mirroring batchAffineLAff).
 func g2BatchAffine(js []g2Jac) []*G2 {
 	p := params().P
 	out := make([]*G2, len(js))

@@ -3,9 +3,6 @@ package bn254
 import (
 	"math/big"
 	"sync"
-	"sync/atomic"
-
-	"dragoon/internal/limb"
 )
 
 // GLV endomorphism decomposition for G1 (Gallant–Lambert–Vanstone). BN254
@@ -27,21 +24,6 @@ import (
 // derived at first use from the curve parameters (square roots of −3 via
 // math/big's ModSqrt, then the extended Euclidean algorithm of (r, λ)) and
 // self-verified against the generator, so no magic numbers enter the code.
-
-// glvDisabled turns the GLV path off (1) for differential tests and the
-// precomputation on/off fingerprint sweeps; the zero value keeps it on.
-var glvDisabled atomic.Bool
-
-// SetGLV enables or disables the GLV fast path of G1.ScalarMul, returning
-// the previous setting. The computed group elements are identical either
-// way — the knob exists so differential tests and benchmarks can pin the
-// generic double-and-add ladder.
-func SetGLV(on bool) bool {
-	return !glvDisabled.Swap(!on)
-}
-
-// GLVEnabled reports whether the GLV fast path is active.
-func GLVEnabled() bool { return !glvDisabled.Load() }
 
 type glvParams struct {
 	beta   *big.Int // cube root of unity in Fp: φ(x,y) = (β·x, y)
@@ -201,47 +183,48 @@ func (a *G1) glvMul(s *big.Int) *G1 {
 		p2 = phi.Neg()
 		k2 = new(big.Int).Neg(k2)
 	}
-	p12 := p1.Add(p2) // joint-bit entry; may be the identity (handled by jacAddMixed)
+	p12 := p1.Add(p2) // joint-bit entry; may be the identity (handled by jacLAddMixed)
 
 	n := k1.BitLen()
 	if b := k2.BitLen(); b > n {
 		n = b
 	}
-	if limb.Enabled() {
-		return glvLadderL(p1, p2, p12, k1, k2, n)
-	}
-	acc := g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
+	// Shamir's trick: one shared doubling chain over both half-scalars.
+	var l1, l2, l12 g1AffL
+	l1.fromG1(p1)
+	l2.fromG1(p2)
+	l12.fromG1(p12)
+	var acc g1JacL
 	for i := n - 1; i >= 0; i-- {
-		acc = jacDouble(acc, p)
+		jacLDouble(&acc)
 		b1 := k1.Bit(i) == 1
 		b2 := k2.Bit(i) == 1
 		switch {
 		case b1 && b2:
-			acc = jacAddMixed(acc, p12, p)
+			jacLAddMixed(&acc, &l12)
 		case b1:
-			acc = jacAddMixed(acc, p1, p)
+			jacLAddMixed(&acc, &l1)
 		case b2:
-			acc = jacAddMixed(acc, p2, p)
+			jacLAddMixed(&acc, &l2)
 		}
 	}
 	return acc.affine()
 }
 
 // genericScalarMul is the plain double-and-add ladder, kept as the GLV
-// fallback and the differential-test baseline. s must be reduced mod r.
+// fallback and the baseline the GLV tests compare against. s must be
+// reduced mod r.
 func genericScalarMul(a *G1, s *big.Int) *G1 {
 	if s.Sign() == 0 || a.Inf {
 		return G1Infinity()
 	}
-	if limb.Enabled() {
-		return genericScalarMulL(a, s)
-	}
-	p := params().P
-	acc := g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
+	var aff g1AffL
+	aff.fromG1(a)
+	var acc g1JacL
 	for i := s.BitLen() - 1; i >= 0; i-- {
-		acc = jacDouble(acc, p)
+		jacLDouble(&acc)
 		if s.Bit(i) == 1 {
-			acc = jacAddMixed(acc, a, p)
+			jacLAddMixed(&acc, &aff)
 		}
 	}
 	return acc.affine()

@@ -67,23 +67,6 @@ func TestGLVEndomorphism(t *testing.T) {
 	}
 }
 
-// TestSetGLV: the knob must actually switch paths and restore cleanly.
-func TestSetGLV(t *testing.T) {
-	prev := SetGLV(false)
-	defer SetGLV(prev)
-	if GLVEnabled() {
-		t.Fatal("SetGLV(false) left GLV enabled")
-	}
-	base := G1Generator().ScalarMul(big.NewInt(777))
-	k := new(big.Int).Lsh(big.NewInt(0xabcdef), 200)
-	off := base.ScalarMul(k)
-	SetGLV(true)
-	on := base.ScalarMul(k)
-	if !on.Equal(off) {
-		t.Fatal("GLV result differs from generic result")
-	}
-}
-
 // FuzzGLVDecompose hammers the scalar decomposition with arbitrary byte
 // strings (interpreted as scalars, including values ≥ r): the congruence
 // k1 + k2·λ ≡ k and the length bound must always hold, and the resulting
@@ -119,18 +102,6 @@ func FuzzGLVDecompose(f *testing.F) {
 }
 
 func BenchmarkScalarMulGLV(b *testing.B) {
-	base := G1Generator().ScalarMul(big.NewInt(99))
-	ks := randScalars(64, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base.ScalarMul(ks[i%len(ks)])
-	}
-}
-
-func BenchmarkScalarMulGeneric(b *testing.B) {
-	prev := SetGLV(false)
-	defer SetGLV(prev)
 	base := G1Generator().ScalarMul(big.NewInt(99))
 	ks := randScalars(64, 1)
 	b.ReportAllocs()

@@ -4,41 +4,8 @@ import (
 	"context"
 	"math/big"
 
-	"dragoon/internal/limb"
 	"dragoon/internal/parallel"
 )
-
-// jacAdd adds two Jacobian points (general addition; handles doubling and
-// inverse pairs).
-func jacAdd(a, b g1Jac, p *big.Int) g1Jac {
-	if a.Z.Sign() == 0 {
-		return b
-	}
-	if b.Z.Sign() == 0 {
-		return a
-	}
-	z1z1 := fpMul(a.Z, a.Z, p)
-	z2z2 := fpMul(b.Z, b.Z, p)
-	u1 := fpMul(a.X, z2z2, p)
-	u2 := fpMul(b.X, z1z1, p)
-	s1 := fpMul(fpMul(a.Y, b.Z, p), z2z2, p)
-	s2 := fpMul(fpMul(b.Y, a.Z, p), z1z1, p)
-	if u1.Cmp(u2) == 0 {
-		if s1.Cmp(s2) == 0 {
-			return jacDouble(a, p)
-		}
-		return g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
-	}
-	h := fpSub(u2, u1, p)
-	h2 := fpMul(h, h, p)
-	h3 := fpMul(h, h2, p)
-	v := fpMul(u1, h2, p)
-	r := fpSub(s2, s1, p)
-	x3 := fpSub(fpSub(fpMul(r, r, p), h3, p), fpAdd(v, v, p), p)
-	y3 := fpSub(fpMul(r, fpSub(v, x3, p), p), fpMul(s1, h3, p), p)
-	z3 := fpMul(fpMul(a.Z, b.Z, p), h, p)
-	return g1Jac{X: x3, Y: y3, Z: z3}
-}
 
 // msmWindow picks the Pippenger window width for an input size.
 func msmWindow(n int) int {
@@ -56,7 +23,9 @@ func msmWindow(n int) int {
 	}
 }
 
-// msmScalarBit extracts bit (base+b) of s (helper for window slicing).
+// msmBucketIndex returns window w of s, width bits wide: bits
+// w·width … w·width+width−1 as a little-endian integer (the bucket or
+// table digit for that window).
 func msmBucketIndex(s *big.Int, w, width int) int {
 	idx := 0
 	base := w * width
@@ -87,84 +56,79 @@ func MSMG1(points []*G1, scalars []*big.Int) *G1 {
 	}
 	workers := parallel.Workers(0)
 	if n < msmParallelThreshold || workers <= 1 {
-		return msmG1Chunk(points[:n], scalars[:n]).affine()
+		acc := msmG1Chunk(points[:n], scalars[:n])
+		return acc.affine()
 	}
-	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (g1Jac, error) {
+	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (g1JacL, error) {
 		return msmG1Chunk(points[start:end], scalars[start:end]), nil
 	})
-	p := params().P
-	acc := g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)}
-	for _, part := range partials {
-		acc = jacAdd(acc, part, p)
+	var acc g1JacL
+	for i := range partials {
+		jacLAdd(&acc, &partials[i])
 	}
 	return acc.affine()
 }
 
 // msmG1Chunk is the sequential Jacobian Pippenger core.
-func msmG1Chunk(points []*G1, scalars []*big.Int) g1Jac {
-	cp := params()
-	p := cp.P
-	inf := func() g1Jac { return g1Jac{X: big.NewInt(1), Y: big.NewInt(1), Z: new(big.Int)} }
+func msmG1Chunk(points []*G1, scalars []*big.Int) g1JacL {
+	r := params().R
 
 	// Reduce scalars and drop nil/identity entries up front.
-	ps := make([]*G1, 0, len(points))
+	affs := make([]g1AffL, 0, len(points))
 	ss := make([]*big.Int, 0, len(points))
 	maxBits := 0
 	for i := range points {
 		if points[i] == nil || points[i].Inf || scalars[i] == nil {
 			continue
 		}
-		s := new(big.Int).Mod(scalars[i], cp.R)
+		s := new(big.Int).Mod(scalars[i], r)
 		if s.Sign() == 0 {
 			continue
 		}
 		if b := s.BitLen(); b > maxBits {
 			maxBits = b
 		}
-		ps = append(ps, points[i])
+		var aff g1AffL
+		aff.fromG1(points[i])
+		affs = append(affs, aff)
 		ss = append(ss, s)
 	}
-	if len(ps) == 0 {
-		return inf()
+	var acc g1JacL
+	if len(affs) == 0 {
+		return acc
 	}
-	if limb.Enabled() {
-		chunk := msmG1ChunkL(ps, ss, maxBits)
-		return chunk.jacBig()
-	}
-	window := msmWindow(len(ps))
+	window := msmWindow(len(affs))
 	numWindows := (maxBits + window - 1) / window
-	acc := inf()
-	buckets := make([]g1Jac, 1<<window)
+	buckets := make([]g1JacL, 1<<window)
 	used := make([]bool, 1<<window)
 	for w := numWindows - 1; w >= 0; w-- {
 		for i := 0; i < window; i++ {
-			acc = jacDouble(acc, p)
+			jacLDouble(&acc)
 		}
 		for b := range used {
 			used[b] = false
 		}
-		for i := range ps {
+		for i := range affs {
 			idx := msmBucketIndex(ss[i], w, window)
 			if idx == 0 {
 				continue
 			}
 			if !used[idx] {
-				buckets[idx] = ps[i].jacobian()
+				buckets[idx].setAffine(&affs[i])
 				used[idx] = true
 			} else {
-				buckets[idx] = jacAddMixed(buckets[idx], ps[i], p)
+				jacLAddMixed(&buckets[idx], &affs[i])
 			}
 		}
 		// Running-sum bucket aggregation.
-		sum := inf()
-		windowAcc := inf()
+		var sum, windowAcc g1JacL
 		for b := (1 << window) - 1; b >= 1; b-- {
 			if used[b] {
-				sum = jacAdd(sum, buckets[b], p)
+				jacLAdd(&sum, &buckets[b])
 			}
-			windowAcc = jacAdd(windowAcc, sum, p)
+			jacLAdd(&windowAcc, &sum)
 		}
-		acc = jacAdd(acc, windowAcc, p)
+		jacLAdd(&acc, &windowAcc)
 	}
 	return acc
 }

@@ -19,9 +19,9 @@ import (
 type Field struct {
 	p *big.Int
 	// lf is the Montgomery-limb backend for p, or nil when p does not fit
-	// the 4×64 kernel (see internal/limb). When present and enabled it
-	// carries the NTT butterflies and vector pointwise kernels; the scalar
-	// big.Int methods above always remain the reference semantics.
+	// the 4×64 kernel (see internal/limb). When present it carries the NTT
+	// butterflies and vector pointwise kernels; the scalar big.Int methods
+	// remain the reference semantics.
 	lf *limb.Field
 }
 

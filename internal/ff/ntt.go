@@ -106,7 +106,7 @@ func (d *Domain) pad(a []*big.Int) []*big.Int {
 
 // FFT evaluates the polynomial with the given coefficients on the domain.
 func (d *Domain) FFT(coeffs []*big.Int) []*big.Int {
-	if d.limbActive() {
+	if d.F.lf != nil {
 		return d.fftLimb(coeffs)
 	}
 	a := d.pad(coeffs)
@@ -117,7 +117,7 @@ func (d *Domain) FFT(coeffs []*big.Int) []*big.Int {
 // IFFT interpolates: it maps evaluations on the domain back to
 // coefficients.
 func (d *Domain) IFFT(evals []*big.Int) []*big.Int {
-	if d.limbActive() {
+	if d.F.lf != nil {
 		return d.ifftLimb(evals)
 	}
 	a := d.pad(evals)
@@ -130,7 +130,7 @@ func (d *Domain) IFFT(evals []*big.Int) []*big.Int {
 
 // CosetFFT evaluates the polynomial on the coset g·⟨ω⟩.
 func (d *Domain) CosetFFT(coeffs []*big.Int) []*big.Int {
-	if d.limbActive() {
+	if d.F.lf != nil {
 		return d.cosetFFTLimb(coeffs)
 	}
 	a := d.pad(coeffs)
@@ -146,7 +146,7 @@ func (d *Domain) CosetFFT(coeffs []*big.Int) []*big.Int {
 
 // CosetIFFT interpolates from coset evaluations back to coefficients.
 func (d *Domain) CosetIFFT(evals []*big.Int) []*big.Int {
-	if d.limbActive() {
+	if d.F.lf != nil {
 		return d.cosetIFFTLimb(evals)
 	}
 	a := d.pad(evals)

@@ -9,16 +9,12 @@ import (
 )
 
 // Limb-arithmetic paths for the NTT chains and vector pointwise kernels.
-// The public FFT/IFFT/CosetFFT/CosetIFFT methods convert the whole vector
-// to Montgomery limb form once, run every butterfly and scaling step on
-// limbs, and convert once on the way out — so an N-point transform pays 2N
+// For every modulus internal/limb accepts (the Field's lf is non-nil), the
+// public FFT/IFFT/CosetFFT/CosetIFFT methods convert the whole vector to
+// Montgomery limb form once, run every butterfly and scaling step on limbs,
+// and convert once on the way out — so an N-point transform pays 2N
 // boundary conversions instead of N·log N allocating big.Int reductions.
-// The toggle is internal/limb's process-wide switch, shared with
-// internal/bn254's SetLimbArithmetic.
-
-// limbActive reports whether this domain's transforms run on limbs: the
-// modulus must fit the 4×64 kernel and the backend must be enabled.
-func (d *Domain) limbActive() bool { return d.F.lf != nil && limb.Enabled() }
+// Moduli the 4×64 kernel rejects take the big.Int transforms in ntt.go.
 
 // padLimb is pad in limb form: a copy of a, zero-extended to the domain
 // size (nil entries count as zero).
@@ -130,7 +126,7 @@ func (d *Domain) cosetIFFTLimb(evals []*big.Int) []*big.Int {
 // prover's coset division by the constant vanishing value. The vectors are
 // processed in contiguous chunks, one per pool worker, so dispatch overhead
 // is paid per chunk rather than per evaluation point; within a chunk the
-// limb backend (when active) runs the three field operations
+// limb backend (when the modulus has one) runs the three field operations
 // allocation-free. b and c must be at least as long as a.
 func (f *Field) QuotientPointwise(a, b, c []*big.Int, k *big.Int) []*big.Int {
 	n := len(a)
@@ -138,13 +134,12 @@ func (f *Field) QuotientPointwise(a, b, c []*big.Int, k *big.Int) []*big.Int {
 	if n == 0 {
 		return out
 	}
-	useLimb := f.lf != nil && limb.Enabled()
 	var kL limb.Element
-	if useLimb {
+	if f.lf != nil {
 		f.lf.SetBig(&kL, k)
 	}
 	_ = parallel.ForSpans(context.Background(), n, 0, func(start, end int) error {
-		if useLimb {
+		if f.lf != nil {
 			var av, bv, cv limb.Element
 			for i := start; i < end; i++ {
 				f.lf.SetBig(&av, a[i])

@@ -4,15 +4,15 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
-
-	"dragoon/internal/limb"
 )
 
-func withLimbs(t *testing.T, on bool, fn func()) {
-	t.Helper()
-	prev := limb.SetEnabled(on)
-	defer limb.SetEnabled(prev)
-	fn()
+// bigIntField returns a copy of f without its limb backend, so every
+// transform and vector kernel takes the big.Int path — the one moduli
+// rejected by internal/limb run on.
+func bigIntField(f *Field) *Field {
+	g := *f
+	g.lf = nil
+	return &g
 }
 
 func randVec(t *testing.T, f *Field, n int, seed int64) []*big.Int {
@@ -31,61 +31,65 @@ func randVec(t *testing.T, f *Field, n int, seed int64) []*big.Int {
 	return out
 }
 
-// TestNTTLimbVsBigInt runs every transform on both backends and asserts
-// identical coefficient vectors.
+// TestNTTLimbVsBigInt runs every transform on the limb backend and on a
+// copy of the field without it, and asserts identical coefficient vectors.
 func TestNTTLimbVsBigInt(t *testing.T) {
 	f := New(scalarFieldModulus(t))
 	if f.lf == nil {
 		t.Fatal("BN254 scalar field should support the limb backend")
 	}
+	bf := bigIntField(f)
 	for _, n := range []int{2, 8, 64, 256} {
 		d, err := NewDomain(f, n)
 		if err != nil {
 			t.Fatalf("NewDomain(%d): %v", n, err)
 		}
-		in := randVec(t, f, n-1, int64(n)) // shorter than N: exercises padding
-		ops := map[string]func([]*big.Int) []*big.Int{
-			"fft":       d.FFT,
-			"ifft":      d.IFFT,
-			"cosetFFT":  d.CosetFFT,
-			"cosetIFFT": d.CosetIFFT,
+		bd, err := NewDomain(bf, n)
+		if err != nil {
+			t.Fatalf("NewDomain(%d) without limbs: %v", n, err)
 		}
-		for name, op := range ops {
-			var limbOut, bigOut []*big.Int
-			withLimbs(t, true, func() { limbOut = op(in) })
-			withLimbs(t, false, func() { bigOut = op(in) })
+		in := randVec(t, f, n-1, int64(n)) // shorter than N: exercises padding
+		ops := []struct {
+			name          string
+			limbOp, bigOp func([]*big.Int) []*big.Int
+		}{
+			{"fft", d.FFT, bd.FFT},
+			{"ifft", d.IFFT, bd.IFFT},
+			{"cosetFFT", d.CosetFFT, bd.CosetFFT},
+			{"cosetIFFT", d.CosetIFFT, bd.CosetIFFT},
+		}
+		for _, op := range ops {
+			limbOut, bigOut := op.limbOp(in), op.bigOp(in)
 			if len(limbOut) != len(bigOut) {
-				t.Fatalf("n=%d %s: length mismatch", n, name)
+				t.Fatalf("n=%d %s: length mismatch", n, op.name)
 			}
 			for i := range limbOut {
 				if limbOut[i].Cmp(bigOut[i]) != 0 {
-					t.Fatalf("n=%d %s[%d]: limb %v != big %v", n, name, i, limbOut[i], bigOut[i])
+					t.Fatalf("n=%d %s[%d]: limb %v != big %v", n, op.name, i, limbOut[i], bigOut[i])
 				}
 			}
 		}
 		// Round trips on the limb backend.
-		withLimbs(t, true, func() {
-			full := randVec(t, f, n, int64(n)+1)
-			back := d.IFFT(d.FFT(full))
-			cosetBack := d.CosetIFFT(d.CosetFFT(full))
-			for i := range full {
-				want := new(big.Int)
-				if full[i] != nil {
-					want.Set(full[i])
-				}
-				if back[i].Cmp(want) != 0 {
-					t.Fatalf("n=%d IFFT∘FFT[%d]: got %v want %v", n, i, back[i], want)
-				}
-				if cosetBack[i].Cmp(want) != 0 {
-					t.Fatalf("n=%d CosetIFFT∘CosetFFT[%d]: got %v want %v", n, i, cosetBack[i], want)
-				}
+		full := randVec(t, f, n, int64(n)+1)
+		back := d.IFFT(d.FFT(full))
+		cosetBack := d.CosetIFFT(d.CosetFFT(full))
+		for i := range full {
+			want := new(big.Int)
+			if full[i] != nil {
+				want.Set(full[i])
 			}
-		})
+			if back[i].Cmp(want) != 0 {
+				t.Fatalf("n=%d IFFT∘FFT[%d]: got %v want %v", n, i, back[i], want)
+			}
+			if cosetBack[i].Cmp(want) != 0 {
+				t.Fatalf("n=%d CosetIFFT∘CosetFFT[%d]: got %v want %v", n, i, cosetBack[i], want)
+			}
+		}
 	}
 }
 
 // TestQuotientPointwiseLimbVsBigInt checks the chunked vector kernel
-// against the direct per-element formula on both backends.
+// against the direct per-element formula, with and without limbs.
 func TestQuotientPointwiseLimbVsBigInt(t *testing.T) {
 	f := New(scalarFieldModulus(t))
 	for _, n := range []int{0, 1, 5, 128} {
@@ -103,15 +107,13 @@ func TestQuotientPointwiseLimbVsBigInt(t *testing.T) {
 		for i := 0; i < n; i++ {
 			want[i] = f.Mul(f.Sub(f.Mul(a[i], b[i]), c[i]), k)
 		}
-		for _, on := range []bool{true, false} {
-			withLimbs(t, on, func() {
-				got := f.QuotientPointwise(a, b, c, k)
-				for i := range want {
-					if got[i].Cmp(want[i]) != 0 {
-						t.Fatalf("n=%d limb=%v [%d]: got %v want %v", n, on, i, got[i], want[i])
-					}
+		for _, field := range []*Field{f, bigIntField(f)} {
+			got := field.QuotientPointwise(a, b, c, k)
+			for i := range want {
+				if got[i].Cmp(want[i]) != 0 {
+					t.Fatalf("n=%d limb=%v [%d]: got %v want %v", n, field.lf != nil, i, got[i], want[i])
 				}
-			})
+			}
 		}
 	}
 }
@@ -135,7 +137,7 @@ func TestFieldWithoutLimbSupport(t *testing.T) {
 	}
 }
 
-func scalarFieldModulus(t *testing.T) *big.Int {
+func scalarFieldModulus(t testing.TB) *big.Int {
 	t.Helper()
 	r, ok := new(big.Int).SetString("21888242871839275222246405745257275088548364400416034343698204186575808495617", 10)
 	if !ok {
@@ -145,17 +147,15 @@ func scalarFieldModulus(t *testing.T) *big.Int {
 }
 
 func BenchmarkCosetFFTLimb(b *testing.B) {
-	benchCosetFFT(b, true)
+	benchCosetFFT(b, New(scalarFieldModulus(b)))
 }
 
 func BenchmarkCosetFFTBigInt(b *testing.B) {
-	benchCosetFFT(b, false)
+	benchCosetFFT(b, bigIntField(New(scalarFieldModulus(b))))
 }
 
-func benchCosetFFT(b *testing.B, limbOn bool) {
+func benchCosetFFT(b *testing.B, f *Field) {
 	b.Helper()
-	r, _ := new(big.Int).SetString("21888242871839275222246405745257275088548364400416034343698204186575808495617", 10)
-	f := New(r)
 	d, err := NewDomain(f, 1024)
 	if err != nil {
 		b.Fatal(err)
@@ -163,10 +163,8 @@ func benchCosetFFT(b *testing.B, limbOn bool) {
 	rng := rand.New(rand.NewSource(1))
 	in := make([]*big.Int, 1024)
 	for i := range in {
-		in[i] = new(big.Int).Rand(rng, r)
+		in[i] = new(big.Int).Rand(rng, f.Modulus())
 	}
-	prev := limb.SetEnabled(limbOn)
-	defer limb.SetEnabled(prev)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

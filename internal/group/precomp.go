@@ -3,7 +3,6 @@ package group
 import (
 	"math/big"
 	"sync"
-	"sync/atomic"
 )
 
 // FixedBase is a handle for repeated scalar multiplications against one
@@ -29,25 +28,10 @@ type FixedBaser interface {
 	PrecomputeFixedBase(base Element) FixedBase
 }
 
-// precompDisabled gates every native fixed-base path; the zero value means
-// enabled. SetPrecompute(false) forces Precompute and SharedBase to return
-// plain ScalarMul fallbacks, which the differential transcript sweeps use
-// to prove precomputation never changes a single output byte.
-var precompDisabled atomic.Bool
-
-// SetPrecompute toggles native fixed-base precomputation process-wide and
-// returns the previous setting. Tests that flip it must not run in parallel
-// with other tests.
-func SetPrecompute(on bool) bool {
-	return !precompDisabled.Swap(!on)
-}
-
-// PrecomputeEnabled reports whether native fixed-base tables are in use.
-func PrecomputeEnabled() bool { return !precompDisabled.Load() }
-
-// genericFixedBase is the fallback handle: no precomputation, every call
-// forwards to the group's own operations. It is also what metered groups
-// always get, so gas accounting is byte-identical with tables on or off.
+// genericFixedBase is the fallback handle for groups without FixedBaser:
+// no precomputation, every call forwards to the group's own operations.
+// Metered groups always get it, so every multiplication is charged gas
+// exactly as a plain ScalarMul would be.
 type genericFixedBase struct {
 	g    Group
 	base Element
@@ -83,11 +67,11 @@ func (f genericFixedBase) MulManyAdd(ks []*big.Int, addends []Element) []Element
 }
 
 // Precompute returns a fixed-base multiplication handle for base. Backends
-// implementing FixedBaser get a native window table; everything else (and
-// everything while SetPrecompute(false) is in effect) gets the generic
-// ScalarMul fallback. Either way the results are identical group elements.
+// implementing FixedBaser get a native window table; everything else gets
+// the generic ScalarMul fallback. Either way the results are identical
+// group elements.
 func Precompute(g Group, base Element) FixedBase {
-	if fb, ok := g.(FixedBaser); ok && PrecomputeEnabled() {
+	if fb, ok := g.(FixedBaser); ok {
 		return fb.PrecomputeFixedBase(base)
 	}
 	return genericFixedBase{g: g, base: base}
@@ -125,7 +109,7 @@ var (
 // oldest entry is evicted (the table is rebuilt if that base reappears).
 func SharedBase(g Group, base Element) FixedBase {
 	fber, ok := g.(FixedBaser)
-	if !ok || !PrecomputeEnabled() {
+	if !ok {
 		return genericFixedBase{g: g, base: base}
 	}
 	key := sharedBaseKey{g: g, base: string(g.Marshal(base))}

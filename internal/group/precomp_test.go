@@ -80,20 +80,21 @@ func TestPrecomputeMatchesScalarMul(t *testing.T) {
 	}
 }
 
+// noTables hides a backend's FixedBaser extension: embedding the Group
+// interface promotes only the Group methods.
+type noTables struct{ Group }
+
 // TestGenericFallback: the fallback handle must behave identically for a
-// group with no native tables (here: forced via SetPrecompute). Must not
-// run in parallel — it flips the process-wide knob.
+// group with no native tables.
 func TestGenericFallback(t *testing.T) {
-	prev := SetPrecompute(false)
-	defer SetPrecompute(prev)
-	g := TestSchnorr()
+	g := noTables{TestSchnorr()}
 	base := g.ScalarBaseMul(big.NewInt(5))
 	fb := Precompute(g, base)
 	if _, ok := fb.(genericFixedBase); !ok {
-		t.Fatal("SetPrecompute(false) must force the generic fallback")
+		t.Fatal("a group without FixedBaser must get the generic fallback")
 	}
-	if sb := SharedBase(g, base); func() bool { _, ok := sb.(genericFixedBase); return ok }() == false {
-		t.Fatal("SharedBase must also fall back while precompute is off")
+	if _, ok := SharedBase(g, base).(genericFixedBase); !ok {
+		t.Fatal("SharedBase must also fall back for a group without FixedBaser")
 	}
 	for _, k := range precompScalars(g, 4, 3) {
 		if !g.Equal(fb.Mul(k), g.ScalarMul(base, k)) {

@@ -1,12 +1,11 @@
 // Package limb implements fixed-size 4×64-bit Montgomery field arithmetic —
 // the allocation-free kernel under every group operation in the system.
 //
-// The math/big backends in internal/bn254 and internal/ff allocate fresh
-// big.Ints and pay a full division-based Mod on every field multiplication;
-// at ~2000 field multiplications per scalar multiplication that cost (and
-// the GC pressure behind it) is the per-question floor of the whole
-// protocol. This package replaces it with the idiom every production
-// pairing library uses:
+// math/big field arithmetic allocates fresh big.Ints and pays a full
+// division-based Mod on every field multiplication; at ~2000 field
+// multiplications per scalar multiplication that cost (and the GC pressure
+// behind it) would be the per-question floor of the whole protocol. This
+// package uses the idiom every production pairing library uses instead:
 //
 //   - an Element is [4]uint64, little-endian limbs, kept in Montgomery form
 //     (the stored limbs encode x·R mod q with R = 2^256), so one value is
@@ -24,9 +23,10 @@
 //     rejected.
 //
 // A Field carries the per-modulus constants (q, −q⁻¹ mod 2^64, R² mod q),
-// so the same code serves the BN254 base field Fp and scalar field Fr. The
-// process-wide Enabled toggle lets differential tests and fingerprint
-// sweeps pin the math/big reference paths in the packages built on top.
+// so the same code serves the BN254 base field Fp and scalar field Fr.
+// internal/bn254 runs all of its G1 scalar multiplication on this package,
+// and internal/ff runs its NTT and vector kernels on it for every modulus
+// NewField accepts.
 package limb
 
 import (
@@ -34,7 +34,6 @@ import (
 	"errors"
 	"math/big"
 	"math/bits"
-	"sync/atomic"
 )
 
 // Element is a field element as four little-endian 64-bit limbs, kept in
@@ -43,23 +42,6 @@ import (
 // of limbs is equality of field elements (Montgomery form is canonical
 // because every operation fully reduces).
 type Element [4]uint64
-
-// disabled turns the limb backend off (1) for differential tests and the
-// on/off fingerprint sweeps; the zero value keeps it on. The toggle is
-// consulted by internal/bn254 and internal/ff at their hot-path entry
-// points — this package's own operations always run.
-var disabled atomic.Bool
-
-// SetEnabled enables or disables the limb-arithmetic fast paths of the
-// packages built on this one, returning the previous setting. The computed
-// field and group elements are identical either way — the knob exists so
-// differential tests and benchmarks can pin the math/big reference.
-func SetEnabled(on bool) bool {
-	return !disabled.Swap(!on)
-}
-
-// Enabled reports whether the limb backend is active.
-func Enabled() bool { return !disabled.Load() }
 
 // Field holds the Montgomery constants for one odd modulus q < 2^255 whose
 // top limb is below 2^63−1 (the CIOS no-carry condition). All methods are

@@ -271,25 +271,6 @@ func TestSetUint64AndOne(t *testing.T) {
 	}
 }
 
-func TestToggle(t *testing.T) {
-	if !Enabled() {
-		t.Fatal("limb backend should default to enabled")
-	}
-	prev := SetEnabled(false)
-	if !prev {
-		t.Fatal("SetEnabled(false) should report previous=true")
-	}
-	if Enabled() {
-		t.Fatal("SetEnabled(false) did not disable")
-	}
-	if SetEnabled(true) {
-		t.Fatal("SetEnabled(true) should report previous=false")
-	}
-	if !Enabled() {
-		t.Fatal("SetEnabled(true) did not re-enable")
-	}
-}
-
 // TestFieldMulZeroAllocs proves the hot-path field operations allocate
 // nothing — the property the whole backend exists for.
 func TestFieldMulZeroAllocs(t *testing.T) {

@@ -46,7 +46,7 @@ type RuntimeConfig struct {
 	PopAddrs   []chain.Address
 	// SharedKey optionally shares one requester key pair across tasks.
 	SharedKey *elgamal.PrivateKey
-	// BatchVerify is the tri-state batch-verification override.
+	// BatchVerify selects batch verification when > 0 (see batch.Resolve).
 	BatchVerify int
 	// Answers optionally pre-resolves the enrolled workers' plaintext answer
 	// vectors, indexed by enrollment position (restore path: a snapshot

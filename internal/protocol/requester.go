@@ -138,9 +138,8 @@ type RequesterConfig struct {
 	CommitRounds int
 	// Rand supplies protocol randomness (crypto/rand if nil).
 	Rand io.Reader
-	// BatchVerify overrides the process-wide batch-verification knob for
-	// this client: > 0 forces the batched submission-decode path on, < 0
-	// forces it off, 0 follows batch.Enabled() (dragoon.SetBatchVerify).
+	// BatchVerify selects the batched submission-decode path for this
+	// client when > 0; otherwise each submission is decoded on its own.
 	BatchVerify int
 }
 

@@ -7,25 +7,20 @@ import (
 // Options bundles the per-run performance knobs shared by every entry point:
 // it is embedded in SimulationConfig, MarketplaceConfig, ScenarioOptions and
 // ServiceConfig, so one Options value configures a whole run regardless of
-// which harness executes it. Each field is a tri-state override of a
-// process-wide default:
+// which harness executes it:
 //
 //   - Parallelism bounds the run's work pool: 0 follows the process default
-//     (runtime.NumCPU() unless overridden via SetParallelism), 1 forces
-//     fully sequential execution, n > 1 bounds the pool at n.
-//   - BatchVerify selects batched proof verification: > 0 forces folded
-//     verification on, < 0 forces per-proof verification, 0 follows the
-//     process-wide knob (SetBatchVerify).
+//     (runtime.NumCPU()), 1 forces fully sequential execution, n > 1 bounds
+//     the pool at n.
+//   - BatchVerify selects batched proof verification: > 0 turns folded
+//     verification on; 0 and < 0 keep per-proof verification.
 //   - ParallelExec selects optimistic parallel block execution on the run's
 //     chain: > 0 forces the Block-STM-style round executor on, < 0 forces
 //     strictly sequential round execution, 0 enables it exactly when the
 //     effective worker pool is larger than one.
 //
-// The zero value means "follow the globals" everywhere, so existing
-// configurations that never mention Options behave exactly as before.
-// Whatever the settings, a seeded run's transcript — receipts, gas, events,
-// payments — is byte-identical: the knobs only change wall-clock time.
-//
-// Prefer per-run Options over the process-wide SetParallelism /
-// SetBatchVerify globals, which are retained as compatibility shims.
+// The zero value is the default everywhere, so configurations that never
+// mention Options need not change. Whatever the settings, a seeded run's
+// transcript — receipts, gas, events, payments — is byte-identical: the
+// knobs only change wall-clock time.
 type Options = opts.Options
