@@ -1,12 +1,12 @@
 # Dragoon build/test/bench entry points. CI (.github/workflows/ci.yml) runs
-# fmt-check, vet, build, test and race; bench-json tracks the parallel
-# layer's performance trajectory in BENCH_parallel.json.
+# fmt-check, vet, build, test, examples and race; bench-json tracks the
+# parallel layer's performance trajectory in BENCH_parallel.json.
 
 GO ?= go
 
 .PHONY: build test race bench bench-smoke bench-json bench-kernels fmt \
 	fmt-check vet all golden cover fuzz-smoke fuzz-econ docs-check soak-smoke \
-	servicebench-check
+	servicebench-check examples
 
 all: build test
 
@@ -18,6 +18,17 @@ build:
 # reproduce with -shuffle=<seed>.
 test:
 	$(GO) test -shuffle=on ./...
+
+# Build every example program (examples/*) into a scratch directory and run
+# each one; the first non-zero exit fails the target. Their stdout is
+# dropped, their errors go to stderr. All of them together run in about a
+# second.
+examples:
+	@bin="$$(mktemp -d)"; trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o "$$bin/" ./examples/... && \
+	for f in "$$bin"/*; do \
+		echo "examples/$${f##*/}"; "$$f" > /dev/null || exit 1; \
+	done
 
 # The parallel fan-out paths with the race detector on: the work pool, the
 # multi-task marketplace and the single-task harness that fan worker rounds

@@ -68,14 +68,19 @@
 //
 // # Parallelism
 //
-// All crypto hot paths — per-question ElGamal encryption, PoQoEA proving
-// and batch verification, Groth16 proving (per-wire MSMs and the QAP
-// quotient) and pairing-product verification, and the per-round off-chain
-// worker computation of the simulation harness — run on a bounded work
-// pool (internal/parallel) sized to runtime.NumCPU() by default.
-// Options.Parallelism — embedded in SimulationConfig, MarketplaceConfig,
-// ScenarioOptions and ServiceConfig — bounds that run's pool
-// (Parallelism 1 forces fully sequential execution). The Options struct
+// The crypto hot paths — requester decryption, PoQoEA proving and (batch)
+// verification, ciphertext decoding, the multi-scalar multiplications,
+// Groth16 proving (per-wire MSMs and the QAP quotient) and pairing-product
+// verification — run on a bounded work pool (internal/parallel) whose size
+// is process-wide: runtime.NumCPU() unless parallel.SetDefaultWorkers
+// changes it. Options.Parallelism — embedded in SimulationConfig,
+// MarketplaceConfig, ScenarioOptions and ServiceConfig — does not resize
+// that pool. It bounds three fan-outs of its own run: the per-round
+// computation of the simulated workers, how many shards mine a round at
+// once, and the optimistic block executor, which it also switches on by
+// default when it allows more than one worker (see below). Parallelism 1
+// steps the workers and mines the shards one at a time, but the kernels
+// inside a step still use the process-wide pool. The Options struct
 // consolidates every per-run knob: Parallelism, BatchVerify and
 // ParallelExec.
 //

@@ -2,10 +2,10 @@
 // byzantine protocol executions — cheating workers, malicious requesters,
 // hostile network schedulers, and combinations of all three — that run
 // through the real end-to-end harnesses (package sim for a single task,
-// package market for many tasks on one shared chain) and are checked
-// against the protocol's security invariants:
+// package market for many tasks on one or more shards, package service for
+// a stream) and are checked against the protocol's security invariants:
 //
-//   - fund conservation: no run creates or destroys coins;
+//   - fund conservation: no run creates or destroys coins, on any shard;
 //   - escrow drainage: every settled contract's escrow is exactly empty;
 //   - honest payment: the paper's core guarantee — an honest worker on a
 //     finalized task is always paid, and never loses funds on a cancelled
@@ -79,7 +79,8 @@ type Scenario struct {
 	Settle func(workers []chain.Address) market.SettleConfig
 	// ExpectRefund declares that, under this scenario's settlement faults,
 	// every cross-shard transfer must unwind through the refund path rather
-	// than claim. Checked by CheckInvariants on sharded reports.
+	// than claim. CheckInvariants checks it against the report's
+	// settlements (none on one shard).
 	ExpectRefund bool
 }
 
@@ -93,12 +94,12 @@ type Options struct {
 	WorkerBalance ledger.Amount
 	// N overrides the generated tasks' question count (0 → 16).
 	N int
-	// Shards splits the marketplace run across that many chains (0 or 1 is
-	// the historical single chain); see market.Config.Shards. Cross-shard
-	// payouts settle through the HTLC escrow, and CheckInvariants extends
-	// to cross-shard fund conservation and the lock/claim/refund story.
+	// Shards splits the marketplace run across max(1, Shards) chains (0 and
+	// 1 both mean one chain); see market.Config.Shards. Cross-shard payouts
+	// settle through the HTLC escrow, and CheckInvariants checks fund
+	// conservation across every shard and the lock/claim/refund story.
 	Shards int
-	// Placement selects the task→shard policy when Shards > 1.
+	// Placement selects the task→shard policy.
 	Placement market.Placement
 	// Options consolidates the run's execution knobs — Parallelism,
 	// BatchVerify, ParallelExec. The embedded fields promote, so
@@ -186,7 +187,7 @@ type TaskReport struct {
 	NumGolden int
 	Threshold int
 	RangeSize int64
-	// Shard is the chain the task ran on (0 on unsharded runs).
+	// Shard is the index of the chain the task ran on in Report.Shards.
 	Shard int
 }
 
@@ -212,23 +213,25 @@ func (s Scenario) taskReport(inst *task.Instance, reqAddr chain.Address) TaskRep
 type Report struct {
 	// Name labels the run ("garbled-reveal/sim", "matrix").
 	Name string
-	// Ledger and Chain are the run's shared final state.
+	// Ledger and Chain are shard 0's final state — the whole world of a
+	// one-shard run.
 	Ledger *ledger.Ledger
 	Chain  *chain.Chain
 	// WorkerBalance is what each population member was pre-funded with.
 	WorkerBalance ledger.Amount
-	// Minted is the total coin supply the harness created.
+	// Minted is the coin supply the harness itself created: every task's
+	// 2B deposit plus every population member's pre-funding. The bridge's
+	// liquidity comes on top, on every shard.
 	Minted ledger.Amount
 	// Tasks holds per-task reports.
 	Tasks []TaskReport
-	// Sharded-run state (empty on single-chain runs), copied from the
-	// market result: the shard handles, each population member's home
-	// shard, the per-shard minted supply, the HTLC bridge account with its
-	// per-shard liquidity, the settlement outcomes, and whether the
-	// scenario predicts refunds instead of claims.
-	Shards          []*chain.Shard
-	HomeShards      []int
-	MintedByShard   []ledger.Amount
+	// Shards holds every chain of the run, in index order — one for the sim
+	// and stream harnesses and for unsharded market runs.
+	Shards []*chain.Shard
+	// Bridge is the HTLC bridge account and BridgeLiquidity what it was
+	// minted on every shard (0 on one shard); Settlements are the
+	// cross-shard transfers, and ExpectRefund says whether the scenario
+	// predicts refunds instead of claims.
 	Bridge          chain.Address
 	BridgeLiquidity ledger.Amount
 	Settlements     []market.Settlement
@@ -286,199 +289,167 @@ func (s Scenario) RunSim(opts Options) (*Report, error) {
 		WorkerBalance: opts.WorkerBalance,
 		Minted:        inst.Task.Budget*2 + ledger.Amount(len(models))*opts.WorkerBalance,
 		Tasks:         []TaskReport{tr},
+		Shards:        []*chain.Shard{{Ledger: res.Ledger, Chain: res.Chain}},
+	}, nil
+}
+
+// colocation lays scenario instances out as the tasks of one marketplace:
+// task i is instance i of scenarios[i], enrolling its own lineup as the next
+// slice of one shared population under its own requester-<i> address.
+type colocation struct {
+	specs      []market.TaskSpec
+	reports    []TaskReport
+	population []worker.Model
+	requesters []chain.Address
+	minted     ledger.Amount
+	maxRounds  int
+}
+
+// colocate builds the co-location of scenarios. Every harness that puts
+// several tasks on one marketplace — batch or stream, one scenario
+// repeated or a matrix — shares this layout, so their reports compare
+// byte-for-byte.
+func colocate(scenarios []Scenario, opts Options) (*colocation, error) {
+	if opts.Group == nil {
+		return nil, errors.New("adversary: no group backend")
+	}
+	c := &colocation{
+		specs:     make([]market.TaskSpec, len(scenarios)),
+		reports:   make([]TaskReport, len(scenarios)),
+		maxRounds: maxRoundsOf(scenarios),
+	}
+	for i := range scenarios {
+		s := &scenarios[i]
+		inst, err := s.instance(opts, i)
+		if err != nil {
+			return nil, fmt.Errorf("adversary: %s: %w", s.Name, err)
+		}
+		models := s.Lineup(inst, lineupRng(opts, i))
+		// Pin the requester address explicitly (rather than relying on the
+		// harness default) so schedulers targeting requesters and the
+		// reports share one source of truth.
+		reqAddr := chain.Address(fmt.Sprintf("requester-%d", i))
+		c.specs[i] = market.TaskSpec{
+			Instance:  inst,
+			Enroll:    indicesFrom(len(c.population), len(models)),
+			Policy:    s.Policy,
+			Requester: reqAddr,
+		}
+		c.population = append(c.population, models...)
+		c.requesters = append(c.requesters, reqAddr)
+		c.reports[i] = s.taskReport(inst, reqAddr)
+		c.minted += inst.Task.Budget * 2
+	}
+	c.minted += ledger.Amount(len(c.population)) * opts.WorkerBalance
+	return c, nil
+}
+
+// copies returns m copies of the scenario (at least one) — the task list of
+// RunMarket and RunStream.
+func (s Scenario) copies(m int) []Scenario {
+	out := make([]Scenario, max(1, m))
+	for i := range out {
+		out[i] = s
+	}
+	return out
+}
+
+// participants guards the matrix harnesses: a chain has exactly one network
+// adversary, so scenarios pinning their own scheduler run alone.
+func participants(scenarios []Scenario) error {
+	if len(scenarios) == 0 {
+		return errors.New("adversary: empty matrix")
+	}
+	for i := range scenarios {
+		if scenarios[i].NewScheduler != nil {
+			return fmt.Errorf("adversary: scenario %q pins its own scheduler; run it alone", scenarios[i].Name)
+		}
+	}
+	return nil
+}
+
+// fill copies one task's end state from its harness result.
+func (t *TaskReport) fill(res *market.TaskResult) {
+	t.RequesterBalance = res.RequesterBalance
+	t.Finalized = res.Finalized
+	t.Cancelled = res.Cancelled
+	t.Outcomes = res.Outcomes
+}
+
+// runMarket runs the co-location as one marketplace under cfg, which
+// carries the scenario-specific scheduler and settlement faults.
+func (c *colocation) runMarket(name string, cfg market.Config, opts Options, expectRefund bool) (*Report, error) {
+	cfg.Tasks = c.specs
+	cfg.Group = opts.Group
+	cfg.Population = c.population
+	cfg.Seed = opts.Seed
+	cfg.WorkerBalance = opts.WorkerBalance
+	cfg.MaxRounds = c.maxRounds
+	cfg.Shards = opts.Shards
+	cfg.Placement = opts.Placement
+	cfg.Options = opts.Options
+	res, err := market.Run(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("adversary: %s: %w", name, err)
+	}
+	for i := range c.reports {
+		c.reports[i].fill(&res.Tasks[i])
+		c.reports[i].Shard = res.TaskShards[i]
+	}
+	return &Report{
+		Name:            name,
+		Ledger:          res.Ledger,
+		Chain:           res.Chain,
+		WorkerBalance:   opts.WorkerBalance,
+		Minted:          c.minted,
+		Tasks:           c.reports,
+		Shards:          res.Shards,
+		Bridge:          res.Bridge,
+		BridgeLiquidity: res.BridgeLiquidity,
+		Settlements:     res.Settlements,
+		ExpectRefund:    expectRefund,
 	}, nil
 }
 
 // RunMarket executes m independent instances of the scenario concurrently
-// on ONE shared chain, each with its own requester and its own slice of the
-// worker population, all scheduled by the scenario's one network adversary.
+// on one marketplace (split across Options.Shards chains), each with its
+// own requester and its own slice of the worker population, all scheduled
+// by the scenario's network adversary — one instance per shard.
 func (s Scenario) RunMarket(m int, opts Options) (*Report, error) {
-	if opts.Group == nil {
-		return nil, errors.New("adversary: no group backend")
-	}
-	if m <= 0 {
-		m = 1
-	}
-	specs := make([]market.TaskSpec, m)
-	reports := make([]TaskReport, m)
-	var population []worker.Model
-	var requesters []chain.Address
-	var minted ledger.Amount
-	for i := 0; i < m; i++ {
-		inst, err := s.instance(opts, i)
-		if err != nil {
-			return nil, fmt.Errorf("adversary: %s: %w", s.Name, err)
-		}
-		models := s.Lineup(inst, lineupRng(opts, i))
-		enroll := make([]int, len(models))
-		for j := range enroll {
-			enroll[j] = len(population) + j
-		}
-		population = append(population, models...)
-		// Pin the requester address explicitly (rather than relying on the
-		// harness default) so schedulers targeting requesters and the
-		// reports below share one source of truth.
-		reqAddr := chain.Address(fmt.Sprintf("requester-%d", i))
-		requesters = append(requesters, reqAddr)
-		specs[i] = market.TaskSpec{
-			Instance:  inst,
-			Enroll:    enroll,
-			Policy:    s.Policy,
-			Requester: reqAddr,
-		}
-		reports[i] = s.taskReport(inst, reqAddr)
-		minted += inst.Task.Budget * 2
-	}
-	minted += ledger.Amount(len(population)) * opts.WorkerBalance
-	popAddrs := workerAddrs(population)
-	var sched chain.Scheduler
-	if s.NewScheduler != nil {
-		sched = s.NewScheduler(opts.Seed, popAddrs, requesters)
-	}
-	cfg := market.Config{
-		Tasks:         specs,
-		Group:         opts.Group,
-		Population:    population,
-		Scheduler:     sched,
-		Seed:          opts.Seed,
-		WorkerBalance: opts.WorkerBalance,
-		MaxRounds:     s.MaxRounds,
-		Shards:        opts.Shards,
-		Placement:     opts.Placement,
-		Options:       opts.Options,
-	}
-	if opts.Shards > 1 {
-		if s.NewScheduler != nil {
-			// One scheduler instance per shard (same construction arguments),
-			// so stateful schedulers never share mutable state across the
-			// concurrently mined shards.
-			cfg.ShardSchedulers = func(int) chain.Scheduler {
-				return s.NewScheduler(opts.Seed, popAddrs, requesters)
-			}
-		}
-		if s.Settle != nil {
-			cfg.Settle = s.Settle(popAddrs)
-		}
-	}
-	res, err := market.Run(cfg)
+	c, err := colocate(s.copies(m), opts)
 	if err != nil {
-		return nil, fmt.Errorf("adversary: %s/market: %w", s.Name, err)
+		return nil, err
 	}
-	for i := range reports {
-		tr := &res.Tasks[i]
-		reports[i].RequesterBalance = tr.RequesterBalance
-		reports[i].Finalized = tr.Finalized
-		reports[i].Cancelled = tr.Cancelled
-		reports[i].Outcomes = tr.Outcomes
+	var cfg market.Config
+	popAddrs := workerAddrs(c.population)
+	if s.NewScheduler != nil {
+		// One scheduler instance per shard (same construction arguments),
+		// so stateful schedulers never share mutable state across the
+		// concurrently mined shards.
+		cfg.ShardSchedulers = func(int) chain.Scheduler {
+			return s.NewScheduler(opts.Seed, popAddrs, c.requesters)
+		}
 	}
-	rep := &Report{
-		Name:          fmt.Sprintf("%s/market-%d", s.Name, m),
-		Ledger:        res.Ledger,
-		Chain:         res.Chain,
-		WorkerBalance: opts.WorkerBalance,
-		Minted:        minted,
-		Tasks:         reports,
+	if s.Settle != nil {
+		cfg.Settle = s.Settle(popAddrs)
 	}
-	fillShardReport(rep, res, s.ExpectRefund)
-	return rep, nil
-}
-
-// fillShardReport copies a sharded market result's cross-shard state into
-// the report, switching Minted to the per-shard accounting (which includes
-// the bridge liquidity minted on every shard). No-op on single-chain runs.
-func fillShardReport(rep *Report, res *market.Result, expectRefund bool) {
-	if len(res.Shards) == 0 {
-		return
-	}
-	rep.Shards = res.Shards
-	rep.HomeShards = res.HomeShards
-	rep.MintedByShard = res.MintedByShard
-	rep.Bridge = res.Bridge
-	rep.BridgeLiquidity = res.BridgeLiquidity
-	rep.Settlements = res.Settlements
-	rep.ExpectRefund = expectRefund
-	rep.Minted = 0
-	for _, m := range res.MintedByShard {
-		rep.Minted += m
-	}
-	for ti := range rep.Tasks {
-		rep.Tasks[ti].Shard = res.TaskShards[ti]
-	}
+	return c.runMarket(fmt.Sprintf("%s/market-%d", s.Name, len(c.specs)), cfg, opts, s.ExpectRefund)
 }
 
 // RunMatrix co-locates MANY scenarios as concurrent tasks of one
-// marketplace on one shared chain — the full participant-level adversarial
-// matrix attacking side by side. Scenarios with their own scheduler are
-// rejected: a chain has exactly one network adversary, so scheduler
-// scenarios run through RunSim/RunMarket instead.
+// marketplace (split across Options.Shards chains) — the full
+// participant-level adversarial matrix attacking side by side. Scenarios
+// with their own scheduler are rejected: a chain has exactly one network
+// adversary, so scheduler scenarios run through RunSim/RunMarket instead.
 func RunMatrix(scenarios []Scenario, opts Options) (*Report, error) {
-	if opts.Group == nil {
-		return nil, errors.New("adversary: no group backend")
+	if err := participants(scenarios); err != nil {
+		return nil, err
 	}
-	if len(scenarios) == 0 {
-		return nil, errors.New("adversary: empty matrix")
-	}
-	specs := make([]market.TaskSpec, len(scenarios))
-	reports := make([]TaskReport, len(scenarios))
-	var population []worker.Model
-	var minted ledger.Amount
-	for i := range scenarios {
-		s := &scenarios[i]
-		if s.NewScheduler != nil {
-			return nil, fmt.Errorf("adversary: scenario %q pins its own scheduler; run it alone", s.Name)
-		}
-		inst, err := s.instance(opts, i)
-		if err != nil {
-			return nil, fmt.Errorf("adversary: %s: %w", s.Name, err)
-		}
-		models := s.Lineup(inst, lineupRng(opts, i))
-		enroll := make([]int, len(models))
-		for j := range enroll {
-			enroll[j] = len(population) + j
-		}
-		population = append(population, models...)
-		reqAddr := chain.Address(fmt.Sprintf("requester-%d", i))
-		specs[i] = market.TaskSpec{
-			Instance:  inst,
-			Enroll:    enroll,
-			Policy:    s.Policy,
-			Requester: reqAddr,
-		}
-		reports[i] = s.taskReport(inst, reqAddr)
-		minted += inst.Task.Budget * 2
-	}
-	minted += ledger.Amount(len(population)) * opts.WorkerBalance
-	res, err := market.Run(market.Config{
-		Tasks:         specs,
-		Group:         opts.Group,
-		Population:    population,
-		Seed:          opts.Seed,
-		WorkerBalance: opts.WorkerBalance,
-		MaxRounds:     maxRoundsOf(scenarios),
-		Shards:        opts.Shards,
-		Placement:     opts.Placement,
-		Options:       opts.Options,
-	})
+	c, err := colocate(scenarios, opts)
 	if err != nil {
-		return nil, fmt.Errorf("adversary: matrix: %w", err)
+		return nil, err
 	}
-	for i := range reports {
-		tr := &res.Tasks[i]
-		reports[i].RequesterBalance = tr.RequesterBalance
-		reports[i].Finalized = tr.Finalized
-		reports[i].Cancelled = tr.Cancelled
-		reports[i].Outcomes = tr.Outcomes
-	}
-	rep := &Report{
-		Name:          "matrix",
-		Ledger:        res.Ledger,
-		Chain:         res.Chain,
-		WorkerBalance: opts.WorkerBalance,
-		Minted:        minted,
-		Tasks:         reports,
-	}
-	fillShardReport(rep, res, false)
-	return rep, nil
+	return c.runMarket("matrix", market.Config{}, opts, false)
 }
 
 // maxRoundsOf returns the largest per-scenario round bound (0 if none pin

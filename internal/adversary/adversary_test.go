@@ -227,6 +227,20 @@ func TestStructuralOutcomes(t *testing.T) {
 	})
 }
 
+// TestMatrixRejectsPinnedScheduler pins the co-location guard of both
+// matrix harnesses: a chain has one network adversary, so a scenario that
+// brings its own scheduler is refused before anything runs.
+func TestMatrixRejectsPinnedScheduler(t *testing.T) {
+	scenarios := append(adversary.ParticipantMatrix()[:1:1], scenario(t, "rushing"))
+	const want = `adversary: scenario "rushing" pins its own scheduler; run it alone`
+	if _, err := adversary.RunMatrix(scenarios, opts(0)); err == nil || err.Error() != want {
+		t.Errorf("RunMatrix: err = %v, want %q", err, want)
+	}
+	if _, err := adversary.RunMatrixStream(scenarios, opts(0), false); err == nil || err.Error() != want {
+		t.Errorf("RunMatrixStream: err = %v, want %q", err, want)
+	}
+}
+
 // TestCheckerCatchesViolations proves the invariant checker is not vacuous:
 // corrupted reports must fail it.
 func TestCheckerCatchesViolations(t *testing.T) {
@@ -272,6 +286,35 @@ func TestCheckerCatchesViolations(t *testing.T) {
 		rep.Tasks[0].Outcomes[0].Revealed = false
 		if err := rep.CheckInvariants(); err == nil {
 			t.Error("unpaid honest worker went undetected")
+		}
+	})
+
+	// The per-shard supply and bridge checks, on a clean 4-shard report.
+	sharded := func() *adversary.Report {
+		t.Helper()
+		o := opts(0)
+		o.Shards = 4
+		rep, err := scenario(t, "baseline-honest").RunMarket(2, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rep.CheckInvariants(); err != nil {
+			t.Fatalf("clean sharded report: %v", err)
+		}
+		return rep
+	}
+	t.Run("coin minted on shard 3 detected", func(t *testing.T) {
+		rep := sharded()
+		rep.Shards[3].Ledger.Mint("thin-air", 1)
+		if err := rep.CheckInvariants(); err == nil {
+			t.Error("minting out of thin air on shard 3 went undetected")
+		}
+	})
+	t.Run("misreported bridge liquidity detected", func(t *testing.T) {
+		rep := sharded()
+		rep.BridgeLiquidity++
+		if err := rep.CheckInvariants(); err == nil {
+			t.Error("bridge liquidity misreported by one went undetected")
 		}
 	})
 }

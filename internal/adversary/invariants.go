@@ -21,23 +21,26 @@ import (
 //     their computed best response and honest effort was paid, coalitions
 //     and sybil principals could not beat the independent baseline, and no
 //     below-threshold shared stream was paid under an honest audit;
-//  2. fund conservation: the ledger balances+escrows sum to exactly the
-//     minted supply, and every settled contract's escrow is drained;
+//  2. fund conservation: every shard's ledger conserves with every escrow
+//     (task or HTLC) drained, and the supply summed over all shards is
+//     exactly what the harness minted plus the bridge liquidity on each
+//     shard;
 //  3. exact balances: each requester holds 2B minus one reward per paid
 //     worker (2B after a cancel — division dust always returns to her),
 //     and each worker holds its pre-funding plus one reward per task that
-//     paid it;
+//     paid it, summed over all shards, while the bridge keeps exactly its
+//     liquidity;
 //  4. honest payment: every honest worker of a finalized task is paid and
 //     not rejected; on a cancelled task it is unpaid but lost nothing;
 //  5. phase monotonicity: each contract's event log is a well-formed
-//     phase story with every event inside its protocol window.
+//     phase story with every event inside its protocol window;
+//  6. the HTLC story: every lock on every shard is settled — claimed
+//     (within its timelock, with a preimage matching the lock hash) or
+//     refunded (after it), never both, never neither.
 //
-// On a sharded run (Report.Shards non-empty) the fund invariants extend
-// across chains: every shard's ledger conserves and matches its minted
-// supply, each worker's and the bridge's totals SUMMED OVER ALL SHARDS stay
-// exact whether transfers claimed or refunded, and every HTLC lock on every
-// shard is settled — claimed (within its timelock, with a preimage matching
-// the lock hash) or refunded (after it), never both, never neither.
+// A one-shard report is the degenerate case of every check: no bridge
+// liquidity, no HTLC events, no settlements. On more shards the worker and
+// bridge totals stay exact whether transfers claimed or refunded.
 func (r *Report) CheckInvariants() error {
 	if err := r.checkSettlement(); err != nil {
 		return fmt.Errorf("%s: %w", r.Name, err)
@@ -56,38 +59,14 @@ func (r *Report) CheckInvariants() error {
 			return fmt.Errorf("%s: task %s: %w", r.Name, r.Tasks[i].ID, err)
 		}
 	}
-	if r.sharded() {
-		if err := r.checkHTLCStory(); err != nil {
-			return fmt.Errorf("%s: %w", r.Name, err)
-		}
+	if err := r.checkHTLCStory(); err != nil {
+		return fmt.Errorf("%s: %w", r.Name, err)
 	}
 	return nil
 }
 
-// sharded reports whether this run used multiple chains.
-func (r *Report) sharded() bool { return len(r.Shards) > 0 }
-
-// chainFor returns the chain a task's contract lives on.
-func (r *Report) chainFor(t *TaskReport) *chain.Chain {
-	if r.sharded() {
-		return r.Shards[t.Shard].Chain
-	}
-	return r.Chain
-}
-
-// ledgerFor returns the ledger a task's escrow and requester live on.
-func (r *Report) ledgerFor(t *TaskReport) *ledger.Ledger {
-	if r.sharded() {
-		return r.Shards[t.Shard].Ledger
-	}
-	return r.Ledger
-}
-
 // balanceAcrossShards sums an address's balance over every chain of the run.
 func (r *Report) balanceAcrossShards(addr chain.Address) ledger.Amount {
-	if !r.sharded() {
-		return r.Ledger.Balance(ledger.AccountID(addr))
-	}
 	var total ledger.Amount
 	for _, sh := range r.Shards {
 		total += sh.Ledger.Balance(ledger.AccountID(addr))
@@ -119,15 +98,15 @@ func (r *Report) checkFunds() error {
 		return err
 	}
 	// Exact per-worker balances, accumulated across every task that paid
-	// them (a population member may be enrolled in several). On a sharded
-	// run the balance is the SUM over all shards: a claimed transfer moves
-	// the reward to the home shard, a refunded one leaves it on the task
-	// shard, and either way the total is exact — the HTLC can neither
-	// create nor strand worker coins.
+	// them (a population member may be enrolled in several). The balance is
+	// the SUM over all shards: a claimed transfer moves the reward to the
+	// home shard, a refunded one leaves it on the task shard, and either way
+	// the total is exact — the HTLC can neither create nor strand worker
+	// coins.
 	wantWorker := make(map[chain.Address]ledger.Amount)
 	for i := range r.Tasks {
 		t := &r.Tasks[i]
-		if got := r.ledgerFor(t).Escrow(ledger.ContractID(t.ID)); got != 0 {
+		if got := r.Shards[t.Shard].Ledger.Escrow(ledger.ContractID(t.ID)); got != 0 {
 			return fmt.Errorf("task %s escrow %d after settlement", t.ID, got)
 		}
 		reward := t.Budget / ledger.Amount(t.Quota)
@@ -155,44 +134,24 @@ func (r *Report) checkFunds() error {
 	// The bridge ends every run holding exactly the liquidity it was minted:
 	// each claimed transfer costs it R on the home shard and repays R on the
 	// task shard; refunded transfers cost it nothing.
-	if r.sharded() {
-		want := r.BridgeLiquidity * ledger.Amount(len(r.Shards))
-		if got := r.balanceAcrossShards(r.Bridge); got != want {
-			return fmt.Errorf("bridge %s holds %d across shards, minted liquidity %d", r.Bridge, got, want)
-		}
+	want := r.BridgeLiquidity * ledger.Amount(len(r.Shards))
+	if got := r.balanceAcrossShards(r.Bridge); got != want {
+		return fmt.Errorf("bridge %s holds %d across shards, minted liquidity %d", r.Bridge, got, want)
 	}
 	return nil
 }
 
-// checkSupply asserts conservation and exact minted supply — per shard and
-// in total on a sharded run, on the one ledger otherwise — and that every
-// coin is liquid again (no contract escrow, task or HTLC, holds anything).
+// checkSupply asserts that every shard's ledger conserves and that every
+// coin on it is liquid again (no contract escrow, task or HTLC, holds
+// anything), and that the supply summed over all shards is exactly the
+// harness's own minted count plus the bridge liquidity on every shard.
 func (r *Report) checkSupply() error {
-	if !r.sharded() {
-		if err := r.Ledger.CheckConservation(); err != nil {
-			return err
-		}
-		if got := r.Ledger.TotalSupply(); got != r.Minted {
-			return fmt.Errorf("total supply %d, minted %d", got, r.Minted)
-		}
-		var liquid ledger.Amount
-		for _, acct := range r.Ledger.Accounts() {
-			liquid += r.Ledger.Balance(acct)
-		}
-		if liquid != r.Minted {
-			return fmt.Errorf("liquid balances sum to %d, minted %d (escrow not drained)", liquid, r.Minted)
-		}
-		return nil
-	}
 	var total ledger.Amount
 	for si, sh := range r.Shards {
 		if err := sh.Ledger.CheckConservation(); err != nil {
 			return fmt.Errorf("shard %d: %w", si, err)
 		}
 		supply := sh.Ledger.TotalSupply()
-		if supply != r.MintedByShard[si] {
-			return fmt.Errorf("shard %d supply %d, minted %d", si, supply, r.MintedByShard[si])
-		}
 		var liquid ledger.Amount
 		for _, acct := range sh.Ledger.Accounts() {
 			liquid += sh.Ledger.Balance(acct)
@@ -205,8 +164,9 @@ func (r *Report) checkSupply() error {
 		}
 		total += supply
 	}
-	if total != r.Minted {
-		return fmt.Errorf("cross-shard supply %d, minted %d", total, r.Minted)
+	if want := r.Minted + r.BridgeLiquidity*ledger.Amount(len(r.Shards)); total != want {
+		return fmt.Errorf("supply %d across %d shards, minted %d plus bridge liquidity %d per shard",
+			total, len(r.Shards), r.Minted, r.BridgeLiquidity)
 	}
 	return nil
 }
@@ -236,7 +196,7 @@ func (r *Report) checkHonestPaid() error {
 // checkPhaseStory validates one contract's event log against the protocol
 // phase machine and its timing windows.
 func (r *Report) checkPhaseStory(t *TaskReport) error {
-	events := r.chainFor(t).EventsFor(ledger.ContractID(t.ID))
+	events := r.Shards[t.Shard].Chain.EventsFor(ledger.ContractID(t.ID))
 	if len(events) == 0 {
 		return fmt.Errorf("no events (task never published)")
 	}

@@ -11,14 +11,11 @@ package adversary
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"dragoon/internal/chain"
-	"dragoon/internal/ledger"
 	"dragoon/internal/market"
 	"dragoon/internal/service"
-	"dragoon/internal/worker"
 )
 
 // RunStream executes m independent instances of ONE scenario through the
@@ -29,82 +26,84 @@ import (
 // The returned report is fingerprint-comparable against RunMarket(m, opts)
 // byte-for-byte.
 func (s Scenario) RunStream(m int, opts Options) (*Report, error) {
-	if opts.Group == nil {
-		return nil, errors.New("adversary: no group backend")
+	c, err := colocate(s.copies(m), opts)
+	if err != nil {
+		return nil, err
 	}
-	if m <= 0 {
-		m = 1
-	}
-	specs := make([]market.TaskSpec, m)
-	reports := make([]TaskReport, m)
-	var population []worker.Model
-	var requesters []chain.Address
-	var minted ledger.Amount
-	for i := 0; i < m; i++ {
-		inst, err := s.instance(opts, i)
-		if err != nil {
-			return nil, fmt.Errorf("adversary: %s: %w", s.Name, err)
-		}
-		models := s.Lineup(inst, lineupRng(opts, i))
-		enroll := make([]int, len(models))
-		for j := range enroll {
-			enroll[j] = len(population) + j
-		}
-		population = append(population, models...)
-		reqAddr := chain.Address(fmt.Sprintf("requester-%d", i))
-		requesters = append(requesters, reqAddr)
-		specs[i] = market.TaskSpec{
-			Instance:  inst,
-			Enroll:    enroll,
-			Policy:    s.Policy,
-			Requester: reqAddr,
-		}
-		reports[i] = s.taskReport(inst, reqAddr)
-		minted += inst.Task.Budget * 2
-	}
-	minted += ledger.Amount(len(population)) * opts.WorkerBalance
 	var sched chain.Scheduler
 	if s.NewScheduler != nil {
-		sched = s.NewScheduler(opts.Seed, workerAddrs(population), requesters)
+		sched = s.NewScheduler(opts.Seed, workerAddrs(c.population), c.requesters)
 	}
-	maxRounds := s.MaxRounds
+	return c.runStream(fmt.Sprintf("%s/stream-%d", s.Name, len(c.specs)), sched, opts, false)
+}
+
+// RunMatrixStream co-locates many scenarios as tasks streamed through one
+// long-lived service on one shared chain. With prune false the service
+// retains full history (settled contracts kept, no trimming), so the
+// returned report is invariant-checkable and fingerprint-comparable against
+// RunMatrix byte-for-byte. With prune true the service runs in its bounded
+// production mode — settled contracts pruned, receipts and events trimmed —
+// and the per-task reports (payments, balances, outcomes) must still match;
+// only the retained history differs. Scenarios pinning their own scheduler
+// are rejected, as in RunMatrix.
+func RunMatrixStream(scenarios []Scenario, opts Options, prune bool) (*Report, error) {
+	if err := participants(scenarios); err != nil {
+		return nil, err
+	}
+	c, err := colocate(scenarios, opts)
+	if err != nil {
+		return nil, err
+	}
+	name := "matrix/stream"
+	if prune {
+		name = "matrix/stream-pruned"
+	}
+	return c.runStream(name, nil, opts, prune)
+}
+
+// runStream submits the co-location's specs to a fresh manual service under
+// sched, steps it until each task has settled (or the round bound passed),
+// and reports the closed service's final state. Unless prune is set the
+// service keeps every settled contract and its full history.
+func (c *colocation) runStream(name string, sched chain.Scheduler, opts Options, prune bool) (*Report, error) {
+	maxRounds := c.maxRounds
 	if maxRounds == 0 {
 		maxRounds = 40
 	}
 	cfg := service.Config{
-		Group:              opts.Group,
-		Population:         population,
-		Scheduler:          sched,
-		Seed:               opts.Seed,
-		WorkerBalance:      opts.WorkerBalance,
-		Manual:             true,
-		TaskRoundBudget:    maxRounds,
-		KeepSettled:        true,
-		RetainRounds:       -1,
-		RetainLedgerEvents: -1,
-		Options:            opts.Options,
+		Group:           opts.Group,
+		Population:      c.population,
+		Scheduler:       sched,
+		Seed:            opts.Seed,
+		WorkerBalance:   opts.WorkerBalance,
+		Manual:          true,
+		TaskRoundBudget: maxRounds,
+		Options:         opts.Options,
 	}
-	results, svc, err := streamSpecs(cfg, specs, maxRounds)
+	if !prune {
+		cfg.KeepSettled = true
+		cfg.RetainRounds = -1
+		cfg.RetainLedgerEvents = -1
+	}
+	results, svc, err := streamSpecs(cfg, c.specs, maxRounds)
 	if err != nil {
-		return nil, fmt.Errorf("adversary: %s/stream: %w", s.Name, err)
+		return nil, fmt.Errorf("adversary: %s: %w", name, err)
 	}
-	for i := range reports {
-		tr, ok := results[reports[i].ID]
+	for i := range c.reports {
+		tr, ok := results[c.reports[i].ID]
 		if !ok {
-			return nil, fmt.Errorf("adversary: %s/stream: task %q never settled in %d rounds", s.Name, reports[i].ID, maxRounds)
+			return nil, fmt.Errorf("adversary: %s: task %q never settled in %d rounds", name, c.reports[i].ID, maxRounds)
 		}
-		reports[i].RequesterBalance = tr.RequesterBalance
-		reports[i].Finalized = tr.Finalized
-		reports[i].Cancelled = tr.Cancelled
-		reports[i].Outcomes = tr.Outcomes
+		c.reports[i].fill(tr)
 	}
 	return &Report{
-		Name:          fmt.Sprintf("%s/stream-%d", s.Name, m),
+		Name:          name,
 		Ledger:        svc.Ledger(),
 		Chain:         svc.Chain(),
 		WorkerBalance: opts.WorkerBalance,
-		Minted:        minted,
-		Tasks:         reports,
+		Minted:        c.minted,
+		Tasks:         c.reports,
+		Shards:        svc.Shards(),
 	}, nil
 }
 
@@ -140,97 +139,4 @@ func streamSpecs(cfg service.Config, specs []market.TaskSpec, maxRounds int) (ma
 		return nil, nil, err
 	}
 	return results, svc, nil
-}
-
-// RunMatrixStream co-locates many scenarios as tasks streamed through one
-// long-lived service on one shared chain. With prune false the service
-// retains full history (settled contracts kept, no trimming), so the
-// returned report is invariant-checkable and fingerprint-comparable against
-// RunMatrix byte-for-byte. With prune true the service runs in its bounded
-// production mode — settled contracts pruned, receipts and events trimmed —
-// and the per-task reports (payments, balances, outcomes) must still match;
-// only the retained history differs. Scenarios pinning their own scheduler
-// are rejected, as in RunMatrix.
-func RunMatrixStream(scenarios []Scenario, opts Options, prune bool) (*Report, error) {
-	if opts.Group == nil {
-		return nil, errors.New("adversary: no group backend")
-	}
-	if len(scenarios) == 0 {
-		return nil, errors.New("adversary: empty matrix")
-	}
-	specs := make([]market.TaskSpec, len(scenarios))
-	reports := make([]TaskReport, len(scenarios))
-	var population []worker.Model
-	var minted ledger.Amount
-	for i := range scenarios {
-		s := &scenarios[i]
-		if s.NewScheduler != nil {
-			return nil, fmt.Errorf("adversary: scenario %q pins its own scheduler; run it alone", s.Name)
-		}
-		inst, err := s.instance(opts, i)
-		if err != nil {
-			return nil, fmt.Errorf("adversary: %s: %w", s.Name, err)
-		}
-		models := s.Lineup(inst, lineupRng(opts, i))
-		enroll := make([]int, len(models))
-		for j := range enroll {
-			enroll[j] = len(population) + j
-		}
-		population = append(population, models...)
-		reqAddr := chain.Address(fmt.Sprintf("requester-%d", i))
-		specs[i] = market.TaskSpec{
-			Instance:  inst,
-			Enroll:    enroll,
-			Policy:    s.Policy,
-			Requester: reqAddr,
-		}
-		reports[i] = s.taskReport(inst, reqAddr)
-		minted += inst.Task.Budget * 2
-	}
-	minted += ledger.Amount(len(population)) * opts.WorkerBalance
-
-	maxRounds := maxRoundsOf(scenarios)
-	if maxRounds == 0 {
-		maxRounds = 40
-	}
-	cfg := service.Config{
-		Group:           opts.Group,
-		Population:      population,
-		Seed:            opts.Seed,
-		WorkerBalance:   opts.WorkerBalance,
-		Manual:          true,
-		TaskRoundBudget: maxRounds,
-		Options:         opts.Options,
-	}
-	if !prune {
-		cfg.KeepSettled = true
-		cfg.RetainRounds = -1
-		cfg.RetainLedgerEvents = -1
-	}
-	results, svc, err := streamSpecs(cfg, specs, maxRounds)
-	if err != nil {
-		return nil, fmt.Errorf("adversary: matrix/stream: %w", err)
-	}
-	for i := range reports {
-		tr, ok := results[reports[i].ID]
-		if !ok {
-			return nil, fmt.Errorf("adversary: matrix/stream: task %q never settled in %d rounds", reports[i].ID, maxRounds)
-		}
-		reports[i].RequesterBalance = tr.RequesterBalance
-		reports[i].Finalized = tr.Finalized
-		reports[i].Cancelled = tr.Cancelled
-		reports[i].Outcomes = tr.Outcomes
-	}
-	name := "matrix/stream"
-	if prune {
-		name = "matrix/stream-pruned"
-	}
-	return &Report{
-		Name:          name,
-		Ledger:        svc.Ledger(),
-		Chain:         svc.Chain(),
-		WorkerBalance: opts.WorkerBalance,
-		Minted:        minted,
-		Tasks:         reports,
-	}, nil
 }

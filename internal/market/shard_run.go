@@ -1,17 +1,19 @@
 package market
 
-// The sharded marketplace: S independent chains (chain.ShardSet), each with
-// its own ledger, scheduler and off-chain store, mined in lockstep rounds.
-// Tasks are placed on shards by the Placement policy; every population
-// member is homed on shard (index mod S) where its balance is minted. The
-// run has two epochs:
+// What a marketplace run over S > 1 shards adds to the one run body in
+// RunContext. Every shard is an independent chain (chain.ShardSet) with its
+// own ledger, scheduler and off-chain store, mined in lockstep rounds; tasks
+// are placed on shards by the Placement policy, and every population member
+// is homed on shard (index mod S) where its balance is minted. A single
+// chain is the one-shard case of the same body: it deploys no escrow, mints
+// no bridge liquidity and has no settlement epoch. The run has two epochs:
 //
-//  1. the task epoch — the historical marketplace loop, with the per-round
-//     mining fanned across shards (chain.ShardSet.MineAll over
-//     internal/parallel, deterministic join). No HTLC traffic exists here,
-//     so each shard's transcript is a pure function of the tasks placed on
-//     it: shard-local transcripts are identical to an unsharded run of the
-//     same tasks under the same scheduler.
+//  1. the task epoch — StepRound, with the per-round mining fanned across
+//     shards (chain.ShardSet.MineAll over internal/parallel, deterministic
+//     join). No HTLC traffic exists here, so each shard's transcript is a
+//     pure function of the tasks placed on it: shard-local transcripts are
+//     identical to a one-shard run of the same tasks under the same
+//     scheduler.
 //  2. the settlement epoch — workers paid on a foreign shard move their
 //     reward home through the HTLC escrow (see settle.go). Keeping all HTLC
 //     traffic after every task has settled is what preserves per-task
@@ -23,11 +25,9 @@ import (
 	"context"
 	"fmt"
 
-	"dragoon/internal/batch"
 	"dragoon/internal/chain"
 	"dragoon/internal/htlc"
 	"dragoon/internal/ledger"
-	"dragoon/internal/parallel"
 )
 
 // settleSlack bounds the settlement epoch beyond the lock timeouts: a few
@@ -35,137 +35,35 @@ import (
 // the synchrony bound) and the final refund landing after expiry.
 const settleSlack = 8
 
-// runSharded is RunContext's Shards > 1 path.
-func runSharded(ctx context.Context, cfg Config) (*Result, error) {
-	mk := cfg.ShardSchedulers
-	if mk == nil {
-		mk = func(int) chain.Scheduler { return cfg.Scheduler }
-	}
-	set, err := chain.NewShardSet(cfg.Shards, mk)
-	if err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
-	set.SetMiners(cfg.Parallelism)
-	execWorkers := chain.ResolveExecWorkers(cfg.ParallelExec, cfg.Parallelism)
-	for _, sh := range set.Shards() {
-		sh.Chain.SetParallelExecution(execWorkers)
-		if err := sh.Chain.RegisterContract(htlc.ContractID, htlc.New()); err != nil {
-			return nil, fmt.Errorf("market: shard %d: %w", sh.Index, err)
-		}
-	}
-
-	taskShards := PlaceTasks(&cfg, cfg.Shards)
-	minted := make([]ledger.Amount, cfg.Shards)
-
-	// Every population member funds (and is homed) on shard index mod S.
-	popAddrs := make([]chain.Address, len(cfg.Population))
-	homeShards := make([]int, len(cfg.Population))
-	for i, m := range cfg.Population {
-		popAddrs[i] = WorkerAddr(i, m.Name)
-		homeShards[i] = HomeShard(i, cfg.Shards)
-		if cfg.WorkerBalance > 0 {
-			set.Shard(homeShards[i]).Ledger.Mint(ledger.AccountID(popAddrs[i]), cfg.WorkerBalance)
-			minted[homeShards[i]] += cfg.WorkerBalance
-		}
-	}
-
-	// The bridge's liquidity pool: enough on EVERY shard to counter-lock
-	// every reward in the worst case where all payouts claim to one shard.
+// openBridge deploys the HTLC escrow on every shard and funds the bridge's
+// liquidity pool: enough on EVERY shard to counter-lock every reward in the
+// worst case where all payouts claim to one shard. It adds the pool to
+// minted and returns the per-shard liquidity. A task must never shadow the
+// escrow's contract ID.
+func openBridge(set *chain.ShardSet, specs []TaskSpec, minted []ledger.Amount) (ledger.Amount, error) {
 	var liquidity ledger.Amount
-	for i := range cfg.Tasks {
-		liquidity += cfg.Tasks[i].Instance.Task.Budget
+	for ti := range specs {
+		if ledger.ContractID(specs[ti].Instance.Task.ID) == htlc.ContractID {
+			return 0, fmt.Errorf("market: task %d uses reserved contract ID %q", ti, htlc.ContractID)
+		}
+		liquidity += specs[ti].Instance.Task.Budget
 	}
-	for s := 0; s < cfg.Shards; s++ {
+	for _, sh := range set.Shards() {
+		if err := sh.Chain.RegisterContract(htlc.ContractID, htlc.New()); err != nil {
+			return 0, fmt.Errorf("market: shard %d: %w", sh.Index, err)
+		}
 		if liquidity > 0 {
-			set.Shard(s).Ledger.Mint(ledger.AccountID(BridgeAddr), liquidity)
-			minted[s] += liquidity
+			sh.Ledger.Mint(ledger.AccountID(BridgeAddr), liquidity)
+			minted[sh.Index] += liquidity
 		}
 	}
+	return liquidity, nil
+}
 
-	// Build each task's runtime against its own shard's chain and store.
-	tasks := make([]*Runtime, len(cfg.Tasks))
-	seen := make(map[ledger.ContractID]int, len(cfg.Tasks))
-	for ti, spec := range cfg.Tasks {
-		sh := set.Shard(taskShards[ti])
-		t, err := NewRuntime(RuntimeConfig{
-			Spec:        spec,
-			Index:       ti,
-			Seed:        cfg.TaskSeed(ti),
-			Group:       cfg.Group,
-			Backend:     sh.Chain,
-			Store:       sh.Store,
-			Population:  cfg.Population,
-			PopAddrs:    popAddrs,
-			SharedKey:   cfg.SharedKey,
-			BatchVerify: cfg.BatchVerify,
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Contract IDs stay globally unique: cross-shard lock IDs embed the
-		// task ID, and a task must never shadow the escrow itself.
-		if prev, dup := seen[t.id]; dup {
-			return nil, fmt.Errorf("market: tasks %d and %d share contract ID %q", prev, ti, t.id)
-		}
-		if t.id == htlc.ContractID {
-			return nil, fmt.Errorf("market: task %d uses reserved contract ID %q", ti, htlc.ContractID)
-		}
-		seen[t.id] = ti
-		t.Fund(sh.Ledger)
-		minted[taskShards[ti]] += 2 * spec.Instance.Task.Budget
-		tasks[ti] = t
-	}
-
-	for _, t := range tasks {
-		if err := t.Launch(); err != nil {
-			return nil, err
-		}
-	}
-
-	// One read-only auditor per shard: batch folds never cross a shard
-	// boundary (receipts of different chains have independent rounds).
-	auditors := make([]*Auditor, cfg.Shards)
-	if batch.Resolve(cfg.BatchVerify) {
-		for ti, t := range tasks {
-			s := taskShards[ti]
-			if auditors[s] == nil {
-				auditors[s] = NewAuditor(cfg.Group)
-			}
-			auditors[s].Register(t.id, t.RequesterKey().H)
-		}
-	}
-
-	// Epoch 1: the task epoch. All shards mine in lockstep; a shard whose
-	// tasks have all settled keeps mining empty rounds so the clocks agree.
-	for round := 0; round < cfg.MaxRounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("market: round %d: %w", round, err)
-		}
-		var active []*Runtime
-		for _, t := range tasks {
-			if !t.finished {
-				active = append(active, t)
-			}
-		}
-		if len(active) == 0 {
-			break
-		}
-		if err := StepShards(ctx, set, tasks, taskShards, cfg.Parallelism, auditors); err != nil {
-			return nil, err
-		}
-	}
-	taskEpochEnd, err := set.Round()
-	if err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
-	for _, t := range tasks {
-		if !t.finished {
-			t.finalRound = taskEpochEnd
-		}
-	}
-
-	// Epoch 2: cross-shard settlement. Every worker paid on a shard other
-	// than its home shard moves the reward through the HTLC escrow.
+// settleAcrossShards runs the settlement epoch that follows a task epoch
+// ending at round end: every worker paid on a shard other than its home
+// shard moves the reward through the HTLC escrow.
+func settleAcrossShards(ctx context.Context, cfg *Config, set *chain.ShardSet, tasks []*Runtime, taskShards []int, popAddrs []chain.Address, homeShards []int, end int) ([]Settlement, error) {
 	settler := NewSettler(set.Shards(), cfg.Settle, cfg.Seed)
 	addrHome := make(map[chain.Address]int, len(popAddrs))
 	for i, a := range popAddrs {
@@ -182,7 +80,7 @@ func runSharded(ctx context.Context, cfg Config) (*Result, error) {
 			settler.Add(string(t.id), addr, reward, ts, addrHome[addr])
 		}
 	}
-	bound := taskEpochEnd + cfg.Settle.lockRounds() + cfg.Settle.counterRounds() + settleSlack
+	bound := end + cfg.Settle.lockRounds() + cfg.Settle.counterRounds() + settleSlack
 	for settler.Pending() {
 		round, err := set.Round()
 		if err != nil {
@@ -204,119 +102,5 @@ func runSharded(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, err
 		}
 	}
-
-	rounds, err := set.Round()
-	if err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
-	res := &Result{
-		Tasks:           make([]TaskResult, len(tasks)),
-		Rounds:          rounds,
-		Ledger:          set.Shard(0).Ledger,
-		Chain:           set.Shard(0).Chain,
-		Shards:          set.Shards(),
-		TaskShards:      taskShards,
-		HomeShards:      homeShards,
-		MintedByShard:   minted,
-		Bridge:          BridgeAddr,
-		BridgeLiquidity: liquidity,
-		Settlements:     settler.Results(),
-	}
-	for _, a := range auditors {
-		if a != nil {
-			res.AuditedProofs += a.Count()
-		}
-	}
-	for ti, t := range tasks {
-		sh := set.Shard(taskShards[ti])
-		tr, err := t.Result(sh.Chain, sh.Ledger)
-		if err != nil {
-			return nil, err
-		}
-		res.GasTotal += tr.GasTotal
-		res.Tasks[ti] = tr
-	}
-	if err := set.CheckConservation(); err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
-	return res, nil
-}
-
-// StepShards is StepRound generalized to a shard set: requesters step
-// in global task order, answers resolve in global (task, worker) order (the
-// models may share one rng), the per-worker crypto of every task on every
-// shard fans out over ONE pool, transactions enter each shard's mempool in
-// (task, worker) order, and all shards mine their round concurrently with a
-// deterministic join. Because shards share nothing, the per-shard transcript
-// equals the sequential single-shard transcript of that shard's tasks.
-// taskShards[i] is tasks[i]'s shard; finished tasks are skipped. auditors is
-// indexed by shard and may be nil (or hold nils) when auditing is off. The
-// streaming service drives its sharded round loop through this entry point.
-func StepShards(ctx context.Context, set *chain.ShardSet, tasks []*Runtime, taskShards []int, parallelism int, auditors []*Auditor) error {
-	round, err := set.Round()
-	if err != nil {
-		return fmt.Errorf("market: %w", err)
-	}
-	type slot struct {
-		t     *Runtime
-		shard int
-		i     int
-	}
-	var active []slot // one entry per live task, i unused
-	for ti, t := range tasks {
-		if !t.finished {
-			active = append(active, slot{t: t, shard: taskShards[ti]})
-		}
-	}
-	for _, s := range active {
-		if err := s.t.StepRequester(); err != nil {
-			return fmt.Errorf("market: task %q requester step (round %d): %w", s.t.id, round, err)
-		}
-	}
-	var slots []slot
-	for _, s := range active {
-		for i := range s.t.clients {
-			if err := s.t.Prepare(i); err != nil {
-				return fmt.Errorf("market: task %q worker %d prepare (round %d): %w", s.t.id, i, round, err)
-			}
-			slots = append(slots, slot{t: s.t, shard: s.shard, i: i})
-		}
-	}
-	txsPerSlot, err := parallel.Map(ctx, len(slots), parallelism,
-		func(k int) ([]*chain.Tx, error) {
-			s := slots[k]
-			txs, err := s.t.WorkerTxs(s.i)
-			if err != nil {
-				return nil, fmt.Errorf("market: task %q worker %d step (round %d): %w", s.t.id, s.i, round, err)
-			}
-			return txs, nil
-		})
-	if err != nil {
-		return err
-	}
-	for k, txs := range txsPerSlot {
-		for _, tx := range txs {
-			if err := set.Shard(slots[k].shard).Chain.Submit(tx); err != nil {
-				return fmt.Errorf("market: round %d: %w", round, err)
-			}
-		}
-	}
-	receipts, err := set.MineAll(ctx)
-	if err != nil {
-		return fmt.Errorf("market: mining round %d: %w", round, err)
-	}
-	for si, a := range auditors {
-		if a == nil {
-			continue
-		}
-		if err := a.Audit(set.Shard(si).Chain.Round(), receipts[si]); err != nil {
-			return err
-		}
-	}
-	for _, s := range active {
-		if err := s.t.CheckPhase(set.Shard(s.shard).Chain.Round()); err != nil {
-			return err
-		}
-	}
-	return nil
+	return settler.Results(), nil
 }

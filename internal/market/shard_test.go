@@ -35,14 +35,16 @@ func crossShardBalance(res *market.Result, addr chain.Address) ledger.Amount {
 	return total
 }
 
-// TestShardedMatchesUnsharded is the sharding determinism test: splitting
-// the 8-task marketplace across 2 and 4 shards must leave every task's
+// TestShardedMatchesUnsharded is the sharding determinism test: running
+// the 8-task marketplace on 1, 2 and 4 shards must leave every task's
 // observable end state — payments, gas, rounds, harvested answers — byte-
-// identical to the single-chain run, because shards share nothing and all
+// identical to the Shards: 0 run, because shards share nothing and all
 // cross-shard traffic settles in a dedicated epoch after the tasks end.
-// On top of that, every cross-shard payout must claim through the HTLC
-// escrow, leaving each worker's cross-shard total equal to its single-chain
-// balance and the bridge's total equal to its minted liquidity.
+// One shard is the unsharded run itself: one shard handle, no escrow, no
+// bridge account, nothing to settle. On more shards every cross-shard
+// payout must claim through the HTLC escrow, leaving each worker's
+// cross-shard total equal to its single-chain balance and the bridge's
+// total equal to its minted liquidity.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	base := runShardedConfig(t, 0, 0, nil)
 	want := make([]string, len(base.Tasks))
@@ -50,7 +52,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		want[ti] = marketTaskFP(&base.Tasks[ti])
 	}
 
-	for _, shards := range []int{2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		res := runShardedConfig(t, shards, 0, nil)
 		if len(res.Shards) != shards {
 			t.Fatalf("shards=%d: result has %d shard handles", shards, len(res.Shards))
@@ -66,19 +68,30 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 			}
 		}
 
-		// Every cross-shard payout settles by claiming, and the coins land
-		// where they should: worker totals match the single-chain balances,
-		// the bridge keeps exactly its minted liquidity.
-		if len(res.Settlements) == 0 {
-			t.Fatalf("shards=%d: no cross-shard settlements — workload degenerated", shards)
-		}
-		for _, s := range res.Settlements {
-			if !s.Claimed || s.Refunded {
-				t.Errorf("shards=%d: settlement %s not claimed: %+v", shards, s.LockID, s)
+		if shards == 1 {
+			if len(res.Settlements) != 0 || res.BridgeLiquidity != 0 {
+				t.Errorf("shards=1: %d settlements, bridge liquidity %d; want none", len(res.Settlements), res.BridgeLiquidity)
 			}
-			home := res.Shards[s.HomeShard].Ledger.Balance(ledger.AccountID(s.Worker))
-			if home < s.Amount {
-				t.Errorf("shards=%d: worker %s home balance %d < claimed reward %d", shards, s.Worker, home, s.Amount)
+			for _, acct := range res.Ledger.Accounts() {
+				if acct == ledger.AccountID(market.BridgeAddr) {
+					t.Errorf("shards=1: ledger has a %s account", acct)
+				}
+			}
+		} else {
+			// Every cross-shard payout settles by claiming, and the coins
+			// land where they should: worker totals match the single-chain
+			// balances, the bridge keeps exactly its minted liquidity.
+			if len(res.Settlements) == 0 {
+				t.Fatalf("shards=%d: no cross-shard settlements — workload degenerated", shards)
+			}
+			for _, s := range res.Settlements {
+				if !s.Claimed || s.Refunded {
+					t.Errorf("shards=%d: settlement %s not claimed: %+v", shards, s.LockID, s)
+				}
+				home := res.Shards[s.HomeShard].Ledger.Balance(ledger.AccountID(s.Worker))
+				if home < s.Amount {
+					t.Errorf("shards=%d: worker %s home balance %d < claimed reward %d", shards, s.Worker, home, s.Amount)
+				}
 			}
 		}
 		for ti := range base.Tasks {

@@ -8,11 +8,15 @@ package opts
 
 // Options bundles the three performance knobs every run resolves:
 //
-//   - Parallelism bounds how many goroutines the work pool
-//     (internal/parallel) uses for the run's crypto and worker fan-outs:
-//     0 follows the process default (runtime.NumCPU() unless overridden via
-//     parallel.SetDefaultWorkers), 1 forces fully sequential execution,
-//     n > 1 bounds the pool at n.
+//   - Parallelism bounds the run's own fan-outs: the per-round worker
+//     computation, concurrent shard mining, and the optimistic executor's
+//     worker count and default (see ParallelExec). 0 follows the process
+//     default (runtime.NumCPU() unless overridden via
+//     parallel.SetDefaultWorkers), n > 0 bounds each of them at n. The
+//     crypto kernels a round calls — requester decryption, PoQoEA proving
+//     and verification, batch ciphertext decoding, the MSMs — run on the
+//     process-default pool whatever the setting, so 1 is not fully
+//     sequential.
 //   - BatchVerify selects batched proof verification: > 0 turns folded
 //     verification on; 0 and < 0 keep per-proof verification.
 //   - ParallelExec selects optimistic parallel block execution on the run's
@@ -23,8 +27,8 @@ package opts
 // Whatever the settings, a seeded run's transcript — receipts, gas, events,
 // payments — is byte-identical: the knobs only change wall-clock time.
 type Options struct {
-	// Parallelism bounds the run's work pool (0 = process default, 1 =
-	// sequential).
+	// Parallelism bounds the run's worker fan-out, shard mining and
+	// executor (0 = process default); the crypto kernels ignore it.
 	Parallelism int
 	// BatchVerify selects batched verification (> 0 on, otherwise off).
 	BatchVerify int

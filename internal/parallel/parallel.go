@@ -3,7 +3,7 @@
 // (internal/bn254, internal/groth16), per-question encryption, proving and
 // batch verification (internal/elgamal, internal/vpke, internal/poqoea), the
 // QAP quotient computation (internal/qap), and the per-round off-chain worker
-// computation of the simulation harness (internal/sim).
+// computation of the marketplace harness (internal/market).
 //
 // The engine makes three guarantees that the callers rely on:
 //

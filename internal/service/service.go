@@ -1,4 +1,4 @@
-// Package service is the streaming marketplace: one long-lived shared chain
+// Package service is the streaming marketplace: a long-lived shared chain
 // hosting an open-ended stream of HIT tasks. Where the batch harness
 // (package market) runs a fixed task set for a fixed number of rounds, a
 // Service accepts task submissions while the chain mines, admits them at the
@@ -24,13 +24,14 @@
 // (chain.ReplayBackend), re-drawing the same randomness and re-building the
 // same cursors, then flipped live. See docs/SERVICE.md.
 //
-// With Config.Shards > 1 the service runs S independent chains (a
-// chain.ShardSet) mined in lockstep: admission routes each task to one shard
-// under Config.Placement, the round loop is market.StepShards, and
-// retention, pruning and snapshots all operate per shard — pruning a settled
-// task on shard A never disturbs cursors or history on shard B. Tasks never
-// span shards inside the service, so a sharded stream settles each task
-// byte-identically to the unsharded stream of the same submissions.
+// The chain is a chain.ShardSet of max(1, Config.Shards) independent chains
+// mined in lockstep, and one shared chain is its one-shard case: admission
+// routes each task to one shard under Config.Placement, every round is
+// market.StepRound over the whole set, and retention, pruning and snapshots
+// all operate per shard — pruning a settled task on shard A never disturbs
+// cursors or history on shard B. Tasks never span shards inside the
+// service, so a sharded stream settles each task byte-identically to the
+// unsharded stream of the same submissions.
 package service
 
 import (
@@ -75,12 +76,12 @@ type Config struct {
 	// snapshotted (the FIFO default is); with Shards > 1 the one value is
 	// shared by every shard, so it must be stateless there too.
 	Scheduler chain.Scheduler
-	// Shards splits the service across that many independent chains mined in
-	// lockstep (0 or 1 keeps the historical single shared chain). Each shard
+	// Shards splits the service across max(1, Shards) independent chains
+	// mined in lockstep (0 and 1 both mean one shared chain). Each shard
 	// owns its ledger, chain and off-chain store; admitted tasks are routed
 	// to shards by Placement and never span shards.
 	Shards int
-	// Placement picks each admitted task's shard when Shards > 1:
+	// Placement picks each admitted task's shard:
 	// round-robin by admission index (default), or least-loaded by the
 	// enrolled-worker count of currently active tasks.
 	Placement market.Placement
@@ -131,12 +132,7 @@ func (c *Config) taskRoundBudget() int {
 	return c.TaskRoundBudget
 }
 
-func (c *Config) shardCount() int {
-	if c.Shards <= 1 {
-		return 1
-	}
-	return c.Shards
-}
+func (c *Config) shardCount() int { return max(1, c.Shards) }
 
 // TaskStatus is the settlement report delivered for one submitted task.
 type TaskStatus struct {
@@ -197,17 +193,14 @@ type contentKey struct {
 	digest swarm.Digest
 }
 
-// Service is a long-lived streaming marketplace over one shared chain — or,
-// with Config.Shards > 1, over a set of independent chains mined in lockstep.
+// Service is a long-lived streaming marketplace over a set of independent
+// chains mined in lockstep — one shared chain when Config.Shards <= 1.
 type Service struct {
 	cfg    Config
 	shards []*chain.Shard
-	set    *chain.ShardSet
-	// led, ch and store alias shard 0's substrate — THE substrate of an
-	// unsharded service, and the clock/report shard of a sharded one.
-	led      *ledger.Ledger
-	ch       *chain.Chain
-	store    *swarm.Store
+	// set mines the shards in lockstep; shard 0 is the clock and report
+	// shard.
+	set      *chain.ShardSet
 	auditors []*market.Auditor // per shard; nil when batch verify is off
 	popAddrs []chain.Address
 
@@ -278,9 +271,6 @@ func newService(cfg Config, shards []*chain.Shard) (*Service, error) {
 		cfg:     cfg,
 		shards:  shards,
 		set:     set,
-		led:     shards[0].Ledger,
-		ch:      shards[0].Chain,
-		store:   shards[0].Store,
 		content: make(map[contentKey]int),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
@@ -407,10 +397,10 @@ func (s *Service) Close() error {
 }
 
 // Step advances a manual-mode service one round: queued tasks are admitted,
-// every active task advances through one shared mined round (exactly
-// market.StepRound), settled tasks are reported and pruned, and retention
-// windows are enforced. A step with nothing queued and nothing active is a
-// no-op (the chain does not mine empty rounds on idle).
+// every active task advances through one mined round on its shard (exactly
+// market.StepRound, at any shard count), settled tasks are reported and
+// pruned, and retention windows are enforced. A step with nothing queued and
+// nothing active is a no-op (the chain does not mine empty rounds on idle).
 func (s *Service) Step(ctx context.Context) error {
 	if !s.cfg.Manual {
 		return errors.New("service: Step on a background-mode service (set Config.Manual)")
@@ -449,16 +439,7 @@ func (s *Service) step(ctx context.Context) error {
 		rts[i] = st.rt
 		taskShards[i] = st.shard
 	}
-	if len(s.shards) == 1 {
-		// The historical single-chain path, byte-for-byte.
-		var auditor *market.Auditor
-		if s.auditors != nil {
-			auditor = s.auditors[0]
-		}
-		if err := market.StepRound(ctx, s.ch, rts, s.cfg.Parallelism, auditor); err != nil {
-			return err
-		}
-	} else if err := market.StepShards(ctx, s.set, rts, taskShards, s.cfg.Parallelism, s.auditors); err != nil {
+	if err := market.StepRound(ctx, s.set, rts, taskShards, s.cfg.Parallelism, s.auditors); err != nil {
 		return err
 	}
 	return s.settleLocked()
@@ -468,9 +449,6 @@ func (s *Service) step(ctx context.Context) error {
 // admission index by default, or the shard whose active tasks enroll the
 // fewest workers under PlaceLeastLoaded (ties to the lowest index).
 func (s *Service) placeLocked(spec *market.TaskSpec) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
 	if s.cfg.Placement == market.PlaceLeastLoaded {
 		load := make([]int, len(s.shards))
 		for _, st := range s.active {
@@ -560,7 +538,7 @@ func (s *Service) reject(spec market.TaskSpec, err error) {
 // settleLocked reaps settled and expired tasks after a mined round, prunes
 // their state, and enforces the retention windows.
 func (s *Service) settleLocked() error {
-	round := s.ch.Round()
+	round := s.shards[0].Chain.Round()
 	budget := s.cfg.taskRoundBudget()
 	keep := s.active[:0]
 	var done []TaskStatus
@@ -687,7 +665,7 @@ func (s *Service) trimLocked() {
 // Stats reports a point-in-time summary of the stream.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	round := s.ch.Round()
+	round := s.shards[0].Chain.Round()
 	active := len(s.active)
 	s.mu.Unlock()
 	s.qmu.Lock()
@@ -718,10 +696,10 @@ func (s *Service) Stats() Stats {
 // a background miner — quiesce (manual mode, or Close) for exact values.
 // On a sharded service they return shard 0's substrate; use Shards for the
 // rest.
-func (s *Service) Chain() *chain.Chain { return s.ch }
+func (s *Service) Chain() *chain.Chain { return s.shards[0].Chain }
 
 // Ledger returns the shared ledger (shard 0's when sharded).
-func (s *Service) Ledger() *ledger.Ledger { return s.led }
+func (s *Service) Ledger() *ledger.Ledger { return s.shards[0].Ledger }
 
 // Shards returns the per-shard substrate handles, in index order; length 1
 // on an unsharded service. Callers must not mutate the slice.

@@ -9,9 +9,12 @@ import (
 // ServiceConfig, so one Options value configures a whole run regardless of
 // which harness executes it:
 //
-//   - Parallelism bounds the run's work pool: 0 follows the process default
-//     (runtime.NumCPU()), 1 forces fully sequential execution, n > 1 bounds
-//     the pool at n.
+//   - Parallelism bounds the run's own fan-outs — the per-round worker
+//     computation, concurrent shard mining and the optimistic executor's
+//     default: 0 follows the process default (runtime.NumCPU()), n > 0
+//     bounds each at n. The crypto kernels inside a round (decryption,
+//     PoQoEA proving and verification, the MSMs) run on the process-wide
+//     pool whatever the setting, so Parallelism 1 is not fully sequential.
 //   - BatchVerify selects batched proof verification: > 0 turns folded
 //     verification on; 0 and < 0 keep per-proof verification.
 //   - ParallelExec selects optimistic parallel block execution on the run's
