@@ -41,8 +41,8 @@ examples:
 # prove/verify, QAP quotient, Groth16 MSM fork/join, parallel Miller
 # loops). The crypto-kernel packages (fixed-base tables, GLV, the shared
 # precomputation and short-log registries, the requester's lazy decrypt
-# table, Pedersen commitments) run here too — their property tests and the
-# concurrent-init regression tests are race-sensitive by design. So do the
+# table) run here too — their property tests and the concurrent-init
+# regression tests are race-sensitive by design. So do the
 # contract (on-chain verification must charge gas from one goroutine, whatever
 # the pool size) and the VPKE prover the requester runs on the pool.
 race:
@@ -108,12 +108,12 @@ bench-json:
 	$(GO) run ./cmd/benchtables -json BENCH_parallel.json -workers $(BENCH_WORKERS)
 
 # One iteration of every crypto-kernel benchmark (fixed-base tables, GLV
-# scalar mul, batch encryption/short-log, Pedersen commitments, the NTT and
-# the Montgomery field ops) — a CI smoke check that the kernel paths still
-# run, not a timing measurement.
+# scalar mul, batch encryption/short-log, the NTT and the Montgomery field
+# ops) — a CI smoke check that the kernel paths still run, not a timing
+# measurement.
 bench-kernels:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/bn254 \
-		./internal/elgamal ./internal/commit ./internal/ff ./internal/limb
+		./internal/elgamal ./internal/ff ./internal/limb
 
 # Bounded-memory soak slice for CI: stream tasks through a background
 # service for ~30 seconds (or 10^4 tasks, whichever comes first) and fail

@@ -19,7 +19,6 @@ import (
 
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
-	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/task"
 )
@@ -75,8 +74,7 @@ func BenchmarkBatchVerify(b *testing.B) {
 		for _, w := range pools {
 			run := func(mode string, body func()) {
 				b.Run(fmt.Sprintf("size=%d/workers=%d/%s", size, w, mode), func(b *testing.B) {
-					prev := parallel.SetDefaultWorkers(w)
-					defer parallel.SetDefaultWorkers(prev)
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {

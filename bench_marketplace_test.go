@@ -17,7 +17,6 @@ import (
 	"testing"
 
 	"dragoon/internal/market"
-	"dragoon/internal/parallel"
 	"dragoon/internal/protocol"
 )
 
@@ -77,8 +76,7 @@ func BenchmarkMarketplace(b *testing.B) {
 	}
 	for _, w := range sizes {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			prev := parallel.SetDefaultWorkers(w)
-			defer parallel.SetDefaultWorkers(prev)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			// The config is stateless (deterministic models, fresh chain
 			// per run), so it is built once outside the timed loop.
 			cfg := benchMarketConfig(b)

@@ -18,7 +18,6 @@ import (
 	"dragoon/internal/elgamal"
 	"dragoon/internal/groth16"
 	"dragoon/internal/group"
-	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/sim"
 	"dragoon/internal/task"
@@ -94,8 +93,7 @@ func workerSweep(b *testing.B, questions int, body func(b *testing.B)) {
 	}
 	for _, w := range sizes {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			prev := parallel.SetDefaultWorkers(w)
-			defer parallel.SetDefaultWorkers(prev)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(w))
 			b.ReportAllocs()
 			b.ResetTimer()
 			body(b)

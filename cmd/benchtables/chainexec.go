@@ -5,8 +5,8 @@ package main
 // each transaction verifying a Schnorr-style statement through the metered
 // group (two ECMULs + one ECADD — the cost shape of a real rejection-proof
 // verification) and writing its own per-worker keys while reading only its
-// task's shared phase key. The executor worker count resolves from the
-// ambient pool (parallel.SetDefaultWorkers), so the harness's workers=1 row
+// task's shared phase key. The executor worker count resolves from
+// runtime.GOMAXPROCS, which the harness sets per row, so its workers=1 row
 // measures sequential round execution and the parallel row the optimistic
 // engine. Mirrors BenchmarkChainExecute at the repository root.
 

@@ -35,7 +35,6 @@ import (
 	"dragoon/internal/groth16"
 	"dragoon/internal/group"
 	"dragoon/internal/market"
-	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/protocol"
 	"dragoon/internal/r1cs"
@@ -377,7 +376,7 @@ func writeParallelJSON(path string, parWorkers int) error {
 	}
 	seqNs := map[string]int64{}
 	for _, workers := range []int{1, parWorkers} {
-		prev := parallel.SetDefaultWorkers(workers)
+		prev := runtime.GOMAXPROCS(workers)
 		for _, op := range ops {
 			t, _ := measure(op.fn)
 			r := parallelBenchResult{
@@ -396,7 +395,7 @@ func writeParallelJSON(path string, parWorkers int) error {
 				report.Speedups[op.name] = float64(seq) / float64(t.Nanoseconds())
 			}
 		}
-		parallel.SetDefaultWorkers(prev)
+		runtime.GOMAXPROCS(prev)
 	}
 	// Algorithmic batch speedups at workers=1: per-proof cost scales
 	// linearly with the claim count, so every size's baseline derives from

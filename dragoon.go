@@ -71,16 +71,16 @@
 // The crypto hot paths — requester decryption, PoQoEA proving and (batch)
 // verification, ciphertext decoding, the multi-scalar multiplications,
 // Groth16 proving (per-wire MSMs and the QAP quotient) and pairing-product
-// verification — run on a bounded work pool (internal/parallel) whose size
-// is process-wide: runtime.NumCPU() unless parallel.SetDefaultWorkers
-// changes it. Options.Parallelism — embedded in SimulationConfig,
+// verification — run on a bounded work pool (internal/parallel) sized by
+// runtime.GOMAXPROCS, which is NumCPU unless the process sets it.
+// Options.Parallelism — embedded in SimulationConfig,
 // MarketplaceConfig, ScenarioOptions and ServiceConfig — does not resize
 // that pool. It bounds three fan-outs of its own run: the per-round
 // computation of the simulated workers, how many shards mine a round at
 // once, and the optimistic block executor, which it also switches on by
 // default when it allows more than one worker (see below). Parallelism 1
 // steps the workers and mines the shards one at a time, but the kernels
-// inside a step still use the process-wide pool. The Options struct
+// inside a step still use the GOMAXPROCS-sized pool. The Options struct
 // consolidates every per-run knob: Parallelism, BatchVerify and
 // ParallelExec.
 //
@@ -116,18 +116,18 @@
 //
 // Verification — the requester's single hottest per-question cost — can be
 // amortized: Options.BatchVerify > 0 folds independent verification
-// equations into ONE multi-scalar multiplication (or one multi-pairing, for
-// Groth16) per batch via a random linear combination with transcript-seeded
-// exponents. VerifyQualityBatch checks many PoQoEA claims in a single fold,
-// the requester client decodes revealed submissions through a batched
-// well-formedness pass, and the marketplace re-verifies every rejection
-// proof landing in a mined round — across all tasks — in one fold (the
-// round auditor). On a failed fold the engine bisects down to per-proof
-// verification, so verdicts (who gets paid, who gets slashed) are identical
-// to per-proof verification; the adversarial scenario sweep asserts
-// byte-identical fingerprints with batching on and off. The knob is
-// per-run: SimulationConfig.BatchVerify / MarketplaceConfig.BatchVerify /
-// ScenarioOptions.BatchVerify (> 0 on; 0, the default, and < 0 off).
+// equations into ONE multi-scalar multiplication per batch via a random
+// linear combination with transcript-seeded exponents. VerifyQualityBatch
+// checks many PoQoEA claims in a single fold, the requester client decodes
+// revealed submissions through a batched well-formedness pass, and the
+// marketplace re-verifies every rejection proof landing in a mined round —
+// across all tasks — in one fold (the round auditor). On a failed fold the
+// engine bisects down to per-proof verification, so verdicts (who gets
+// paid, who gets slashed) are identical to per-proof verification; the
+// adversarial scenario sweep asserts byte-identical fingerprints with
+// batching on and off. The knob is per-run: SimulationConfig.BatchVerify /
+// MarketplaceConfig.BatchVerify / ScenarioOptions.BatchVerify (> 0 on; 0,
+// the default, and < 0 off).
 // VerifyQualityBatch always folds.
 //
 // # Threat model & adversarial scenarios
@@ -181,7 +181,7 @@ import (
 	"dragoon/internal/vpke"
 )
 
-// Parallelism reports the effective process-wide worker pool size.
+// Parallelism reports the default worker pool size, runtime.GOMAXPROCS(0).
 func Parallelism() int { return parallel.Workers(0) }
 
 // Group is a prime-order cyclic group backend for the protocol crypto.

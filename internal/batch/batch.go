@@ -2,8 +2,8 @@
 // protocol's proof systems: many independent verification equations are
 // folded into ONE algebraic check via a random linear combination (RLC)
 // with small random exponents, so the dominant cost — scalar
-// multiplications, or Miller loops for pairing equations — is paid once per
-// batch through a multi-scalar multiplication instead of once per proof.
+// multiplications — is paid once per batch through a multi-scalar
+// multiplication instead of once per proof.
 //
 // The engine makes three guarantees its consumers rely on:
 //
@@ -21,14 +21,14 @@
 //     smaller groups);
 //   - hostile-input hygiene: structurally malformed statements are rejected
 //     before the fold exactly as the per-proof verifiers reject them, and
-//     externally supplied fold exponents are validated (nonzero, canonical,
-//     pairwise distinct) — a zero or duplicated exponent would let
+//     every fold exponent is derived from the transcript by Coefficients,
+//     which never yields a zero or duplicated exponent — either would let
 //     cancelling invalid proofs slip through the combination.
 //
-// Consumers: poqoea.VerifyBatch (quality claims), groth16.BatchVerify (one
-// multi-pairing for many proofs), the requester's batched submission decode
-// (protocol), and the marketplace round auditor that folds every rejection
-// proof landing in one mined round across all tasks (market).
+// Consumers: poqoea.VerifyBatch (quality claims), the requester's batched
+// submission decode (protocol), and the marketplace round auditor that
+// folds every rejection proof landing in one mined round across all tasks
+// (market).
 //
 // Every consumer takes the per-run choice between batched and per-proof
 // verification through Resolve; the adversary-matrix knob sweep asserts

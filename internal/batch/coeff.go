@@ -1,8 +1,6 @@
 package batch
 
 import (
-	"errors"
-	"fmt"
 	"math/big"
 
 	"dragoon/internal/drbg"
@@ -31,8 +29,9 @@ func coeffBound(order *big.Int) *big.Int {
 // yield identical exponents — the determinism the harness fingerprint tests
 // rely on — while an adversary committing to statements before the fold
 // cannot aim at the exponents (Fiat–Shamir heuristic). Zero draws and
-// duplicates are rejected and redrawn, so the output always satisfies
-// ValidateCoefficients.
+// duplicates are rejected and redrawn: a zero exponent would erase its
+// statement from the fold, and duplicated exponents would let two crafted
+// invalid statements cancel each other in the combination.
 func Coefficients(transcript []byte, label string, n int, order *big.Int) []*big.Int {
 	rnd := drbg.NewFromBytes(transcript, label)
 	bound := coeffBound(order)
@@ -51,35 +50,4 @@ func Coefficients(transcript []byte, label string, n int, order *big.Int) []*big
 		out = append(out, c)
 	}
 	return out
-}
-
-// ErrBadCoefficients reports an adversarial or malformed fold-exponent
-// vector. A zero exponent erases its statement from the fold entirely, and
-// duplicated exponents let two crafted invalid statements cancel each other
-// in the combination, so both are rejected outright.
-var ErrBadCoefficients = errors.New("batch: invalid fold coefficients")
-
-// ValidateCoefficients checks that a fold-exponent vector is safe to
-// combine with: every exponent present, nonzero, canonical (below the
-// group order) and pairwise distinct. Fold entry points taking external
-// coefficients call this before touching the statements.
-func ValidateCoefficients(coeffs []*big.Int, order *big.Int) error {
-	seen := make(map[string]bool, len(coeffs))
-	for i, c := range coeffs {
-		if c == nil {
-			return fmt.Errorf("%w: coefficient %d is nil", ErrBadCoefficients, i)
-		}
-		if c.Sign() <= 0 {
-			return fmt.Errorf("%w: coefficient %d is not positive", ErrBadCoefficients, i)
-		}
-		if c.Cmp(order) >= 0 {
-			return fmt.Errorf("%w: coefficient %d exceeds the group order", ErrBadCoefficients, i)
-		}
-		key := c.String()
-		if seen[key] {
-			return fmt.Errorf("%w: coefficient %d duplicated", ErrBadCoefficients, i)
-		}
-		seen[key] = true
-	}
-	return nil
 }

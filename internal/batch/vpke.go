@@ -109,50 +109,15 @@ func VerifyVPKE(g group.Group, sts []VPKEStatement) (bool, []int) {
 	return len(bad) == 0, bad
 }
 
-// FoldVPKE runs ONE fold over the statements with caller-supplied exponents
-// (u₁…uₙ followed by v₁…vₙ), reporting only the aggregate verdict — no
-// bisection. It exists for auditors driving their own randomness and for
-// the adversarial-coefficient tests; the exponent vector is validated
-// (nonzero, canonical, pairwise distinct) and rejected with
-// ErrBadCoefficients otherwise, since a zero exponent erases a statement
-// from the fold and duplicates let crafted invalid statements cancel.
-func FoldVPKE(g group.Group, sts []VPKEStatement, coeffs []*big.Int) (bool, error) {
-	if len(coeffs) != 2*len(sts) {
-		return false, fmt.Errorf("%w: %d coefficients for %d statements (want 2 per statement)",
-			ErrBadCoefficients, len(coeffs), len(sts))
-	}
-	if err := ValidateCoefficients(coeffs, g.Order()); err != nil {
-		return false, err
-	}
-	f := &vpkeFold{g: g, sts: sts, chal: make([]*big.Int, len(sts))}
-	idxs := make([]int, 0, len(sts))
-	for i := range sts {
-		if !sts[i].wellFormed(g) {
-			return false, nil
-		}
-		st := &sts[i]
-		f.chal[i] = vpke.ChallengeFor(g, st.H, st.Gm, st.Ct, st.Proof)
-		idxs = append(idxs, i)
-	}
-	if len(idxs) == 0 {
-		return true, nil
-	}
-	return f.checkWith(idxs, coeffs[:len(sts)], coeffs[len(sts):]), nil
-}
-
 // check folds the given statements with fresh transcript-derived exponents
-// and reports whether the combination vanishes.
+// (us for equation 1, vs for equation 2) and reports whether the
+// combination vanishes.
 func (f *vpkeFold) check(idxs []int) bool {
 	f.fold++
-	coeffs := Coefficients(f.seed, fmt.Sprintf("vpke-fold-%d", f.fold), 2*len(idxs), f.g.Order())
-	return f.checkWith(idxs, coeffs[:len(idxs)], coeffs[len(idxs):])
-}
-
-// checkWith folds statements idxs with explicit per-statement exponents
-// (us for equation 1, vs for equation 2).
-func (f *vpkeFold) checkWith(idxs []int, us, vs []*big.Int) bool {
 	g := f.g
 	order := g.Order()
+	coeffs := Coefficients(f.seed, fmt.Sprintf("vpke-fold-%d", f.fold), 2*len(idxs), order)
+	us, vs := coeffs[:len(idxs)], coeffs[len(idxs):]
 	points := make([]group.Element, 0, 6*len(idxs)+1)
 	scalars := make([]*big.Int, 0, 6*len(idxs)+1)
 	gScalar := new(big.Int) // Σ vᵢ·Zᵢ on the shared generator
@@ -207,7 +172,7 @@ func neg(x, order *big.Int) *big.Int {
 }
 
 // InsertSorted inserts v into a sorted index slice, keeping it sorted — the
-// bisection helpers of every fold (VPKE here, Groth16) share it.
+// bisection helpers of every fold share it.
 func InsertSorted(s []int, v int) []int {
 	i := len(s)
 	for i > 0 && s[i-1] > v {

@@ -177,17 +177,3 @@ func PairingCheckWorkers(ps []*G1, qs []*G2, workers int) bool {
 	}
 	return finalExponentiation(acc).isOne()
 }
-
-// PairMany computes e(Pᵢ, Qᵢ) for every pair concurrently, returning the
-// results in input order. It exists for callers that need the individual
-// pairing values (amortizing the per-pair final exponentiations across the
-// pool) rather than the product check.
-func PairMany(ps []*G1, qs []*G2) []*GT {
-	if len(ps) != len(qs) {
-		return nil
-	}
-	out, _ := parallel.Map(context.Background(), len(ps), 0, func(i int) (*GT, error) {
-		return Pair(ps[i], qs[i]), nil
-	})
-	return out
-}

@@ -3,7 +3,6 @@ package chain
 import (
 	"fmt"
 	"math/big"
-	"sort"
 
 	"dragoon/internal/gas"
 	"dragoon/internal/group"
@@ -73,20 +72,6 @@ type rwKey struct {
 	kind  rwKind
 	owner string
 	slot  string // storage key; empty for balance/escrow
-}
-
-// String renders the key for diagnostics and tests.
-func (k rwKey) String() string {
-	switch k.kind {
-	case rwStorage:
-		return fmt.Sprintf("storage:%s:%s", k.owner, k.slot)
-	case rwBalance:
-		return "balance:" + k.owner
-	case rwEscrow:
-		return "escrow:" + k.owner
-	default:
-		return fmt.Sprintf("rwKey(%d):%s:%s", k.kind, k.owner, k.slot)
-	}
 }
 
 // Env is the metered execution environment handed to a contract call. All
@@ -291,27 +276,6 @@ func (e *Env) conflictsWith(written map[rwKey]struct{}) bool {
 		}
 	}
 	return false
-}
-
-// ReadSet returns the call's recorded base-state reads as sorted diagnostic
-// strings (tests assert the conflict-detection surface through it).
-func (e *Env) ReadSet() []string { return renderKeys(e.reads) }
-
-// WriteSet returns the call's journaled write keys as sorted diagnostic
-// strings.
-func (e *Env) WriteSet() []string {
-	keys := make(map[rwKey]struct{})
-	e.writeKeys(keys)
-	return renderKeys(keys)
-}
-
-func renderKeys(keys map[rwKey]struct{}) []string {
-	out := make([]string, 0, len(keys))
-	for k := range keys {
-		out = append(out, k.String())
-	}
-	sort.Strings(out)
-	return out
 }
 
 // commit applies the journal. The ledger operations were validated when

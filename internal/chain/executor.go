@@ -39,14 +39,6 @@ func (c *Chain) SetParallelExecution(workers int) {
 	c.execWorkers = workers
 }
 
-// ParallelExecution reports the configured executor worker count (<= 1
-// means sequential execution).
-func (c *Chain) ParallelExecution() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.execWorkers
-}
-
 // StateVersion returns the chain's state version: a counter bumped once per
 // committed state-writing transaction. Two observations with equal versions
 // bracket a span in which no contract state or ledger movement committed.

@@ -2,12 +2,12 @@ package contract_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dragoon/internal/contract"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/gas"
-	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/task"
 	"dragoon/internal/vpke"
@@ -26,7 +26,7 @@ type evaluateRun struct {
 // wrong value, with the work pool sized to workers.
 func runEvaluate(t *testing.T, corrupt, workers int) evaluateRun {
 	t.Helper()
-	defer parallel.SetDefaultWorkers(parallel.SetDefaultWorkers(workers))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 
 	h := newHarness(t, 1)
 	inst, err := task.Generate(task.GenerateParams{

@@ -18,21 +18,17 @@ import (
 // are never mutated.
 type Field struct {
 	p *big.Int
-	// lf is the Montgomery-limb backend for p, or nil when p does not fit
-	// the 4×64 kernel (see internal/limb). When present it carries the NTT
+	// lf is the Montgomery-limb backend for p. It carries the NTT
 	// butterflies and vector pointwise kernels; the scalar big.Int methods
 	// remain the reference semantics.
 	lf *limb.Field
 }
 
-// New returns the field Z_p. The modulus must be an odd prime (not checked
-// beyond positivity; callers pass curve orders).
+// New returns the field Z_p. The modulus must be an odd prime that the
+// 4×64 limb kernel accepts (see internal/limb); New panics otherwise.
+// Primality is not checked: callers pass curve orders.
 func New(p *big.Int) *Field {
-	f := &Field{p: new(big.Int).Set(p)}
-	if lf, err := limb.NewField(p); err == nil {
-		f.lf = lf
-	}
-	return f
+	return &Field{p: new(big.Int).Set(p), lf: limb.MustField(p)}
 }
 
 // Modulus returns a copy of p.

@@ -60,106 +60,6 @@ func (d *Domain) VanishingAtCoset() *big.Int {
 	return d.F.Sub(d.cosetN, d.F.One())
 }
 
-// ntt is an in-place iterative radix-2 Cooley–Tukey transform with the
-// given root (ω for forward, ω⁻¹ for inverse).
-func (d *Domain) ntt(a []*big.Int, root *big.Int) {
-	n := len(a)
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
-		}
-		j ^= bit
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	for length := 2; length <= n; length <<= 1 {
-		// w_len = root^(n/length).
-		wLen := d.F.Exp(root, big.NewInt(int64(n/length)))
-		for start := 0; start < n; start += length {
-			w := d.F.One()
-			for i := 0; i < length/2; i++ {
-				u := a[start+i]
-				v := d.F.Mul(a[start+i+length/2], w)
-				a[start+i] = d.F.Add(u, v)
-				a[start+i+length/2] = d.F.Sub(u, v)
-				w = d.F.Mul(w, wLen)
-			}
-		}
-	}
-}
-
-// pad returns a copy of a extended with zeros to the domain size.
-func (d *Domain) pad(a []*big.Int) []*big.Int {
-	out := make([]*big.Int, d.N)
-	for i := range out {
-		if i < len(a) && a[i] != nil {
-			out[i] = new(big.Int).Set(a[i])
-		} else {
-			out[i] = new(big.Int)
-		}
-	}
-	return out
-}
-
-// FFT evaluates the polynomial with the given coefficients on the domain.
-func (d *Domain) FFT(coeffs []*big.Int) []*big.Int {
-	if d.F.lf != nil {
-		return d.fftLimb(coeffs)
-	}
-	a := d.pad(coeffs)
-	d.ntt(a, d.root)
-	return a
-}
-
-// IFFT interpolates: it maps evaluations on the domain back to
-// coefficients.
-func (d *Domain) IFFT(evals []*big.Int) []*big.Int {
-	if d.F.lf != nil {
-		return d.ifftLimb(evals)
-	}
-	a := d.pad(evals)
-	d.ntt(a, d.rootInv)
-	for i := range a {
-		a[i] = d.F.Mul(a[i], d.nInv)
-	}
-	return a
-}
-
-// CosetFFT evaluates the polynomial on the coset g·⟨ω⟩.
-func (d *Domain) CosetFFT(coeffs []*big.Int) []*big.Int {
-	if d.F.lf != nil {
-		return d.cosetFFTLimb(coeffs)
-	}
-	a := d.pad(coeffs)
-	// Scale coefficient i by g^i, then a plain FFT evaluates at g·ω^j.
-	s := d.F.One()
-	for i := range a {
-		a[i] = d.F.Mul(a[i], s)
-		s = d.F.Mul(s, d.coset)
-	}
-	d.ntt(a, d.root)
-	return a
-}
-
-// CosetIFFT interpolates from coset evaluations back to coefficients.
-func (d *Domain) CosetIFFT(evals []*big.Int) []*big.Int {
-	if d.F.lf != nil {
-		return d.cosetIFFTLimb(evals)
-	}
-	a := d.pad(evals)
-	d.ntt(a, d.rootInv)
-	gInv := d.F.Inv(d.coset)
-	s := d.F.One()
-	for i := range a {
-		a[i] = d.F.Mul(a[i], d.F.Mul(d.nInv, s))
-		s = d.F.Mul(s, gInv)
-	}
-	return a
-}
-
 // EvalPoly evaluates a coefficient-form polynomial at x (Horner).
 func EvalPoly(f *Field, coeffs []*big.Int, x *big.Int) *big.Int {
 	acc := f.Zero()

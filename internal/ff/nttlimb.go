@@ -8,17 +8,15 @@ import (
 	"dragoon/internal/parallel"
 )
 
-// Limb-arithmetic paths for the NTT chains and vector pointwise kernels.
-// For every modulus internal/limb accepts (the Field's lf is non-nil), the
-// public FFT/IFFT/CosetFFT/CosetIFFT methods convert the whole vector to
-// Montgomery limb form once, run every butterfly and scaling step on limbs,
-// and convert once on the way out — so an N-point transform pays 2N
-// boundary conversions instead of N·log N allocating big.Int reductions.
-// Moduli the 4×64 kernel rejects take the big.Int transforms in ntt.go.
+// The NTT chains and vector pointwise kernels run on the field's Montgomery
+// limb backend. FFT/IFFT/CosetFFT/CosetIFFT convert the whole vector to
+// limb form once, run every butterfly and scaling step on limbs, and
+// convert once on the way out — so an N-point transform pays 2N boundary
+// conversions instead of N·log N allocating big.Int reductions.
 
-// padLimb is pad in limb form: a copy of a, zero-extended to the domain
-// size (nil entries count as zero).
-func (d *Domain) padLimb(a []*big.Int) []limb.Element {
+// pad converts a to limb form, zero-extended to the domain size (nil
+// entries count as zero).
+func (d *Domain) pad(a []*big.Int) []limb.Element {
 	lf := d.F.lf
 	out := make([]limb.Element, d.N)
 	for i := 0; i < len(a) && i < d.N; i++ {
@@ -29,8 +27,8 @@ func (d *Domain) padLimb(a []*big.Int) []limb.Element {
 	return out
 }
 
-// unpadLimb converts a limb vector back to fresh big.Ints.
-func (d *Domain) unpadLimb(a []limb.Element) []*big.Int {
+// unpad converts a limb vector back to fresh big.Ints.
+func (d *Domain) unpad(a []limb.Element) []*big.Int {
 	lf := d.F.lf
 	out := make([]*big.Int, len(a))
 	for i := range a {
@@ -39,9 +37,9 @@ func (d *Domain) unpadLimb(a []limb.Element) []*big.Int {
 	return out
 }
 
-// nttLimb is the limb twin of ntt: an in-place iterative radix-2
-// Cooley–Tukey transform with the given root.
-func (d *Domain) nttLimb(a []limb.Element, root *big.Int) {
+// ntt is an in-place iterative radix-2 Cooley–Tukey transform with the
+// given root (ω for forward, ω⁻¹ for inverse).
+func (d *Domain) ntt(a []limb.Element, root *big.Int) {
 	lf := d.F.lf
 	n := len(a)
 	for i, j := 1, 0; i < n; i++ {
@@ -74,27 +72,32 @@ func (d *Domain) nttLimb(a []limb.Element, root *big.Int) {
 	}
 }
 
-func (d *Domain) fftLimb(coeffs []*big.Int) []*big.Int {
-	a := d.padLimb(coeffs)
-	d.nttLimb(a, d.root)
-	return d.unpadLimb(a)
+// FFT evaluates the polynomial with the given coefficients on the domain.
+func (d *Domain) FFT(coeffs []*big.Int) []*big.Int {
+	a := d.pad(coeffs)
+	d.ntt(a, d.root)
+	return d.unpad(a)
 }
 
-func (d *Domain) ifftLimb(evals []*big.Int) []*big.Int {
+// IFFT interpolates: it maps evaluations on the domain back to
+// coefficients.
+func (d *Domain) IFFT(evals []*big.Int) []*big.Int {
 	lf := d.F.lf
-	a := d.padLimb(evals)
-	d.nttLimb(a, d.rootInv)
+	a := d.pad(evals)
+	d.ntt(a, d.rootInv)
 	var nInv limb.Element
 	lf.SetBig(&nInv, d.nInv)
 	for i := range a {
 		lf.Mul(&a[i], &a[i], &nInv)
 	}
-	return d.unpadLimb(a)
+	return d.unpad(a)
 }
 
-func (d *Domain) cosetFFTLimb(coeffs []*big.Int) []*big.Int {
+// CosetFFT evaluates the polynomial on the coset g·⟨ω⟩: scaling
+// coefficient i by g^i makes a plain FFT evaluate at g·ω^j.
+func (d *Domain) CosetFFT(coeffs []*big.Int) []*big.Int {
 	lf := d.F.lf
-	a := d.padLimb(coeffs)
+	a := d.pad(coeffs)
 	var g, s limb.Element
 	lf.SetBig(&g, d.coset)
 	s = lf.One()
@@ -102,14 +105,15 @@ func (d *Domain) cosetFFTLimb(coeffs []*big.Int) []*big.Int {
 		lf.Mul(&a[i], &a[i], &s)
 		lf.Mul(&s, &s, &g)
 	}
-	d.nttLimb(a, d.root)
-	return d.unpadLimb(a)
+	d.ntt(a, d.root)
+	return d.unpad(a)
 }
 
-func (d *Domain) cosetIFFTLimb(evals []*big.Int) []*big.Int {
+// CosetIFFT interpolates from coset evaluations back to coefficients.
+func (d *Domain) CosetIFFT(evals []*big.Int) []*big.Int {
 	lf := d.F.lf
-	a := d.padLimb(evals)
-	d.nttLimb(a, d.rootInv)
+	a := d.pad(evals)
+	d.ntt(a, d.rootInv)
 	var gInv, nInv, s limb.Element
 	lf.SetBig(&gInv, d.F.Inv(d.coset))
 	lf.SetBig(&nInv, d.nInv)
@@ -119,41 +123,34 @@ func (d *Domain) cosetIFFTLimb(evals []*big.Int) []*big.Int {
 		lf.Mul(&a[i], &a[i], &s)
 		lf.Mul(&s, &s, &gInv)
 	}
-	return d.unpadLimb(a)
+	return d.unpad(a)
 }
 
 // QuotientPointwise returns out[i] = (a[i]·b[i] − c[i])·k — the QAP
 // prover's coset division by the constant vanishing value. The vectors are
 // processed in contiguous chunks, one per pool worker, so dispatch overhead
 // is paid per chunk rather than per evaluation point; within a chunk the
-// limb backend (when the modulus has one) runs the three field operations
-// allocation-free. b and c must be at least as long as a.
+// limb backend runs the three field operations allocation-free. b and c
+// must be at least as long as a.
 func (f *Field) QuotientPointwise(a, b, c []*big.Int, k *big.Int) []*big.Int {
 	n := len(a)
 	out := make([]*big.Int, n)
 	if n == 0 {
 		return out
 	}
+	lf := f.lf
 	var kL limb.Element
-	if f.lf != nil {
-		f.lf.SetBig(&kL, k)
-	}
+	lf.SetBig(&kL, k)
 	_ = parallel.ForSpans(context.Background(), n, 0, func(start, end int) error {
-		if f.lf != nil {
-			var av, bv, cv limb.Element
-			for i := start; i < end; i++ {
-				f.lf.SetBig(&av, a[i])
-				f.lf.SetBig(&bv, b[i])
-				f.lf.SetBig(&cv, c[i])
-				f.lf.Mul(&av, &av, &bv)
-				f.lf.Sub(&av, &av, &cv)
-				f.lf.Mul(&av, &av, &kL)
-				out[i] = f.lf.ToBig(nil, &av)
-			}
-			return nil
-		}
+		var av, bv, cv limb.Element
 		for i := start; i < end; i++ {
-			out[i] = f.Mul(f.Sub(f.Mul(a[i], b[i]), c[i]), k)
+			lf.SetBig(&av, a[i])
+			lf.SetBig(&bv, b[i])
+			lf.SetBig(&cv, c[i])
+			lf.Mul(&av, &av, &bv)
+			lf.Sub(&av, &av, &cv)
+			lf.Mul(&av, &av, &kL)
+			out[i] = lf.ToBig(nil, &av)
 		}
 		return nil
 	})

@@ -6,15 +6,6 @@ import (
 	"testing"
 )
 
-// bigIntField returns a copy of f without its limb backend, so every
-// transform and vector kernel takes the big.Int path — the one moduli
-// rejected by internal/limb run on.
-func bigIntField(f *Field) *Field {
-	g := *f
-	g.lf = nil
-	return &g
-}
-
 func randVec(t *testing.T, f *Field, n int, seed int64) []*big.Int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -31,45 +22,55 @@ func randVec(t *testing.T, f *Field, n int, seed int64) []*big.Int {
 	return out
 }
 
-// TestNTTLimbVsBigInt runs every transform on the limb backend and on a
-// copy of the field without it, and asserts identical coefficient vectors.
+// TestNTTLimbVsBigInt checks every limb transform against direct big.Int
+// evaluation: FFT and CosetFFT outputs must equal EvalPoly at ωⁱ and g·ωⁱ,
+// and IFFT and CosetIFFT must return polynomials that evaluate back to
+// their inputs there.
 func TestNTTLimbVsBigInt(t *testing.T) {
 	f := New(scalarFieldModulus(t))
-	if f.lf == nil {
-		t.Fatal("BN254 scalar field should support the limb backend")
-	}
-	bf := bigIntField(f)
 	for _, n := range []int{2, 8, 64, 256} {
 		d, err := NewDomain(f, n)
 		if err != nil {
 			t.Fatalf("NewDomain(%d): %v", n, err)
 		}
-		bd, err := NewDomain(bf, n)
-		if err != nil {
-			t.Fatalf("NewDomain(%d) without limbs: %v", n, err)
+		// points[i] = ωⁱ, cosetPoints[i] = g·ωⁱ.
+		points := make([]*big.Int, n)
+		cosetPoints := make([]*big.Int, n)
+		w := f.One()
+		for i := range points {
+			points[i] = w
+			cosetPoints[i] = f.Mul(d.coset, w)
+			w = f.Mul(w, d.Generator())
 		}
 		in := randVec(t, f, n-1, int64(n)) // shorter than N: exercises padding
-		ops := []struct {
-			name          string
-			limbOp, bigOp func([]*big.Int) []*big.Int
+		evals := randVec(t, f, n, int64(n)+2)
+		for _, tr := range []struct {
+			name             string
+			forward, inverse func([]*big.Int) []*big.Int
+			points           []*big.Int
 		}{
-			{"fft", d.FFT, bd.FFT},
-			{"ifft", d.IFFT, bd.IFFT},
-			{"cosetFFT", d.CosetFFT, bd.CosetFFT},
-			{"cosetIFFT", d.CosetIFFT, bd.CosetIFFT},
-		}
-		for _, op := range ops {
-			limbOut, bigOut := op.limbOp(in), op.bigOp(in)
-			if len(limbOut) != len(bigOut) {
-				t.Fatalf("n=%d %s: length mismatch", n, op.name)
+			{"fft", d.FFT, d.IFFT, points},
+			{"cosetFFT", d.CosetFFT, d.CosetIFFT, cosetPoints},
+		} {
+			out := tr.forward(in)
+			if len(out) != n {
+				t.Fatalf("n=%d %s: %d outputs", n, tr.name, len(out))
 			}
-			for i := range limbOut {
-				if limbOut[i].Cmp(bigOut[i]) != 0 {
-					t.Fatalf("n=%d %s[%d]: limb %v != big %v", n, op.name, i, limbOut[i], bigOut[i])
+			coeffs := tr.inverse(evals)
+			for i, x := range tr.points {
+				if want := EvalPoly(f, in, x); out[i].Cmp(want) != 0 {
+					t.Fatalf("n=%d %s[%d]: limb %v != big %v", n, tr.name, i, out[i], want)
+				}
+				want := new(big.Int)
+				if evals[i] != nil {
+					want.Set(evals[i])
+				}
+				if got := EvalPoly(f, coeffs, x); got.Cmp(want) != 0 {
+					t.Fatalf("n=%d inverse %s: interpolant at point %d is %v, want %v", n, tr.name, i, got, want)
 				}
 			}
 		}
-		// Round trips on the limb backend.
+		// Round trips.
 		full := randVec(t, f, n, int64(n)+1)
 		back := d.IFFT(d.FFT(full))
 		cosetBack := d.CosetIFFT(d.CosetFFT(full))
@@ -88,8 +89,8 @@ func TestNTTLimbVsBigInt(t *testing.T) {
 	}
 }
 
-// TestQuotientPointwiseLimbVsBigInt checks the chunked vector kernel
-// against the direct per-element formula, with and without limbs.
+// TestQuotientPointwiseLimbVsBigInt checks the chunked limb kernel against
+// the direct big.Int per-element formula.
 func TestQuotientPointwiseLimbVsBigInt(t *testing.T) {
 	f := New(scalarFieldModulus(t))
 	for _, n := range []int{0, 1, 5, 128} {
@@ -103,38 +104,31 @@ func TestQuotientPointwiseLimbVsBigInt(t *testing.T) {
 			c[i] = new(big.Int).Rand(rng, f.Modulus())
 		}
 		k := new(big.Int).Rand(rng, f.Modulus())
-		want := make([]*big.Int, n)
-		for i := 0; i < n; i++ {
-			want[i] = f.Mul(f.Sub(f.Mul(a[i], b[i]), c[i]), k)
+		got := f.QuotientPointwise(a, b, c, k)
+		if len(got) != n {
+			t.Fatalf("n=%d: %d outputs", n, len(got))
 		}
-		for _, field := range []*Field{f, bigIntField(f)} {
-			got := field.QuotientPointwise(a, b, c, k)
-			for i := range want {
-				if got[i].Cmp(want[i]) != 0 {
-					t.Fatalf("n=%d limb=%v [%d]: got %v want %v", n, field.lf != nil, i, got[i], want[i])
-				}
+		for i := 0; i < n; i++ {
+			if want := f.Mul(f.Sub(f.Mul(a[i], b[i]), c[i]), k); got[i].Cmp(want) != 0 {
+				t.Fatalf("n=%d [%d]: got %v want %v", n, i, got[i], want)
 			}
 		}
 	}
 }
 
-// TestFieldWithoutLimbSupport pins the fallback: a modulus too wide for the
-// 4×64 kernel must still work through the big.Int paths.
+// TestFieldWithoutLimbSupport pins New's contract: a modulus too wide for
+// the 4×64 limb kernel panics.
 func TestFieldWithoutLimbSupport(t *testing.T) {
-	// A 320-bit prime-ish odd modulus (primality irrelevant for these paths).
+	// A 320-bit odd modulus (primality irrelevant: the width alone rules
+	// it out).
 	p := new(big.Int).Lsh(big.NewInt(1), 320)
 	p.Add(p, big.NewInt(7))
-	f := New(p)
-	if f.lf != nil {
-		t.Fatal("320-bit modulus should not get a limb backend")
-	}
-	a := []*big.Int{big.NewInt(3)}
-	b := []*big.Int{big.NewInt(4)}
-	c := []*big.Int{big.NewInt(5)}
-	got := f.QuotientPointwise(a, b, c, big.NewInt(2))
-	if got[0].Cmp(big.NewInt(14)) != 0 {
-		t.Fatalf("fallback QuotientPointwise: got %v want 14", got[0])
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a 320-bit modulus")
+		}
+	}()
+	New(p)
 }
 
 func scalarFieldModulus(t testing.TB) *big.Int {
@@ -147,15 +141,7 @@ func scalarFieldModulus(t testing.TB) *big.Int {
 }
 
 func BenchmarkCosetFFTLimb(b *testing.B) {
-	benchCosetFFT(b, New(scalarFieldModulus(b)))
-}
-
-func BenchmarkCosetFFTBigInt(b *testing.B) {
-	benchCosetFFT(b, bigIntField(New(scalarFieldModulus(b))))
-}
-
-func benchCosetFFT(b *testing.B, f *Field) {
-	b.Helper()
+	f := New(scalarFieldModulus(b))
 	d, err := NewDomain(f, 1024)
 	if err != nil {
 		b.Fatal(err)

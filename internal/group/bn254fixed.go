@@ -1,11 +1,9 @@
 package group
 
 import (
-	"fmt"
 	"math/big"
 
 	"dragoon/internal/bn254"
-	"dragoon/internal/keccak"
 )
 
 // bn254FixedBase adapts a curve-level window table to the FixedBase handle.
@@ -52,39 +50,3 @@ func (f bn254FixedBase) MulManyAdd(ks []*big.Int, addends []Element) []Element {
 	}
 	return out
 }
-
-// HashToElement implements the Hasher extension by try-and-increment: x is
-// drawn from keccak256(tag ‖ counter) reduced mod p until x³+3 is a square,
-// and y is the "smaller" root for determinism. G1 has cofactor 1, so any
-// curve point is automatically in the prime-order subgroup. The map is
-// deterministic in tag and its discrete log is unknown, which is exactly
-// what Pedersen commitment bases need.
-func (bn254G1) HashToElement(tag []byte) (Element, error) {
-	p := bn254.P()
-	exp := new(big.Int).Add(p, big.NewInt(1))
-	exp.Rsh(exp, 2) // (p+1)/4; valid square-root exponent since p ≡ 3 (mod 4)
-	three := big.NewInt(3)
-	for ctr := 0; ctr < 256; ctr++ {
-		digest := keccak.Sum256Concat([]byte("dragoon/hash-to-g1/v1"), tag, []byte{byte(ctr)})
-		x := new(big.Int).SetBytes(digest[:])
-		x.Mod(x, p)
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mod(rhs, p).Mul(rhs, x).Add(rhs, three).Mod(rhs, p)
-		y := new(big.Int).Exp(rhs, exp, p)
-		y2 := new(big.Int).Mul(y, y)
-		if y2.Mod(y2, p).Cmp(rhs) != 0 {
-			continue // x³+3 is a non-residue; bump the counter
-		}
-		if alt := new(big.Int).Sub(p, y); alt.Cmp(y) < 0 {
-			y = alt
-		}
-		pt := &bn254.G1{X: x, Y: y}
-		if !pt.IsOnCurve() {
-			continue
-		}
-		return g1Elem{pt: pt}, nil
-	}
-	return nil, fmt.Errorf("group: hash-to-curve failed for tag %q", tag)
-}
-
-var _ Hasher = bn254G1{}

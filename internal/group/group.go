@@ -68,17 +68,6 @@ type MultiScalarMuler interface {
 	MultiScalarMul(points []Element, scalars []*big.Int) Element
 }
 
-// Hasher is an optional Group extension for backends that can map an
-// arbitrary byte string to a group element with unknown discrete logarithm
-// (a random-oracle hash-to-group). Pedersen commitment setup uses it to
-// derive its second base; backends without it cannot host Pedersen
-// commitments.
-type Hasher interface {
-	// HashToElement deterministically maps tag to a group element whose
-	// discrete log relative to the generator is unknown.
-	HashToElement(tag []byte) (Element, error)
-}
-
 // ErrWrongGroup is returned when an element from another backend is passed in.
 var ErrWrongGroup = errors.New("group: element belongs to a different group")
 

@@ -80,9 +80,9 @@ func Precompute(g Group, base Element) FixedBase {
 // --- process-wide shared-table registry -------------------------------------
 
 // sharedBaseCap bounds the registry so long-lived service processes keep a
-// flat heap: a deployment touches a handful of fixed bases (generator,
-// requester public keys, commitment bases), so the cap is generous, but a
-// hostile workload cycling through bases cannot grow tables without bound.
+// flat heap: a deployment touches a handful of fixed bases (the generator
+// and requester public keys), so the cap is generous, but a hostile
+// workload cycling through bases cannot grow tables without bound.
 const sharedBaseCap = 64
 
 type sharedBaseKey struct {

@@ -129,41 +129,3 @@ func TestSharedBaseRegistry(t *testing.T) {
 		t.Fatal("re-registered base diverged")
 	}
 }
-
-// TestHashToElement: both backends must produce valid, deterministic,
-// tag-separated elements that round-trip through Marshal.
-func TestHashToElement(t *testing.T) {
-	for _, g := range []Group{TestSchnorr(), BN254G1()} {
-		t.Run(g.Name(), func(t *testing.T) {
-			h, ok := g.(Hasher)
-			if !ok {
-				t.Fatalf("%s should implement Hasher", g.Name())
-			}
-			e1, err := h.HashToElement([]byte("tag-one"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			e1again, err := h.HashToElement([]byte("tag-one"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !g.Equal(e1, e1again) {
-				t.Fatal("HashToElement is not deterministic")
-			}
-			e2, err := h.HashToElement([]byte("tag-two"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.Equal(e1, e2) {
-				t.Fatal("distinct tags collided")
-			}
-			if g.IsIdentity(e1) {
-				t.Fatal("hash landed on the identity")
-			}
-			// Membership: Unmarshal validates subgroup membership.
-			if _, err := g.Unmarshal(g.Marshal(e1)); err != nil {
-				t.Fatalf("hashed element failed membership validation: %v", err)
-			}
-		})
-	}
-}

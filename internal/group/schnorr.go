@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
-
-	"dragoon/internal/keccak"
 )
 
 // schnorrGroup is a test-only backend: the order-r subgroup of Z_q* for a
@@ -213,23 +211,3 @@ func (f *schnorrFixedBase) MulManyAdd(ks []*big.Int, addends []Element) []Elemen
 	}
 	return out
 }
-
-// HashToElement implements the Hasher extension for tests: the square of a
-// hash-derived residue always lies in the order-r subgroup of Z_q* (q =
-// 2r+1), and its discrete log is unknown. Far too small to be secure —
-// like the whole backend, test-only.
-func (s *schnorrGroup) HashToElement(tag []byte) (Element, error) {
-	digest := keccak.Sum256Concat([]byte("dragoon/hash-to-schnorr/v1"), tag)
-	v := new(big.Int).SetBytes(digest[:])
-	v.Mod(v, s.q)
-	if v.Sign() == 0 {
-		v.SetInt64(2)
-	}
-	v.Mul(v, v).Mod(v, s.q)
-	if v.Cmp(big.NewInt(1)) == 0 {
-		v.SetInt64(4) // 2² — any fixed square works; identity is useless as a base
-	}
-	return schnorrElem{v: v}, nil
-}
-
-var _ Hasher = (*schnorrGroup)(nil)

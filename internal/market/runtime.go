@@ -190,15 +190,9 @@ func (t *Runtime) record(i int, produce protocol.AnswerFn) protocol.AnswerFn {
 // ID returns the task (and contract) identifier.
 func (t *Runtime) ID() ledger.ContractID { return t.id }
 
-// RequesterAddr returns the task's requester chain address.
-func (t *Runtime) RequesterAddr() chain.Address { return t.reqAddr }
-
 // RequesterKey returns the requester's public encryption key (for audit
 // registration).
 func (t *Runtime) RequesterKey() *elgamal.PublicKey { return t.req.PublicKey() }
-
-// Budget returns the task's budget B.
-func (t *Runtime) Budget() ledger.Amount { return t.spec.Instance.Task.Budget }
 
 // Questions returns the task's question count N.
 func (t *Runtime) Questions() int { return t.spec.Instance.Task.N() }
@@ -254,15 +248,6 @@ func (t *Runtime) CheckPhase(round int) error {
 // Finished reports whether the task's contract settled (paid out or
 // cancelled).
 func (t *Runtime) Finished() bool { return t.finished }
-
-// Finalized reports whether the task settled by paying out.
-func (t *Runtime) Finalized() bool { return t.finalized }
-
-// Cancelled reports whether the task settled by cancellation.
-func (t *Runtime) Cancelled() bool { return t.cancelled }
-
-// FinalRound returns the round the task settled at.
-func (t *Runtime) FinalRound() int { return t.finalRound }
 
 // RecordedAnswers returns the plaintext answer vectors the enrolled workers
 // resolved so far, indexed by enrollment position (nil where no answer was

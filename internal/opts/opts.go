@@ -10,12 +10,11 @@ package opts
 //
 //   - Parallelism bounds the run's own fan-outs: the per-round worker
 //     computation, concurrent shard mining, and the optimistic executor's
-//     worker count and default (see ParallelExec). 0 follows the process
-//     default (runtime.NumCPU() unless overridden via
-//     parallel.SetDefaultWorkers), n > 0 bounds each of them at n. The
-//     crypto kernels a round calls — requester decryption, PoQoEA proving
-//     and verification, batch ciphertext decoding, the MSMs — run on the
-//     process-default pool whatever the setting, so 1 is not fully
+//     worker count and default (see ParallelExec). 0 follows
+//     runtime.GOMAXPROCS(0), n > 0 bounds each of them at n. The crypto
+//     kernels a round calls — requester decryption, PoQoEA proving and
+//     verification, batch ciphertext decoding, the MSMs — run on a
+//     GOMAXPROCS-sized pool whatever the setting, so 1 is not fully
 //     sequential.
 //   - BatchVerify selects batched proof verification: > 0 turns folded
 //     verification on; 0 and < 0 keep per-proof verification.
@@ -28,7 +27,7 @@ package opts
 // payments — is byte-identical: the knobs only change wall-clock time.
 type Options struct {
 	// Parallelism bounds the run's worker fan-out, shard mining and
-	// executor (0 = process default); the crypto kernels ignore it.
+	// executor (0 = GOMAXPROCS); the crypto kernels ignore it.
 	Parallelism int
 	// BatchVerify selects batched verification (> 0 on, otherwise off).
 	BatchVerify int

@@ -1,9 +1,11 @@
 // Package parallel is the work-pool engine behind every concurrent hot path
 // in the repository: multi-scalar multiplications and pairing products
-// (internal/bn254, internal/groth16), per-question encryption, proving and
-// batch verification (internal/elgamal, internal/vpke, internal/poqoea), the
-// QAP quotient computation (internal/qap), and the per-round off-chain worker
-// computation of the marketplace harness (internal/market).
+// (internal/bn254, internal/batch, internal/groth16), PoQoEA proving and
+// batch verification (internal/poqoea), ciphertext decoding
+// (internal/batch), requester decryption (internal/protocol), the QAP
+// quotient and its NTT kernels (internal/qap, internal/ff), optimistic
+// round execution and shard mining (internal/chain), and the per-round
+// off-chain worker computation of the marketplace harness (internal/market).
 //
 // The engine makes three guarantees that the callers rely on:
 //
@@ -11,16 +13,15 @@
 //     are reported for the lowest failing index, so a parallel run is
 //     byte-for-byte identical to a sequential one regardless of scheduling;
 //   - bounded workers: no call ever starts more than the requested number of
-//     goroutines (default runtime.NumCPU(), configurable process-wide via
-//     SetDefaultWorkers);
+//     goroutines (default runtime.GOMAXPROCS(0));
 //   - clean failure: context cancellation stops new work promptly, and a
 //     panic in any item is re-raised on the calling goroutine after all
 //     workers have drained, never leaked to a bare goroutine.
 //
-// The bound is per call, not process-wide: nested fan-outs (a simulated
-// worker encrypting a vector inside a parallel round, an MSM chunking
-// inside a prover fork) can transiently exceed NumCPU goroutines. That is
-// deliberate — items are coarse (scalar multiplications at minimum), the
+// The bound is per call, not process-wide: nested fan-outs (a shard's
+// optimistic executor inside concurrent shard mining, an MSM chunking
+// inside a prover fork) can transiently exceed GOMAXPROCS goroutines. That
+// is deliberate — items are coarse (scalar multiplications at minimum), the
 // runtime still multiplexes onto GOMAXPROCS threads, and a shared token
 // budget across nesting levels would risk deadlock for little gain.
 package parallel
@@ -33,30 +34,14 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers is the process-wide parallelism knob; 0 selects
-// runtime.NumCPU().
-var defaultWorkers atomic.Int64
-
-// SetDefaultWorkers sets the process-wide default worker count used whenever
-// a call passes workers <= 0. n <= 0 restores the runtime.NumCPU() default.
-// It returns the previous setting so callers (benchmarks comparing
-// sequential and parallel paths) can restore it.
-func SetDefaultWorkers(n int) int {
-	prev := int(defaultWorkers.Swap(int64(max(n, 0))))
-	return prev
-}
-
 // Workers resolves a requested worker count: a positive request is honored
-// as-is, anything else falls back to the process default (runtime.NumCPU()
-// unless overridden by SetDefaultWorkers).
+// as-is, anything else falls back to runtime.GOMAXPROCS(0) (NumCPU unless
+// the process sets it).
 func Workers(requested int) int {
 	if requested > 0 {
 		return requested
 	}
-	if d := defaultWorkers.Load(); d > 0 {
-		return int(d)
-	}
-	return runtime.NumCPU()
+	return runtime.GOMAXPROCS(0)
 }
 
 // capturedPanic carries a worker panic back to the calling goroutine.
@@ -199,7 +184,7 @@ func Map[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) 
 }
 
 // Do runs the given heterogeneous tasks concurrently on the default pool
-// (so SetDefaultWorkers(1) makes it fully sequential) and returns the error
+// (so GOMAXPROCS=1 makes it fully sequential) and returns the error
 // of the lowest-indexed failing task. It is the fork/join primitive for
 // fixed small fan-outs, e.g. the three NTT chains of the QAP quotient or
 // the independent MSMs of the Groth16 prover.

@@ -18,13 +18,14 @@ func TestWorkersResolution(t *testing.T) {
 	if got := parallel.Workers(3); got != 3 {
 		t.Errorf("Workers(3) = %d", got)
 	}
-	if got := parallel.Workers(0); got != runtime.NumCPU() {
-		t.Errorf("Workers(0) = %d, want NumCPU %d", got, runtime.NumCPU())
+	if got := parallel.Workers(0); got != runtime.GOMAXPROCS(0) {
+		t.Errorf("Workers(0) = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
-	prev := parallel.SetDefaultWorkers(2)
-	defer parallel.SetDefaultWorkers(prev)
-	if got := parallel.Workers(0); got != 2 {
-		t.Errorf("Workers(0) with default 2 = %d", got)
+	prev := runtime.GOMAXPROCS(0)
+	runtime.GOMAXPROCS(prev + 1)
+	defer runtime.GOMAXPROCS(prev)
+	if got := parallel.Workers(0); got != prev+1 {
+		t.Errorf("Workers(0) after GOMAXPROCS(%d) = %d", prev+1, got)
 	}
 	if got := parallel.Workers(5); got != 5 {
 		t.Errorf("explicit request must win over default: got %d", got)

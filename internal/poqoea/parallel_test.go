@@ -3,11 +3,11 @@ package poqoea_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
-	"dragoon/internal/parallel"
 	"dragoon/internal/poqoea"
 	"dragoon/internal/vpke"
 )
@@ -46,8 +46,7 @@ func TestParallelCryptoMatchesSequential(t *testing.T) {
 		proof *poqoea.Proof
 	}
 	runAt := func(workers int) run {
-		prev := parallel.SetDefaultWorkers(workers)
-		defer parallel.SetDefaultWorkers(prev)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, stream(2))
 		if err != nil {
 			t.Fatalf("workers=%d: encrypt: %v", workers, err)

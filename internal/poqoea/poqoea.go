@@ -287,18 +287,3 @@ func EncryptAnswers(pk *elgamal.PublicKey, answers []int64, rnd io.Reader) ([]el
 	}
 	return cts, nil
 }
-
-// ProofSize returns the marshaled size of the proof in bytes for the given
-// group — used by the gas model (calldata) and the evaluation harness.
-func ProofSize(g group.Group, pf *Proof) int {
-	n := 0
-	for _, w := range pf.Wrong {
-		n += 8     // index
-		n += 1 + 8 // in-range flag + value or element below
-		if !w.Plain.InRange {
-			n += g.ElementLen()
-		}
-		n += 2*g.ElementLen() + 32 // vpke proof
-	}
-	return n
-}

@@ -5,6 +5,7 @@ import (
 	"math/big"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,6 @@ import (
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/ledger"
-	"dragoon/internal/parallel"
 	"dragoon/internal/protocol"
 	"dragoon/internal/swarm"
 	"dragoon/internal/task"
@@ -242,10 +242,10 @@ func TestRequesterPoolDecryption(t *testing.T) {
 	inst := newHITInstance(t, 3)
 	answers := mixedAnswers(inst)
 	for _, workers := range []int{1, 4} {
-		prev := parallel.SetDefaultWorkers(workers)
+		prev := runtime.GOMAXPROCS(workers)
 		h := runHIT(t, group.TestSchnorr(), inst, protocol.PolicyHonest, answers, direct)
 		got, err := h.req.Answers()
-		parallel.SetDefaultWorkers(prev)
+		runtime.GOMAXPROCS(prev)
 		if err != nil {
 			t.Fatal(err)
 		}
