@@ -94,10 +94,15 @@ bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
 
 # One iteration of the fast benchmarks only (-short skips the slow generic
-# ZKP baselines and full end-to-end sims; BenchmarkMarketplace stays in) —
-# CI's smoke bench, < 1 minute.
+# ZKP baselines and full end-to-end sims; BenchmarkMarketplace stays in),
+# then the fast cmd/benchtables modes over the same workloads
+# (internal/benchwork): Table III with the headline, and the full -json
+# report into a scratch file — CI's smoke bench, < 1 minute.
 bench-smoke:
 	$(GO) test -short -bench=. -benchtime=1x -run='^$$' .
+	$(GO) run ./cmd/benchtables -table 3 -headline
+	@out="$$(mktemp)"; trap 'rm -f "$$out"' EXIT; \
+	$(GO) run ./cmd/benchtables -json "$$out"
 
 # Regenerate BENCH_parallel.json: sequential-vs-parallel timings and
 # speedups for the crypto hot paths and the marketplace, tracked PR over

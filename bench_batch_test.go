@@ -12,52 +12,12 @@ package dragoon
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 
-	"dragoon/internal/elgamal"
-	"dragoon/internal/group"
+	"dragoon/internal/benchwork"
 	"dragoon/internal/poqoea"
-	"dragoon/internal/task"
 )
-
-// batchClaimParams is the claim shape shared with `cmd/benchtables -json`
-// through task.GenerateClaims: small tasks so large batches stay
-// affordable, each claim carrying Wrong VPKE revelations.
-var batchClaimParams = task.ClaimParams{N: 16, NumGolden: 8, Wrong: 4, RangeSize: 4}
-
-var (
-	batchFixtureMu  sync.Mutex
-	batchFixtureKey *elgamal.PrivateKey
-	batchFixtureSet []poqoea.Claim
-	batchFixtureRng = rand.New(rand.NewSource(64))
-)
-
-// batchBenchClaims returns the first n claims of a lazily grown BN254
-// fixture (distinct task and ciphertexts per claim), building only as many
-// claims as the largest batch size requested so far.
-func batchBenchClaims(tb testing.TB, n int) (*elgamal.PrivateKey, []poqoea.Claim) {
-	tb.Helper()
-	batchFixtureMu.Lock()
-	defer batchFixtureMu.Unlock()
-	if batchFixtureKey == nil {
-		sk, err := elgamal.KeyGen(group.BN254G1(), batchFixtureRng)
-		if err != nil {
-			tb.Fatalf("keygen: %v", err)
-		}
-		batchFixtureKey = sk
-	}
-	if missing := n - len(batchFixtureSet); missing > 0 {
-		claims, err := task.GenerateClaims(batchFixtureKey, missing, batchClaimParams, batchFixtureRng)
-		if err != nil {
-			tb.Fatalf("claims: %v", err)
-		}
-		batchFixtureSet = append(batchFixtureSet, claims...)
-	}
-	return batchFixtureKey, batchFixtureSet[:n]
-}
 
 func BenchmarkBatchVerify(b *testing.B) {
 	sizes := []int{1, 8, 64, 512}
@@ -68,9 +28,14 @@ func BenchmarkBatchVerify(b *testing.B) {
 	if pools[1] == 1 {
 		pools = pools[:1] // single-core machine: the pool comparison is void
 	}
+	// One claim set serves every size: a smaller batch is a prefix of it.
+	sk, all, err := benchwork.Claims(sizes[len(sizes)-1])
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, size := range sizes {
-		sk, claims := batchBenchClaims(b, size)
-		questions := size * batchClaimParams.N
+		claims := all[:size]
+		questions := size * benchwork.ClaimQuestions
 		for _, w := range pools {
 			run := func(mode string, body func()) {
 				b.Run(fmt.Sprintf("size=%d/workers=%d/%s", size, w, mode), func(b *testing.B) {
@@ -81,9 +46,7 @@ func BenchmarkBatchVerify(b *testing.B) {
 						body()
 					}
 					b.StopTimer()
-					if b.N > 0 {
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(questions), "ns/question")
-					}
+					reportPerQuestion(b, questions)
 				})
 			}
 			run("batched", func() {

@@ -1,120 +1,30 @@
 package dragoon
 
 // Benchmarks for the optimistic parallel block executor (internal/chain
-// executor.go): one mined round of M tasks × 8 worker transactions, each
-// transaction verifying a Schnorr-style statement through the metered group
-// — the cost shape of a real on-chain rejection-proof verification — and
-// writing its own per-worker storage keys while only reading its task's
-// shared phase key. Worker commits to one contract write disjoint keys, so
-// the schedule parallelizes under key-level conflict detection; the
-// workers=NumCPU row over the workers=1 row is the round-execution speedup.
-// The same workload is exported to BENCH_parallel.json as the
-// chain_execute_m1 / chain_execute_m8 ops (cmd/benchtables -json).
+// executor.go) over the chain-execute round of benchwork.ExecRound, which
+// BENCH_parallel.json times as the chain_execute_m1 / chain_execute_m8 ops.
+// The workers=NumCPU row over the workers=1 row is the round-execution
+// speedup.
 
 import (
-	"errors"
 	"fmt"
-	"math/big"
 	"testing"
 
-	"dragoon/internal/chain"
-	"dragoon/internal/group"
-	"dragoon/internal/ledger"
+	"dragoon/internal/benchwork"
 )
 
-// execBenchContract is the round-execution bench contract: "publish" writes
-// the shared phase key; "verify" requires it, performs two ECMULs and one
-// ECADD through the metered group, and stores the result under a per-sender
-// key.
-type execBenchContract struct {
-	g group.Group
-	p group.Element
-}
-
-func (cb *execBenchContract) Execute(env *chain.Env, from chain.Address, method string, data []byte) error {
-	switch method {
-	case "publish":
-		env.StoreSet("phase", []byte{1})
-		return nil
-	case "verify":
-		if _, ok := env.StoreGet("phase"); !ok {
-			return errors.New("execbench: not published")
-		}
-		mg := chain.NewMeteredGroup(env, cb.g)
-		k := new(big.Int).SetBytes(data)
-		s := mg.Add(mg.ScalarMul(cb.p, k), mg.ScalarBaseMul(k))
-		env.StoreSet("acc:"+string(from), mg.Marshal(s))
-		env.Emit("accepted", 1, []byte(from))
-		return nil
-	default:
-		return fmt.Errorf("execbench: unknown method %q", method)
-	}
-}
-
-// execBenchScalar derives a distinct 32-byte scalar per (task, worker).
-func execBenchScalar(ti, w int) []byte {
-	out := make([]byte, 32)
-	for i := range out {
-		out[i] = byte(ti*131 + w*31 + i*17 + 1)
-	}
-	return out
-}
-
-// execBenchRound builds a fresh chain with m contracts, mines the cheap
-// publish round, then mines ONE round of m×workersPerTask verify
-// transactions — the measured marketplace round shape.
-func execBenchRound(tb testing.TB, ctr *execBenchContract, m, workersPerTask int) {
-	c := chain.New(ledger.New(), nil)
-	c.SetParallelExecution(chain.ResolveExecWorkers(0, 0))
-	for ti := 0; ti < m; ti++ {
-		id := ledger.ContractID(fmt.Sprintf("task-%d", ti))
-		if _, err := c.Deploy(id, ctr, 100, "requester"); err != nil {
-			tb.Fatal(err)
-		}
-		if err := c.Submit(&chain.Tx{From: "requester", Contract: id, Method: "publish"}); err != nil {
-			tb.Fatal(err)
-		}
-	}
-	if _, err := c.MineRound(); err != nil {
-		tb.Fatal(err)
-	}
-	for ti := 0; ti < m; ti++ {
-		id := ledger.ContractID(fmt.Sprintf("task-%d", ti))
-		for w := 0; w < workersPerTask; w++ {
-			if err := c.Submit(&chain.Tx{
-				From:     chain.Address(fmt.Sprintf("worker-%d-%d", ti, w)),
-				Contract: id,
-				Method:   "verify",
-				Data:     execBenchScalar(ti, w),
-			}); err != nil {
-				tb.Fatal(err)
-			}
-		}
-	}
-	receipts, err := c.MineRound()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	for _, rcpt := range receipts {
-		if rcpt.Err != nil {
-			tb.Fatalf("bench tx reverted: %v", rcpt.Err)
-		}
-	}
-}
-
-// BenchmarkChainExecute measures optimistic parallel round execution at
-// M=1 and M=8 tasks (8 worker transactions each), workers=1 vs NumCPU.
-// ns/question is the per-transaction cost of the measured round.
+// BenchmarkChainExecute measures round execution at M=1 and M=8 tasks,
+// workers=1 vs NumCPU. ns/question is the per-transaction cost of the
+// measured round.
 func BenchmarkChainExecute(b *testing.B) {
-	const workersPerTask = 8
-	g := group.BN254G1()
-	ctr := &execBenchContract{g: g, p: g.ScalarBaseMul(big.NewInt(101))}
 	for _, m := range []int{1, 8} {
-		m := m
+		round := benchwork.ExecRound(m)
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			workerSweep(b, m*workersPerTask, func(b *testing.B) {
+			workerSweep(b, m*benchwork.ExecTxsPerTask, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					execBenchRound(b, ctr, m, workersPerTask)
+					if err := round(); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		})

@@ -12,10 +12,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
 
-	"dragoon/internal/elgamal"
+	"dragoon/internal/benchwork"
 	"dragoon/internal/groth16"
 	"dragoon/internal/group"
 	"dragoon/internal/poqoea"
@@ -24,65 +23,10 @@ import (
 	"dragoon/internal/worker"
 )
 
-// parallelFixture is a wider workload than the paper's ImageNet task: 64
-// questions with 32 golden standards, half of them answered wrongly, so a
-// PoQoEA proof carries 16 independent VPKE openings — enough exposed
-// parallelism to saturate small core counts.
-type parallelFixture struct {
-	sk      *elgamal.PrivateKey
-	st      poqoea.Statement
-	cts     []elgamal.Ciphertext
-	answers []int64
-	quality int
-	proof   *poqoea.Proof
-}
-
-const (
-	parallelFixtureN      = 64
-	parallelFixtureGolden = 32
-)
-
-var (
-	parallelFixtureOnce sync.Once
-	parallelFixtureVal  *parallelFixture
-)
-
-func parallelBenchFixture(tb testing.TB) *parallelFixture {
-	tb.Helper()
-	parallelFixtureOnce.Do(func() {
-		g := group.BN254G1()
-		sk, err := elgamal.KeyGen(g, nil)
-		if err != nil {
-			tb.Fatalf("keygen: %v", err)
-		}
-		rng := rand.New(rand.NewSource(4))
-		inst, err := task.Generate(task.GenerateParams{
-			ID: "parbench", N: parallelFixtureN, RangeSize: 4,
-			NumGolden: parallelFixtureGolden, Workers: 1, Threshold: 1, Budget: 100,
-		}, rng)
-		if err != nil {
-			tb.Fatalf("task: %v", err)
-		}
-		st := inst.Golden.Statement(inst.Task.RangeSize)
-		answers := append([]int64{}, inst.GroundTruth...)
-		for _, gi := range inst.Golden.Indices[:parallelFixtureGolden/2] {
-			answers[gi] = (answers[gi] + 1) % inst.Task.RangeSize
-		}
-		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
-		if err != nil {
-			tb.Fatalf("encrypt: %v", err)
-		}
-		quality, proof, err := poqoea.Prove(sk, cts, st, nil)
-		if err != nil {
-			tb.Fatalf("prove: %v", err)
-		}
-		parallelFixtureVal = &parallelFixture{
-			sk: sk, st: st, cts: cts, answers: answers,
-			quality: quality, proof: proof,
-		}
-	})
-	return parallelFixtureVal
-}
+// wideProofs is a wider workload than the paper's ImageNet task (see
+// benchwork.WideProofs): 64 questions, 32 golden standards, 16 VPKE
+// openings per quality proof.
+var wideProofs = fixture(benchwork.WideProofs)
 
 // workerSweep runs body once per pool size (1 and NumCPU) as sub-benchmarks
 // and reports per-question cost.
@@ -98,9 +42,7 @@ func workerSweep(b *testing.B, questions int, body func(b *testing.B)) {
 			b.ResetTimer()
 			body(b)
 			b.StopTimer()
-			if b.N > 0 {
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(questions), "ns/question")
-			}
+			reportPerQuestion(b, questions)
 		})
 	}
 }
@@ -109,10 +51,10 @@ func workerSweep(b *testing.B, questions int, body func(b *testing.B)) {
 // proof with 16 VPKE openings; the workers=N row over the workers=1 row is
 // the parallel speedup (≥2x expected at 4+ cores).
 func BenchmarkParallel_PoQoEA_Verify(b *testing.B) {
-	f := parallelBenchFixture(b)
-	workerSweep(b, parallelFixtureN, func(b *testing.B) {
+	f := wideProofs(b)
+	workerSweep(b, len(f.Cts), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if !poqoea.Verify(&f.sk.PublicKey, f.cts, f.quality, f.proof, f.st) {
+			if !poqoea.Verify(&f.Key.PublicKey, f.Cts, f.Chi, f.Proof, f.Statement) {
 				b.Fatal("verification failed")
 			}
 		}
@@ -123,10 +65,10 @@ func BenchmarkParallel_PoQoEA_Verify(b *testing.B) {
 // standards (32 independent decrypt+transcript items after the sequential
 // nonce draws).
 func BenchmarkParallel_PoQoEA_Prove(b *testing.B) {
-	f := parallelBenchFixture(b)
-	workerSweep(b, parallelFixtureN, func(b *testing.B) {
+	f := wideProofs(b)
+	workerSweep(b, len(f.Cts), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := poqoea.Prove(f.sk, f.cts, f.st, nil); err != nil {
+			if _, _, err := poqoea.Prove(f.Key, f.Cts, f.Statement, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -137,10 +79,10 @@ func BenchmarkParallel_PoQoEA_Prove(b *testing.B) {
 // full answer vector (2N scalar multiplications after the sequential
 // randomness draws).
 func BenchmarkParallel_Encrypt(b *testing.B) {
-	f := parallelBenchFixture(b)
-	workerSweep(b, parallelFixtureN, func(b *testing.B) {
+	f := wideProofs(b)
+	workerSweep(b, len(f.Cts), func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := poqoea.EncryptAnswers(&f.sk.PublicKey, f.answers, nil); err != nil {
+			if _, err := poqoea.EncryptAnswers(&f.Key.PublicKey, f.Answers, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -157,7 +99,7 @@ func BenchmarkParallel_Groth16_Prove(b *testing.B) {
 	f := genericVPKE(b)
 	workerSweep(b, genericVPKESize, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := groth16.Prove(f.cs, f.pk, f.wit, nil); err != nil {
+			if _, err := groth16.Prove(f.CS, f.PK, f.Witness, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -5,7 +5,8 @@ package dragoon
 //
 //	go test -bench=. -benchmem
 //
-// Mapping (see EXPERIMENTS.md for paper-vs-measured):
+// Every workload comes from internal/benchwork, which cmd/benchtables
+// prints from too. Mapping:
 //
 //	Table I   (off-chain proving cost)      → BenchmarkTableI_*
 //	Table II  (on-chain verification cost)  → BenchmarkTableII_*
@@ -16,96 +17,53 @@ package dragoon
 // The "generic ZKP" rows run a real Groth16 SNARK over BN254 against the
 // constraint-count-matched baseline circuits (internal/gadget); benchmark
 // sizes are reduced from the paper-scale circuit so the suite finishes in
-// minutes — cmd/benchtables sweeps larger sizes and reports the scaling fit.
+// minutes — `cmd/benchtables -sweep` times larger sizes, from which the
+// paper-scale cost extrapolates.
 
 import (
-	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
 
+	"dragoon/internal/benchwork"
 	"dragoon/internal/elgamal"
-	"dragoon/internal/gadget"
 	"dragoon/internal/groth16"
 	"dragoon/internal/group"
 	"dragoon/internal/poqoea"
-	"dragoon/internal/protocol"
-	"dragoon/internal/r1cs"
 	"dragoon/internal/sim"
 	"dragoon/internal/task"
 	"dragoon/internal/vpke"
 	"dragoon/internal/worker"
 )
 
-// imagenetFixture caches the paper's §VI workload over BN254: one key pair,
-// one encrypted 106-answer submission with exactly 3 wrong golden answers
-// (the paper's rejection scenario: "a submission is rejected if failing in
-// 3 gold-standards").
-type imagenetFixture struct {
-	sk      *elgamal.PrivateKey
-	st      poqoea.Statement
-	cts     []elgamal.Ciphertext
-	quality int
-	proof   *poqoea.Proof
-	oneCt   elgamal.Ciphertext
-	onePi   *vpke.Proof
-	oneVal  int64
+// fixture builds a workload once per test binary; the returned getter
+// fails the calling benchmark if the build failed.
+func fixture[T any](build func() (T, error)) func(testing.TB) T {
+	once := sync.OnceValues(build)
+	return func(tb testing.TB) T {
+		tb.Helper()
+		v, err := once()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return v
+	}
 }
 
-var (
-	fixtureOnce sync.Once
-	fixture     *imagenetFixture
-)
-
-func benchFixture(tb testing.TB) *imagenetFixture {
-	tb.Helper()
-	fixtureOnce.Do(func() {
-		g := group.BN254G1()
-		sk, err := elgamal.KeyGen(g, nil)
-		if err != nil {
-			tb.Fatalf("keygen: %v", err)
-		}
-		rng := rand.New(rand.NewSource(2020))
-		inst, err := task.NewImageNet(4000, rng)
-		if err != nil {
-			tb.Fatalf("task: %v", err)
-		}
-		st := inst.Golden.Statement(inst.Task.RangeSize)
-		answers := append([]int64{}, inst.GroundTruth...)
-		for _, gi := range inst.Golden.Indices[:3] { // exactly 3 wrong
-			answers[gi] = 1 - answers[gi]
-		}
-		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
-		if err != nil {
-			tb.Fatalf("encrypt: %v", err)
-		}
-		quality, proof, err := poqoea.Prove(sk, cts, st, nil)
-		if err != nil {
-			tb.Fatalf("prove: %v", err)
-		}
-		plain, pi, err := vpke.Prove(sk, cts[0], st.RangeSize, nil)
-		if err != nil {
-			tb.Fatalf("vpke prove: %v", err)
-		}
-		fixture = &imagenetFixture{
-			sk: sk, st: st, cts: cts,
-			quality: quality, proof: proof,
-			oneCt: cts[0], onePi: pi, oneVal: plain.Value,
-		}
-	})
-	return fixture
-}
+// imageNetProofs is the paper's §VI proving workload: the 106-question
+// ImageNet submission with exactly 3 wrong golden answers.
+var imageNetProofs = fixture(benchwork.ImageNetProofs)
 
 // --- Table I: off-chain proving cost -----------------------------------------
 
 // BenchmarkTableI_Ours_VPKE_Prove measures one verifiable decryption proof
 // (paper: 3 ms, 53 MB).
 func BenchmarkTableI_Ours_VPKE_Prove(b *testing.B) {
-	f := benchFixture(b)
+	f := imageNetProofs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := vpke.Prove(f.sk, f.oneCt, f.st.RangeSize, nil); err != nil {
+		if _, _, err := vpke.Prove(f.Key, f.Cts[0], f.Statement.RangeSize, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -114,98 +72,45 @@ func BenchmarkTableI_Ours_VPKE_Prove(b *testing.B) {
 // BenchmarkTableI_Ours_PoQoEA_Prove measures a full quality proof over the
 // 106-question / 6-golden-standard ImageNet submission (paper: 10 ms, 53 MB).
 func BenchmarkTableI_Ours_PoQoEA_Prove(b *testing.B) {
-	f := benchFixture(b)
+	f := imageNetProofs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := poqoea.Prove(f.sk, f.cts, f.st, nil); err != nil {
+		if _, _, err := poqoea.Prove(f.Key, f.Cts, f.Statement, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	reportPerQuestion(b, len(f.cts))
+	reportPerQuestion(b, len(f.Cts))
 }
 
 // genericVPKESize is the benchmark circuit size for one in-circuit
 // decryption; cmd/benchtables sweeps paper-scale sizes.
 const genericVPKESize = 1024
 
-type genericFixture struct {
-	cs    *r1cs.System
-	pk    *groth16.ProvingKey
-	vk    *groth16.VerifyingKey
-	wit   r1cs.Witness
-	pub   []*big.Int
-	proof *groth16.Proof
-}
-
-func buildGenericVPKE(tb testing.TB, steps int) *genericFixture {
-	tb.Helper()
-	cs := r1cs.NewSystem(groth16.FieldOf())
-	c, err := gadget.BuildVPKE(cs, steps)
-	if err != nil {
-		tb.Fatal(err)
+// provedCircuit runs a baseline circuit's seeded setup and proves it once.
+func provedCircuit(c *benchwork.Circuit, err error) (*benchwork.Circuit, error) {
+	if err == nil {
+		err = c.Setup()
 	}
-	w := cs.NewWitness()
-	c.AssignVPKE(w, big.NewInt(123456789), big.NewInt(1), steps)
-	pk, vk, err := groth16.Setup(cs, nil)
-	if err != nil {
-		tb.Fatal(err)
+	if err == nil {
+		err = c.Prove()
 	}
-	proof, err := groth16.Prove(cs, pk, w, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &genericFixture{cs: cs, pk: pk, vk: vk, wit: w, pub: cs.PublicInputs(w), proof: proof}
-}
-
-func buildGenericPoQoEA(tb testing.TB, numGolden, steps int) *genericFixture {
-	tb.Helper()
-	cs := r1cs.NewSystem(groth16.FieldOf())
-	c, err := gadget.BuildPoQoEA(cs, numGolden, steps)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	golden := make([]*big.Int, numGolden)
-	answers := make([]*big.Int, numGolden)
-	for i := range golden {
-		golden[i] = big.NewInt(1)
-		answers[i] = big.NewInt(int64(i % 2)) // half match
-	}
-	w := cs.NewWitness()
-	c.AssignPoQoEA(w, big.NewInt(987654321), answers, golden)
-	pk, vk, err := groth16.Setup(cs, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	proof, err := groth16.Prove(cs, pk, w, nil)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return &genericFixture{cs: cs, pk: pk, vk: vk, wit: w, pub: cs.PublicInputs(w), proof: proof}
+	return c, err
 }
 
 var (
-	genericVPKEOnce sync.Once
-	genericVPKEFix  *genericFixture
-
-	genericPoQoEAOnce sync.Once
-	genericPoQoEAFix  *genericFixture
+	genericVPKE = fixture(func() (*benchwork.Circuit, error) {
+		return provedCircuit(benchwork.VPKECircuit(genericVPKESize))
+	})
+	genericPoQoEA = fixture(func() (*benchwork.Circuit, error) {
+		return provedCircuit(benchwork.PoQoEACircuit(genericVPKESize / 2))
+	})
 )
-
-func genericVPKE(tb testing.TB) *genericFixture {
-	genericVPKEOnce.Do(func() { genericVPKEFix = buildGenericVPKE(tb, genericVPKESize) })
-	return genericVPKEFix
-}
-
-func genericPoQoEA(tb testing.TB) *genericFixture {
-	genericPoQoEAOnce.Do(func() { genericPoQoEAFix = buildGenericPoQoEA(tb, 6, genericVPKESize/2) })
-	return genericPoQoEAFix
-}
 
 // BenchmarkTableI_Generic_VPKE_Prove measures Groth16 proving of the
 // decryption stand-in circuit (paper: 37 s, 3.9 GB — at the authors'
-// RSA-OAEP circuit scale; see EXPERIMENTS.md for the scaling fit).
+// RSA-OAEP circuit scale).
 func BenchmarkTableI_Generic_VPKE_Prove(b *testing.B) {
 	if testing.Short() {
 		b.Skip("generic baseline is slow")
@@ -214,7 +119,7 @@ func BenchmarkTableI_Generic_VPKE_Prove(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := groth16.Prove(f.cs, f.pk, f.wit, nil); err != nil {
+		if _, err := groth16.Prove(f.CS, f.PK, f.Witness, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -230,7 +135,7 @@ func BenchmarkTableI_Generic_PoQoEA_Prove(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := groth16.Prove(f.cs, f.pk, f.wit, nil); err != nil {
+		if _, err := groth16.Prove(f.CS, f.PK, f.Witness, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -241,11 +146,11 @@ func BenchmarkTableI_Generic_PoQoEA_Prove(b *testing.B) {
 // BenchmarkTableII_Ours_VPKE_Verify measures one VPKE verification
 // (paper: 1 ms).
 func BenchmarkTableII_Ours_VPKE_Verify(b *testing.B) {
-	f := benchFixture(b)
+	f := imageNetProofs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !vpke.VerifyValue(&f.sk.PublicKey, f.oneVal, f.oneCt, f.onePi) {
+		if !vpke.VerifyValue(&f.Key.PublicKey, f.Dec.Value, f.Cts[0], f.DecProof) {
 			b.Fatal("verification failed")
 		}
 	}
@@ -254,16 +159,16 @@ func BenchmarkTableII_Ours_VPKE_Verify(b *testing.B) {
 // BenchmarkTableII_Ours_PoQoEA_Verify measures one full PoQoEA verification
 // with 3 wrong-answer revelations (paper: 2 ms, six golden standards).
 func BenchmarkTableII_Ours_PoQoEA_Verify(b *testing.B) {
-	f := benchFixture(b)
+	f := imageNetProofs(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !poqoea.Verify(&f.sk.PublicKey, f.cts, f.quality, f.proof, f.st) {
+		if !poqoea.Verify(&f.Key.PublicKey, f.Cts, f.Chi, f.Proof, f.Statement) {
 			b.Fatal("verification failed")
 		}
 	}
 	b.StopTimer()
-	reportPerQuestion(b, len(f.cts))
+	reportPerQuestion(b, len(f.Cts))
 }
 
 // reportPerQuestion adds an ns/question metric so runs at different task
@@ -284,7 +189,7 @@ func BenchmarkTableII_Generic_VPKE_Verify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := groth16.Verify(f.vk, f.pub, f.proof)
+		ok, err := groth16.Verify(f.VK, f.Public, f.Proof)
 		if err != nil || !ok {
 			b.Fatalf("verification failed: %v %v", ok, err)
 		}
@@ -301,7 +206,7 @@ func BenchmarkTableII_Generic_PoQoEA_Verify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ok, err := groth16.Verify(f.vk, f.pub, f.proof)
+		ok, err := groth16.Verify(f.VK, f.Public, f.Proof)
 		if err != nil || !ok {
 			b.Fatalf("verification failed: %v %v", ok, err)
 		}
@@ -310,64 +215,12 @@ func BenchmarkTableII_Generic_PoQoEA_Verify(b *testing.B) {
 
 // --- Table III: on-chain handling fees ---------------------------------------
 
-// runImageNet executes the paper's §VI task end-to-end and returns the
-// result; scenario "best" has all workers qualified, "worst" all rejected
-// (with exactly 3 wrong golden answers each, the paper's rejection bar).
-func runImageNet(tb testing.TB, scenario string) *sim.Result {
+// runImageNet runs the paper's §VI task end to end (benchwork.RunImageNet).
+func runImageNet(tb testing.TB, c benchwork.Case) *sim.Result {
 	tb.Helper()
-	rng := rand.New(rand.NewSource(2020))
-	inst, err := task.NewImageNet(4000, rng)
+	res, err := benchwork.RunImageNet(c)
 	if err != nil {
 		tb.Fatal(err)
-	}
-	var models []worker.Model
-	for i := 0; i < 4; i++ {
-		name := string(rune('a' + i))
-		if scenario == "best" {
-			models = append(models, worker.Perfect(name, inst.GroundTruth))
-		} else {
-			bad := append([]int64{}, inst.GroundTruth...)
-			for _, gi := range inst.Golden.Indices[:3] {
-				bad[gi] = 1 - bad[gi]
-			}
-			// Perturb one non-golden answer per worker so submissions are
-			// distinct, without touching the 3-wrong golden profile.
-			golden := make(map[int]bool, len(inst.Golden.Indices))
-			for _, gi := range inst.Golden.Indices {
-				golden[gi] = true
-			}
-			flip := 0
-			for skipped := 0; ; flip++ {
-				if !golden[flip] {
-					if skipped == i {
-						break
-					}
-					skipped++
-				}
-			}
-			bad[flip] = 1 - bad[flip]
-			models = append(models, worker.Model{
-				Name:     name,
-				Strategy: protocol.StrategyHonest,
-				Answers: func(qs []task.Question, rangeSize int64) []int64 {
-					out := make([]int64, len(bad))
-					copy(out, bad)
-					return out
-				},
-			})
-		}
-	}
-	res, err := sim.Run(sim.Config{
-		Instance: inst,
-		Group:    group.BN254G1(),
-		Workers:  models,
-		Seed:     2020,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if !res.Finalized {
-		tb.Fatal("task did not finalize")
 	}
 	return res
 }
@@ -380,7 +233,7 @@ func BenchmarkTableIII_BestCase(b *testing.B) {
 		b.Skip("full BN254 end-to-end simulation is slow")
 	}
 	for i := 0; i < b.N; i++ {
-		res := runImageNet(b, "best")
+		res := runImageNet(b, benchwork.BestCase)
 		b.ReportMetric(float64(res.GasTotal), "gas-total")
 		b.ReportMetric(float64(res.GasByMethod["deploy"]+res.GasByMethod["publish"]), "gas-publish")
 		b.ReportMetric(float64(res.GasByMethod["commit"]+res.GasByMethod["reveal"])/4, "gas-submit")
@@ -394,7 +247,7 @@ func BenchmarkTableIII_WorstCase(b *testing.B) {
 		b.Skip("full BN254 end-to-end simulation is slow")
 	}
 	for i := 0; i < b.N; i++ {
-		res := runImageNet(b, "worst")
+		res := runImageNet(b, benchwork.WorstCase)
 		b.ReportMetric(float64(res.GasTotal), "gas-total")
 		b.ReportMetric(float64(res.GasByMethod["evaluate"])/4, "gas-reject")
 	}
@@ -447,10 +300,16 @@ func BenchmarkAblationGroth16Prove(b *testing.B) {
 	}
 	for _, steps := range []int{128, 512, 2048} {
 		b.Run(benchName("constraints", steps), func(b *testing.B) {
-			f := buildGenericVPKE(b, steps)
+			f, err := benchwork.VPKECircuit(steps)
+			if err == nil {
+				err = f.Setup()
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := groth16.Prove(f.cs, f.pk, f.wit, nil); err != nil {
+				if _, err := groth16.Prove(f.CS, f.PK, f.Witness, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

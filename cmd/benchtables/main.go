@@ -11,8 +11,10 @@
 //
 // The generic-ZKP rows run the real Groth16 implementation at
 // bench-friendly circuit sizes (-steps to change); the sweep prints the
-// scaling series from which the paper-scale extrapolation in EXPERIMENTS.md
-// is derived.
+// scaling series from which the paper-scale cost extrapolates. Every
+// workload comes from internal/benchwork, which the root Go benchmarks and
+// TestTableIIIGasBands use too, so -table 3 prints the run that test
+// asserts on.
 package main
 
 import (
@@ -21,28 +23,22 @@ import (
 	"flag"
 	"fmt"
 	"math/big"
-	"math/rand"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
 	"dragoon/internal/adversary"
+	"dragoon/internal/benchwork"
 	"dragoon/internal/bn254"
-	"dragoon/internal/elgamal"
-	"dragoon/internal/gadget"
+	"dragoon/internal/contract"
 	"dragoon/internal/gas"
 	"dragoon/internal/groth16"
 	"dragoon/internal/group"
 	"dragoon/internal/market"
 	"dragoon/internal/poqoea"
-	"dragoon/internal/protocol"
-	"dragoon/internal/r1cs"
 	"dragoon/internal/service"
-	"dragoon/internal/sim"
-	"dragoon/internal/task"
 	"dragoon/internal/vpke"
-	"dragoon/internal/worker"
 )
 
 func main() {
@@ -135,9 +131,6 @@ type parallelBenchReport struct {
 	Timestamp string `json:"timestamp"`
 	GoVersion string `json:"go_version"`
 	NumCPU    int    `json:"num_cpu"`
-	// CPUCount mirrors NumCPU under the key downstream tooling reads next
-	// to single_core; both describe the host the JSON was generated on.
-	CPUCount int `json:"cpu_count"`
 	// ParallelWorkers is the pool size of the parallel rows (the -workers
 	// flag; never 1, so Speedups is never empty).
 	ParallelWorkers int `json:"parallel_workers"`
@@ -177,43 +170,25 @@ type serviceStreamStats struct {
 // host the parallel rows quantify the pool's overhead rather than a
 // speedup, but the speedups map is never silently empty.
 func writeParallelJSON(path string, parWorkers int) error {
-	const (
-		nQuestions = 64
-		nGolden    = 32
-		g16Steps   = 256
-	)
-	g := group.BN254G1()
-	sk, err := elgamal.KeyGen(g, nil)
+	f, err := benchwork.WideProofs()
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(4))
-	inst, err := task.Generate(task.GenerateParams{
-		ID: "parbench", N: nQuestions, RangeSize: 4, NumGolden: nGolden,
-		Workers: 1, Threshold: 1, Budget: 100,
-	}, rng)
+	// A quarter of BenchmarkParallel_Groth16_Prove's circuit, so the report
+	// regenerates in seconds.
+	g16, err := benchwork.VPKECircuit(256)
+	if err == nil {
+		err = g16.Setup()
+	}
 	if err != nil {
 		return err
 	}
-	st := inst.Golden.Statement(inst.Task.RangeSize)
-	answers := append([]int64{}, inst.GroundTruth...)
-	for _, gi := range inst.Golden.Indices[:nGolden/2] {
-		answers[gi] = (answers[gi] + 1) % inst.Task.RangeSize
-	}
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+	marketCfg, err := benchwork.Marketplace()
 	if err != nil {
 		return err
 	}
-	chi, proof, err := poqoea.Prove(sk, cts, st, nil)
-	if err != nil {
-		return err
-	}
-	g16, err := buildGeneric(g16Steps, false)
-	if err != nil {
-		return err
-	}
-	marketCfg := marketBenchConfig()
-	batchClaims, err := batchBenchClaims(sk, batchBenchSizes[len(batchBenchSizes)-1])
+	maxBatch := batchBenchSizes[len(batchBenchSizes)-1]
+	claimKey, batchClaims, err := benchwork.Claims(maxBatch)
 	if err != nil {
 		return err
 	}
@@ -222,60 +197,39 @@ func writeParallelJSON(path string, parWorkers int) error {
 	// fixed-base table applies) and a full-width scalar.
 	scalarMulBase := bn254.G1Generator().ScalarMul(big.NewInt(987654321))
 	scalarMulK := new(big.Int).Rsh(bn254.Order(), 1)
+	marketQuestions := benchwork.MarketTasks * benchwork.MarketQuestions
 
-	ops := []struct {
-		name      string
-		questions int
-		fn        func()
-	}{
-		{"poqoea_prove", nQuestions, func() {
-			if _, _, err := poqoea.Prove(sk, cts, st, nil); err != nil {
+	ops := []benchOp{
+		{"poqoea_prove", len(f.Cts), func() {
+			if _, _, err := poqoea.Prove(f.Key, f.Cts, f.Statement, nil); err != nil {
 				panic(err)
 			}
 		}},
-		{"poqoea_verify", nQuestions, func() {
-			if !poqoea.Verify(&sk.PublicKey, cts, chi, proof, st) {
+		{"poqoea_verify", len(f.Cts), func() {
+			if !poqoea.Verify(&f.Key.PublicKey, f.Cts, f.Chi, f.Proof, f.Statement) {
 				panic("verify failed")
 			}
 		}},
-		{"encrypt_answers", nQuestions, func() {
-			if _, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil); err != nil {
+		{"encrypt_answers", len(f.Cts), func() {
+			if _, err := poqoea.EncryptAnswers(&f.Key.PublicKey, f.Answers, nil); err != nil {
 				panic(err)
 			}
 		}},
-		// scalar_mul_limb times the variable-base GLV scalar multiplication
+		// scalar_mul_limb times one variable-base GLV scalar multiplication
 		// on BN254 G1, which runs on the Montgomery-limb Fp kernels.
-		{"scalar_mul_limb", 0, func() {
-			for i := 0; i < 16; i++ {
-				scalarMulBase.ScalarMul(scalarMulK)
-			}
-		}},
+		{"scalar_mul_limb", 0, func() { scalarMulBase.ScalarMul(scalarMulK) }},
 		{"groth16_prove", 0, func() {
-			if _, err := groth16.Prove(g16.cs, g16.pk, g16.w, nil); err != nil {
+			if _, err := groth16.Prove(g16.CS, g16.PK, g16.Witness, nil); err != nil {
 				panic(err)
 			}
 		}},
-		{"chain_execute_m1", 1 * chainExecWorkersPerTask, chainExecuteFn(1)},
-		{"chain_execute_m8", 8 * chainExecWorkersPerTask, chainExecuteFn(8)},
-		{"marketplace_run", marketBenchTasks * marketBenchQuestions, func() {
-			res, err := market.Run(marketCfg)
-			if err != nil {
-				panic(err)
-			}
-			for _, tr := range res.Tasks {
-				if !tr.Finalized {
-					panic("marketplace task did not finalize")
-				}
-			}
-		}},
+		{"chain_execute_m1", 1 * benchwork.ExecTxsPerTask, must(benchwork.ExecRound(1))},
+		{"chain_execute_m8", 8 * benchwork.ExecTxsPerTask, must(benchwork.ExecRound(8))},
+		{"marketplace_run", marketQuestions, must(func() error { return runMarket(marketCfg) })},
 		// The same workload through the streaming service path (admission
 		// mempool, settled-state pruning, retention trimming): the delta to
 		// marketplace_run is the service's overhead.
-		{"service_stream", marketBenchTasks * marketBenchQuestions, func() {
-			if err := runServiceStream(marketCfg); err != nil {
-				panic(err)
-			}
-		}},
+		{"service_stream", marketQuestions, must(func() error { return runServiceStream(marketCfg) })},
 		// The participant-level adversary matrix — every byzantine and
 		// economic (rational/collusion/sybil) scenario co-located on one
 		// shared chain, invariants checked — as a single op. This is the
@@ -302,55 +256,29 @@ func writeParallelJSON(path string, parWorkers int) error {
 	// workers=1 the s>1 rows price the sharding + settlement overhead, at
 	// the pool size they measure concurrent shard mining.
 	for _, s := range []int{1, 2, 4, 8} {
-		cfg := marketBenchConfig()
+		cfg := marketCfg
 		cfg.Shards = s
-		ops = append(ops, struct {
-			name      string
-			questions int
-			fn        func()
-		}{fmt.Sprintf("marketplace_sharded_s%d", s), marketBenchTasks * marketBenchQuestions, func() {
-			res, err := market.Run(cfg)
-			if err != nil {
-				panic(err)
-			}
-			for _, tr := range res.Tasks {
-				if !tr.Finalized {
-					panic("sharded marketplace task did not finalize")
-				}
-			}
-			for _, st := range res.Settlements {
-				if !st.Claimed {
-					panic("cross-shard settlement did not claim")
-				}
-			}
-		}})
+		ops = append(ops, benchOp{fmt.Sprintf("marketplace_sharded_s%d", s), marketQuestions,
+			must(func() error { return runMarket(cfg) })})
 	}
 	// Folded vs per-proof verification at each batch size, plus ONE
 	// per-proof baseline over the largest batch (per-proof cost is linear
-	// in the claim count, so smaller baselines are derived from it).
+	// in the claim count, so smaller baselines are derived from it). Each
+	// batch is a prefix of the one claim set.
 	for _, size := range batchBenchSizes {
-		size := size
 		claims := batchClaims[:size]
-		ops = append(ops, struct {
-			name      string
-			questions int
-			fn        func()
-		}{fmt.Sprintf("poqoea_verify_batch%d", size), size * batchBenchParams.N, func() {
-			for _, ok := range poqoea.VerifyBatch(&sk.PublicKey, claims) {
+		ops = append(ops, benchOp{fmt.Sprintf("poqoea_verify_batch%d", size), size * benchwork.ClaimQuestions, func() {
+			for _, ok := range poqoea.VerifyBatch(&claimKey.PublicKey, claims) {
 				if !ok {
 					panic("batched verification rejected an honest claim")
 				}
 			}
 		}})
 	}
-	baselineName := fmt.Sprintf("poqoea_verify_perproof%d", batchBenchSizes[len(batchBenchSizes)-1])
-	ops = append(ops, struct {
-		name      string
-		questions int
-		fn        func()
-	}{baselineName, batchBenchSizes[len(batchBenchSizes)-1] * batchBenchParams.N, func() {
+	baselineName := fmt.Sprintf("poqoea_verify_perproof%d", maxBatch)
+	ops = append(ops, benchOp{baselineName, maxBatch * benchwork.ClaimQuestions, func() {
 		for _, c := range batchClaims {
-			if !poqoea.Verify(&sk.PublicKey, c.Cts, c.Chi, c.Proof, c.Statement) {
+			if !poqoea.Verify(&claimKey.PublicKey, c.Cts, c.Chi, c.Proof, c.Statement) {
 				panic("per-proof verification rejected an honest claim")
 			}
 		}
@@ -368,7 +296,6 @@ func writeParallelJSON(path string, parWorkers int) error {
 		Timestamp:       time.Now().UTC().Format(time.RFC3339),
 		GoVersion:       runtime.Version(),
 		NumCPU:          runtime.NumCPU(),
-		CPUCount:        runtime.NumCPU(),
 		ParallelWorkers: parWorkers,
 		SingleCore:      runtime.NumCPU() == 1,
 		Speedups:        map[string]float64{},
@@ -400,17 +327,16 @@ func writeParallelJSON(path string, parWorkers int) error {
 	// Algorithmic batch speedups at workers=1: per-proof cost scales
 	// linearly with the claim count, so every size's baseline derives from
 	// the one measured per-proof sweep over the largest batch.
-	maxSize := batchBenchSizes[len(batchBenchSizes)-1]
 	if base := seqNs[baselineName]; base > 0 {
 		for _, size := range batchBenchSizes {
 			if t := seqNs[fmt.Sprintf("poqoea_verify_batch%d", size)]; t > 0 {
 				report.BatchSpeedups[fmt.Sprintf("batch=%d", size)] =
-					float64(base) / float64(maxSize) * float64(size) / float64(t)
+					float64(base) / float64(maxBatch) * float64(size) / float64(t)
 			}
 		}
 	}
 
-	stream, err := measureServiceStream()
+	stream, err := measureServiceStream(marketCfg)
 	if err != nil {
 		return err
 	}
@@ -440,51 +366,25 @@ func writeParallelJSON(path string, parWorkers int) error {
 	return nil
 }
 
-// Marketplace benchmark workload: M small concurrent tasks on one shared
-// chain over the test group, so protocol and harness logic rather than
-// curve arithmetic dominates the measurement.
-const (
-	marketBenchTasks     = 6
-	marketBenchQuestions = 16
-	marketBenchWorkers   = 4
-)
-
-func marketBenchConfig() market.Config {
-	population := []worker.Model{{
-		Name:     "shared",
-		Strategy: protocol.StrategyHonest,
-		Answers: func(qs []task.Question, rangeSize int64) []int64 {
-			out := make([]int64, len(qs))
-			for i := range out {
-				out[i] = int64(i) % rangeSize
-			}
-			return out
-		},
-	}}
-	specs := make([]market.TaskSpec, marketBenchTasks)
-	for ti := range specs {
-		inst, err := task.Generate(task.GenerateParams{
-			ID: fmt.Sprintf("jsonbench-%d", ti), N: marketBenchQuestions,
-			RangeSize: 4, NumGolden: 4, Workers: marketBenchWorkers,
-			Threshold: 2, Budget: 4000,
-		}, rand.New(rand.NewSource(int64(600+ti))))
-		if err != nil {
-			panic(err)
-		}
-		enroll := []int{0}
-		for w := 0; w < marketBenchWorkers-1; w++ {
-			enroll = append(enroll, len(population))
-			population = append(population,
-				worker.Perfect(fmt.Sprintf("w%d-%d", ti, w), inst.GroundTruth))
-		}
-		specs[ti] = market.TaskSpec{Instance: inst, Enroll: enroll}
+// runMarket runs the marketplace workload as one batch and fails unless
+// every task finalizes and every cross-shard settlement claims (a refund
+// would mean the op measured a broken run).
+func runMarket(cfg market.Config) error {
+	res, err := market.Run(cfg)
+	if err != nil {
+		return err
 	}
-	return market.Config{
-		Tasks:      specs,
-		Group:      group.TestSchnorr(),
-		Population: population,
-		Seed:       600,
+	for _, tr := range res.Tasks {
+		if !tr.Finalized {
+			return fmt.Errorf("marketplace task %s did not finalize", tr.ID)
+		}
 	}
+	for _, st := range res.Settlements {
+		if !st.Claimed {
+			return fmt.Errorf("cross-shard settlement to %s did not claim", st.Worker)
+		}
+	}
+	return nil
 }
 
 // runServiceStream drives the marketplace benchmark workload through a
@@ -523,12 +423,11 @@ func runServiceStream(cfg market.Config) error {
 	return svc.Close()
 }
 
-// measureServiceStream runs a longer stream — the benchmark tasks cloned
+// measureServiceStream runs a longer stream — the marketplace tasks cloned
 // under unique IDs — through a BACKGROUND service and reads throughput and
 // settlement-latency percentiles off service.Stats.
-func measureServiceStream() (*serviceStreamStats, error) {
+func measureServiceStream(cfg market.Config) (*serviceStreamStats, error) {
 	const clones = 48
-	cfg := marketBenchConfig()
 	svc, err := service.New(service.Config{
 		Group:      cfg.Group,
 		Population: cfg.Population,
@@ -576,65 +475,27 @@ func measureServiceStream() (*serviceStreamStats, error) {
 	}, nil
 }
 
-// Batch-verification benchmark workload: folded PoQoEA verification is
-// compared against the per-proof loop at these batch sizes (kept modest so
-// regenerating the JSON stays fast; BenchmarkBatchVerify additionally
-// measures size 512). The claim fixture itself is shared with
-// BenchmarkBatchVerify via task.GenerateClaims, so the committed JSON and
-// the Go benchmark always measure the same workload.
+// batchBenchSizes are the batch sizes the -json report compares folded
+// against per-proof verification at, kept modest so regenerating the JSON
+// stays fast; BenchmarkBatchVerify additionally measures size 512.
 var batchBenchSizes = []int{1, 8, 64}
 
-// batchBenchParams is the shared claim shape (see task.GenerateClaims):
-// each claim carries Wrong VPKE revelations.
-var batchBenchParams = task.ClaimParams{N: 16, NumGolden: 8, Wrong: 4, RangeSize: 4}
-
-// batchBenchClaims builds n distinct quality claims under sk over BN254.
-func batchBenchClaims(sk *elgamal.PrivateKey, n int) ([]poqoea.Claim, error) {
-	return task.GenerateClaims(sk, n, batchBenchParams, rand.New(rand.NewSource(64)))
+// benchOp is one operation of the -json report; questions scales its
+// ns_per_question (0 for ops without a question count).
+type benchOp struct {
+	name      string
+	questions int
+	fn        func()
 }
 
-// fixture builds the paper's ImageNet proving workload over BN254.
-type fixture struct {
-	sk    *elgamal.PrivateKey
-	st    poqoea.Statement
-	cts   []elgamal.Ciphertext
-	chi   int
-	proof *poqoea.Proof
-	ct0   elgamal.Ciphertext
-	pi0   *vpke.Proof
-	val0  int64
-}
-
-func newFixture() (*fixture, error) {
-	g := group.BN254G1()
-	sk, err := elgamal.KeyGen(g, nil)
-	if err != nil {
-		return nil, err
+// must adapts an op that returns an error to the measured form; a failing
+// op panics, aborting the run with its error.
+func must(op func() error) func() {
+	return func() {
+		if err := op(); err != nil {
+			panic(err)
+		}
 	}
-	rng := rand.New(rand.NewSource(2020))
-	inst, err := task.NewImageNet(4000, rng)
-	if err != nil {
-		return nil, err
-	}
-	st := inst.Golden.Statement(2)
-	answers := append([]int64{}, inst.GroundTruth...)
-	for _, gi := range inst.Golden.Indices[:3] {
-		answers[gi] = 1 - answers[gi]
-	}
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
-	if err != nil {
-		return nil, err
-	}
-	chi, proof, err := poqoea.Prove(sk, cts, st, nil)
-	if err != nil {
-		return nil, err
-	}
-	plain, pi, err := vpke.Prove(sk, cts[0], 2, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &fixture{sk: sk, st: st, cts: cts, chi: chi, proof: proof,
-		ct0: cts[0], pi0: pi, val0: plain.Value}, nil
 }
 
 // measure runs fn repeatedly for at least minDuration and returns the mean
@@ -656,18 +517,18 @@ func measure(fn func()) (time.Duration, uint64) {
 
 func tableI(steps int) error {
 	fmt.Println("TABLE I — OFF-CHAIN PROVING COST (paper values in parentheses)")
-	f, err := newFixture()
+	f, err := benchwork.ImageNetProofs()
 	if err != nil {
 		return err
 	}
 	t, mem := measure(func() {
-		if _, _, err := vpke.Prove(f.sk, f.ct0, 2, nil); err != nil {
+		if _, _, err := vpke.Prove(f.Key, f.Cts[0], f.Statement.RangeSize, nil); err != nil {
 			panic(err)
 		}
 	})
 	fmt.Printf("  Ours     VPKE    %10v %8s   (paper: 3 ms, 53 MB peak)\n", t, fmtMem(mem))
 	t, mem = measure(func() {
-		if _, _, err := poqoea.Prove(f.sk, f.cts, f.st, nil); err != nil {
+		if _, _, err := poqoea.Prove(f.Key, f.Cts, f.Statement, nil); err != nil {
 			panic(err)
 		}
 	})
@@ -675,120 +536,83 @@ func tableI(steps int) error {
 
 	// Generic baseline: one decryption circuit, then the 6-golden quality
 	// circuit, at the configured size.
-	gv, err := buildGeneric(steps, false)
-	if err != nil {
-		return err
+	for _, row := range genericRows(steps, "37 s, 3.9 GB at RSA-OAEP scale", "112 s, 10.3 GB") {
+		c, err := row.build(row.steps)
+		if err == nil {
+			err = c.Setup()
+		}
+		if err != nil {
+			return err
+		}
+		start := time.Now()
+		if err := c.Prove(); err != nil {
+			return err
+		}
+		fmt.Printf("  Generic  %s  %10v  (circuit %d constraints; paper: %s)\n",
+			row.label, time.Since(start).Round(time.Millisecond), c.CS.NumConstraints(), row.paper)
 	}
-	start := time.Now()
-	if _, err := groth16.Prove(gv.cs, gv.pk, gv.w, nil); err != nil {
-		return err
-	}
-	fmt.Printf("  Generic  VPKE    %10v  (circuit %d constraints; paper: 37 s, 3.9 GB at RSA-OAEP scale)\n",
-		time.Since(start).Round(time.Millisecond), gv.cs.NumConstraints())
-
-	gp, err := buildGeneric(steps/2, true)
-	if err != nil {
-		return err
-	}
-	start = time.Now()
-	if _, err := groth16.Prove(gp.cs, gp.pk, gp.w, nil); err != nil {
-		return err
-	}
-	fmt.Printf("  Generic  PoQoEA  %10v  (circuit %d constraints; paper: 112 s, 10.3 GB)\n\n",
-		time.Since(start).Round(time.Millisecond), gp.cs.NumConstraints())
+	fmt.Println()
 	return nil
 }
 
 func tableII(steps int) error {
 	fmt.Println("TABLE II — ON-CHAIN VERIFICATION COST (paper values in parentheses)")
-	f, err := newFixture()
+	f, err := benchwork.ImageNetProofs()
 	if err != nil {
 		return err
 	}
 	t, _ := measure(func() {
-		if !vpke.VerifyValue(&f.sk.PublicKey, f.val0, f.ct0, f.pi0) {
+		if !vpke.VerifyValue(&f.Key.PublicKey, f.Dec.Value, f.Cts[0], f.DecProof) {
 			panic("verify failed")
 		}
 	})
 	fmt.Printf("  Ours     VPKE    %10v   (paper: 1 ms)\n", t)
 	t, _ = measure(func() {
-		if !poqoea.Verify(&f.sk.PublicKey, f.cts, f.chi, f.proof, f.st) {
+		if !poqoea.Verify(&f.Key.PublicKey, f.Cts, f.Chi, f.Proof, f.Statement) {
 			panic("verify failed")
 		}
 	})
 	fmt.Printf("  Ours     PoQoEA  %10v   (paper: 2 ms)\n", t)
 
-	gv, err := buildGeneric(steps, false)
-	if err != nil {
-		return err
-	}
-	proof, err := groth16.Prove(gv.cs, gv.pk, gv.w, nil)
-	if err != nil {
-		return err
-	}
-	t, _ = measure(func() {
-		ok, err := groth16.Verify(gv.vk, gv.cs.PublicInputs(gv.w), proof)
-		if err != nil || !ok {
-			panic("verify failed")
+	for _, row := range genericRows(steps, "11 ms with libsnark pairings", "17 ms") {
+		c, err := row.build(row.steps)
+		if err == nil {
+			err = c.Setup()
 		}
-	})
-	fmt.Printf("  Generic  VPKE    %10v   (paper: 11 ms with libsnark pairings)\n", t)
-
-	gp, err := buildGeneric(steps/2, true)
-	if err != nil {
-		return err
-	}
-	proof, err = groth16.Prove(gp.cs, gp.pk, gp.w, nil)
-	if err != nil {
-		return err
-	}
-	t, _ = measure(func() {
-		ok, err := groth16.Verify(gp.vk, gp.cs.PublicInputs(gp.w), proof)
-		if err != nil || !ok {
-			panic("verify failed")
+		if err == nil {
+			err = c.Prove()
 		}
-	})
-	fmt.Printf("  Generic  PoQoEA  %10v   (paper: 17 ms)\n\n", t)
+		if err != nil {
+			return err
+		}
+		t, _ = measure(func() {
+			ok, err := groth16.Verify(c.VK, c.Public, c.Proof)
+			if err != nil || !ok {
+				panic("verify failed")
+			}
+		})
+		fmt.Printf("  Generic  %s  %10v   (paper: %s)\n", row.label, t, row.paper)
+	}
+	fmt.Println()
 	return nil
 }
 
-type generic struct {
-	cs *r1cs.System
-	pk *groth16.ProvingKey
-	vk *groth16.VerifyingKey
-	w  r1cs.Witness
+// genericRow is one generic-ZKP row of Tables I and II.
+type genericRow struct {
+	label string
+	build func(int) (*benchwork.Circuit, error)
+	steps int
+	paper string
 }
 
-func buildGeneric(steps int, quality bool) (*generic, error) {
-	cs := r1cs.NewSystem(groth16.FieldOf())
-	w := cs.NewWitness
-	var wit r1cs.Witness
-	if quality {
-		c, err := gadget.BuildPoQoEA(cs, 6, steps)
-		if err != nil {
-			return nil, err
-		}
-		wit = w()
-		golden := make([]*big.Int, 6)
-		answers := make([]*big.Int, 6)
-		for i := range golden {
-			golden[i] = big.NewInt(1)
-			answers[i] = big.NewInt(int64(i % 2))
-		}
-		c.AssignPoQoEA(wit, big.NewInt(42), answers, golden)
-	} else {
-		c, err := gadget.BuildVPKE(cs, steps)
-		if err != nil {
-			return nil, err
-		}
-		wit = w()
-		c.AssignVPKE(wit, big.NewInt(42), big.NewInt(1), steps)
+// genericRows are the two baseline circuits at the configured size: one
+// decryption, then the 6-golden quality circuit at half the steps per
+// decryption, each with the paper's reported value.
+func genericRows(steps int, paperVPKE, paperPoQoEA string) []genericRow {
+	return []genericRow{
+		{"VPKE  ", benchwork.VPKECircuit, steps, paperVPKE},
+		{"PoQoEA", benchwork.PoQoEACircuit, steps / 2, paperPoQoEA},
 	}
-	pk, vk, err := groth16.Setup(cs, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &generic{cs: cs, pk: pk, vk: vk, w: wit}, nil
 }
 
 func tableIII() error {
@@ -798,11 +622,11 @@ func tableIII() error {
 		fmt.Printf("  %-42s %-10s %-7s (paper: %s)\n",
 			label, gas.FormatGas(g), gas.FormatUSD(prices.USD(g)), paper)
 	}
-	best, err := runImageNet("best")
+	best, err := benchwork.RunImageNet(benchwork.BestCase)
 	if err != nil {
 		return err
 	}
-	worst, err := runImageNet("worst")
+	worst, err := benchwork.RunImageNet(benchwork.WorstCase)
 	if err != nil {
 		return err
 	}
@@ -814,74 +638,26 @@ func tableIII() error {
 		worst.GasByMethod["evaluate"]/4, "~180 k, $0.03")
 	row("Overall (best-case: reject no submission)", best.GasTotal, "~12164 k, $2.09")
 	row("Overall (worst-case: reject all submissions)", worst.GasTotal, "~12877 k, $2.22")
-	fmt.Println()
-	return nil
-}
 
-func runImageNet(scenario string) (*sim.Result, error) {
-	rng := rand.New(rand.NewSource(2020))
-	inst, err := task.NewImageNet(4000, rng)
-	if err != nil {
-		return nil, err
+	// The same two runs by contract method, so a gas change shows where
+	// it landed.
+	fmt.Printf("\n  %-10s %12s %12s\n", "gas", "best case", "worst case")
+	for _, m := range []string{"deploy", contract.MethodPublish, contract.MethodCommit,
+		contract.MethodReveal, contract.MethodGolden, contract.MethodOutrange,
+		contract.MethodEvaluate, contract.MethodFinalize} {
+		fmt.Printf("  %-10s %12d %12d\n", m, best.GasByMethod[m], worst.GasByMethod[m])
 	}
-	var models []worker.Model
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("w%d", i)
-		if scenario == "best" {
-			models = append(models, worker.Perfect(name, inst.GroundTruth))
-			continue
-		}
-		bad := append([]int64{}, inst.GroundTruth...)
-		for _, gi := range inst.Golden.Indices[:3] {
-			bad[gi] = 1 - bad[gi]
-		}
-		golden := make(map[int]bool)
-		for _, gi := range inst.Golden.Indices {
-			golden[gi] = true
-		}
-		flip, skipped := 0, 0
-		for ; ; flip++ {
-			if !golden[flip] {
-				if skipped == i {
-					break
-				}
-				skipped++
-			}
-		}
-		bad[flip] = 1 - bad[flip]
-		badCopy := bad
-		models = append(models, worker.Model{
-			Name:     name,
-			Strategy: protocol.StrategyHonest,
-			Answers: func(qs []task.Question, rangeSize int64) []int64 {
-				out := make([]int64, len(badCopy))
-				copy(out, badCopy)
-				return out
-			},
-		})
-	}
-	res, err := sim.Run(sim.Config{
-		Instance: inst,
-		Group:    group.BN254G1(),
-		Workers:  models,
-		Seed:     2020,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if !res.Finalized {
-		return nil, fmt.Errorf("scenario %s did not finalize", scenario)
-	}
-	return res, nil
+	fmt.Printf("  %-10s %12d %12d\n\n", "total", best.GasTotal, worst.GasTotal)
+	return nil
 }
 
 func headlineClaim() error {
 	fmt.Println("HEADLINE — decentralized handling cost vs MTurk's fee")
-	best, err := runImageNet("best")
+	best, err := benchwork.RunImageNet(benchwork.BestCase)
 	if err != nil {
 		return err
 	}
-	worst, err := runImageNet("worst")
+	worst, err := benchwork.RunImageNet(benchwork.WorstCase)
 	if err != nil {
 		return err
 	}
@@ -901,36 +677,34 @@ func headlineClaim() error {
 
 func groth16Sweep() error {
 	fmt.Println("SWEEP — Groth16 cost vs circuit size (the cost of generality)")
-	fmt.Println("  constraints  setup      prove      verify")
+	fmt.Println("  constraints  setup      prove      verify     alloc (setup+prove)")
 	for _, steps := range []int{128, 512, 2048, 8192} {
-		cs := r1cs.NewSystem(groth16.FieldOf())
-		c, err := gadget.BuildVPKE(cs, steps)
+		c, err := benchwork.VPKECircuit(steps)
 		if err != nil {
 			return err
 		}
-		w := cs.NewWitness()
-		c.AssignVPKE(w, big.NewInt(7), big.NewInt(1), steps)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
 		t0 := time.Now()
-		pk, vk, err := groth16.Setup(cs, nil)
-		if err != nil {
+		if err := c.Setup(); err != nil {
 			return err
 		}
 		setup := time.Since(t0)
 		t0 = time.Now()
-		proof, err := groth16.Prove(cs, pk, w, nil)
-		if err != nil {
+		if err := c.Prove(); err != nil {
 			return err
 		}
 		prove := time.Since(t0)
+		runtime.ReadMemStats(&m1)
 		t0 = time.Now()
-		ok, err := groth16.Verify(vk, cs.PublicInputs(w), proof)
+		ok, err := groth16.Verify(c.VK, c.Public, c.Proof)
 		if err != nil || !ok {
 			return fmt.Errorf("verify failed at %d steps", steps)
 		}
 		verify := time.Since(t0)
-		fmt.Printf("  %10d  %-9s  %-9s  %-9s\n", cs.NumConstraints(),
+		fmt.Printf("  %10d  %-9s  %-9s  %-9s  %s\n", c.CS.NumConstraints(),
 			setup.Round(time.Millisecond), prove.Round(time.Millisecond),
-			verify.Round(time.Millisecond))
+			verify.Round(time.Millisecond), fmtMem(m1.TotalAlloc-m0.TotalAlloc))
 	}
 	fmt.Println("  (prove time is ~linear in constraints: extrapolate to the paper's")
 	fmt.Println("   RSA-OAEP-scale circuit to recover the 37 s / 112 s of Table I)")

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dragoon/internal/benchwork"
 	"dragoon/internal/gas"
 )
 
@@ -62,7 +63,7 @@ func TestPublicAPICryptoRoundtrip(t *testing.T) {
 // and that the end-to-end handling fee undercuts MTurk's $4 — the paper's
 // headline claim.
 func TestTableIIIGasBands(t *testing.T) {
-	res := runImageNet(t, "best")
+	res := runImageNet(t, benchwork.BestCase)
 
 	within := func(got, want uint64, tol float64) bool {
 		diff := float64(got) - float64(want)
@@ -87,7 +88,7 @@ func TestTableIIIGasBands(t *testing.T) {
 		t.Errorf("handling fee $%.2f outside the paper's ~$2.1–2.2 band", usd)
 	}
 
-	worst := runImageNet(t, "worst")
+	worst := runImageNet(t, benchwork.WorstCase)
 	reject := worst.GasByMethod["evaluate"] / 4
 	if !within(reject, 180_000, 0.15) {
 		t.Errorf("per-rejection gas = %d, want ≈180k (paper Table III)", reject)
@@ -142,7 +143,7 @@ func TestSimulateFacade(t *testing.T) {
 // far less than a pre-EIP-1108 SNARK verification (~500k gas for the
 // pairings alone).
 func TestHeadlineClaim(t *testing.T) {
-	worst := runImageNet(t, "worst")
+	worst := runImageNet(t, benchwork.WorstCase)
 	reject := worst.GasByMethod["evaluate"] / 4
 	if cents := PaperPrices().USD(reject); cents > 0.05 {
 		t.Errorf("rejection costs $%.3f, paper says a few cents", cents)

@@ -10,52 +10,6 @@ import (
 	"dragoon/internal/ledger"
 )
 
-// StateView is the versioned source of committed chain state a contract
-// call reads through: journaled storage (per contract), ledger balances and
-// contract escrows. The Env records every read it serves from a StateView
-// in the call's read set, which is what lets the optimistic round executor
-// (executor.go) validate a speculatively executed transaction against the
-// writes of lower-indexed transactions. Version returns the chain's state
-// version — a counter bumped once per committed state-writing transaction —
-// so a validator can skip the read-set scan entirely when nothing was
-// committed since the view was taken.
-//
-// Byte slices returned by StorageGet are the committed values themselves,
-// not copies; callers must not modify them (Env copies before handing data
-// to contract code).
-type StateView interface {
-	Round() int
-	Version() uint64
-	StorageGet(id ledger.ContractID, key string) ([]byte, bool)
-	StorageExists(id ledger.ContractID, key string) bool
-	Balance(p ledger.AccountID) ledger.Amount
-	Escrow(f ledger.ContractID) ledger.Amount
-}
-
-// liveState is the canonical StateView: the chain's committed storage and
-// the live ledger. During sequential execution (and ordered re-execution)
-// it reflects every lower-indexed transaction's writes; during the
-// speculation phase of the parallel executor nothing commits, so it is a
-// stable pre-round snapshot that many goroutines may read concurrently.
-type liveState struct{ chain *Chain }
-
-func (v liveState) Round() int      { return v.chain.round }
-func (v liveState) Version() uint64 { return v.chain.version }
-
-func (v liveState) StorageGet(id ledger.ContractID, key string) ([]byte, bool) {
-	val, ok := v.chain.storage[id][key]
-	return val, ok
-}
-
-func (v liveState) StorageExists(id ledger.ContractID, key string) bool {
-	_, ok := v.chain.storage[id][key]
-	return ok
-}
-
-func (v liveState) Balance(p ledger.AccountID) ledger.Amount { return v.chain.ledger.Balance(p) }
-
-func (v liveState) Escrow(f ledger.ContractID) ledger.Amount { return v.chain.ledger.Escrow(f) }
-
 // rwKind discriminates the three state spaces conflict detection tracks.
 type rwKind uint8
 
@@ -83,9 +37,15 @@ type rwKey struct {
 // and the journals double as its write set, so the parallel executor can
 // decide after the fact whether a speculative execution observed state any
 // lower-indexed transaction went on to write.
+//
+// Base-state reads go straight to the chain's committed storage and live
+// ledger. During sequential execution (and ordered re-execution) those
+// reflect every lower-indexed transaction's writes; during the parallel
+// executor's speculation phase nothing commits, so they are a stable
+// pre-round snapshot that many goroutines may read at once. Committed
+// storage values are never handed out: the Env copies them first.
 type Env struct {
 	chain      *Chain
-	view       StateView
 	contractID ledger.ContractID
 	gasUsed    uint64
 
@@ -112,7 +72,6 @@ type ledgerOp struct {
 func newEnv(c *Chain, id ledger.ContractID) *Env {
 	return &Env{
 		chain:         c,
-		view:          liveState{chain: c},
 		contractID:    id,
 		reads:         make(map[rwKey]struct{}),
 		storeWrites:   make(map[string][]byte),
@@ -121,7 +80,7 @@ func newEnv(c *Chain, id ledger.ContractID) *Env {
 }
 
 // Round returns the current clock round.
-func (e *Env) Round() int { return e.view.Round() }
+func (e *Env) Round() int { return e.chain.round }
 
 // GasUsed returns the gas consumed so far in this call.
 func (e *Env) GasUsed() uint64 { return e.gasUsed }
@@ -175,7 +134,7 @@ func (e *Env) loadRaw(key string) ([]byte, bool) {
 		return append([]byte{}, v...), true
 	}
 	e.recordRead(rwKey{kind: rwStorage, owner: string(e.contractID), slot: key})
-	v, ok := e.view.StorageGet(e.contractID, key)
+	v, ok := e.chain.storage[e.contractID][key]
 	if !ok {
 		return nil, false
 	}
@@ -190,7 +149,8 @@ func (e *Env) exists(key string) bool {
 		return true
 	}
 	e.recordRead(rwKey{kind: rwStorage, owner: string(e.contractID), slot: key})
-	return e.view.StorageExists(e.contractID, key)
+	_, ok := e.chain.storage[e.contractID][key]
+	return ok
 }
 
 // Emit records an event (journaled; charged as LOG with the given topics).
@@ -202,7 +162,7 @@ func (e *Env) Emit(name string, topics int, data []byte) {
 		Contract: e.contractID,
 		Name:     name,
 		Data:     cp,
-		Round:    e.view.Round(),
+		Round:    e.chain.round,
 	})
 }
 
@@ -213,7 +173,7 @@ func (e *Env) Emit(name string, topics int, data []byte) {
 // party's balance and this contract's escrow.
 func (e *Env) Freeze(p ledger.AccountID, amount ledger.Amount) error {
 	e.recordRead(rwKey{kind: rwBalance, owner: string(p)})
-	balance := e.view.Balance(p)
+	balance := e.chain.ledger.Balance(p)
 	available := balance - e.pendingFrozen[p]
 	if balance < e.pendingFrozen[p] || available < amount {
 		return fmt.Errorf("chain: nofund freezing %d from %s", amount, p)
@@ -230,7 +190,7 @@ func (e *Env) Freeze(p ledger.AccountID, amount ledger.Amount) error {
 // writes the escrow and the party's balance.
 func (e *Env) Pay(p ledger.AccountID, amount ledger.Amount) error {
 	e.recordRead(rwKey{kind: rwEscrow, owner: string(e.contractID)})
-	escrow := int64(e.view.Escrow(e.contractID)) + e.pendingEscrow
+	escrow := int64(e.chain.ledger.Escrow(e.contractID)) + e.pendingEscrow
 	if escrow < int64(amount) {
 		return fmt.Errorf("chain: escrow %d cannot pay %d to %s", escrow, amount, p)
 	}

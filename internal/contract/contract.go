@@ -62,8 +62,9 @@ const DeployCodeSize = 5670
 // Gas-calibration constants for EVM execution overhead that the structural
 // charges (storage, calldata, precompiles, logs, keccak) do not cover:
 // Solidity's per-iteration memory management and ABI decoding. They are
-// tuned so Table III's per-row gas matches the paper's measured contract;
-// see EXPERIMENTS.md.
+// tuned so Table III's per-row gas matches the paper's measured contract:
+// `go run ./cmd/benchtables -table 3` prints that run's gas per method, and
+// TestTableIIIGasBands holds its rows within the paper's bands.
 const (
 	// ciphertextOverhead is charged per ciphertext processed in reveal.
 	ciphertextOverhead = 2150
