@@ -113,12 +113,12 @@ bench-json:
 	$(GO) run ./cmd/benchtables -json BENCH_parallel.json -workers $(BENCH_WORKERS)
 
 # One iteration of every crypto-kernel benchmark (fixed-base tables, GLV
-# scalar mul, batch encryption/short-log, the NTT and the Montgomery field
-# ops) — a CI smoke check that the kernel paths still run, not a timing
-# measurement.
+# scalar mul, the shared fixed-base handle on a cold and a hot base, batch
+# encryption/short-log, the NTT and the Montgomery field ops) — a CI smoke
+# check that the kernel paths still run, not a timing measurement.
 bench-kernels:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./internal/bn254 \
-		./internal/elgamal ./internal/ff ./internal/limb
+		./internal/elgamal ./internal/group ./internal/ff ./internal/limb
 
 # Bounded-memory soak slice for CI: stream tasks through a background
 # service for ~30 seconds (or 10^4 tasks, whichever comes first) and fail

@@ -75,9 +75,11 @@ func BenchmarkParallel_PoQoEA_Prove(b *testing.B) {
 	})
 }
 
-// BenchmarkParallel_Encrypt measures per-question parallel encryption of a
-// full answer vector (2N scalar multiplications after the sequential
-// randomness draws).
+// BenchmarkParallel_Encrypt measures the encryption of a full answer
+// vector: the sequential randomness draws, then one batch encryption
+// (elgamal.EncryptBatchWithRandomness) on the calling goroutine. Nothing
+// in it uses the pool, so its speedup is about 1 by design; the pool sizes
+// are swept only to keep the BenchmarkParallel_* set uniform.
 func BenchmarkParallel_Encrypt(b *testing.B) {
 	f := wideProofs(b)
 	workerSweep(b, len(f.Cts), func(b *testing.B) {

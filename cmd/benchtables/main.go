@@ -26,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"time"
 
 	"dragoon/internal/adversary"
@@ -119,7 +120,8 @@ type parallelBenchResult struct {
 	Name          string  `json:"name"`
 	Workers       int     `json:"parallel_workers"`
 	Questions     int     `json:"questions,omitempty"`
-	NsPerOp       int64   `json:"ns_per_op"`
+	NsPerOp       int64   `json:"ns_per_op"`     // median of jsonSamples samples
+	NsPerOpMin    int64   `json:"ns_per_op_min"` // fastest sample
 	NsPerQuestion float64 `json:"ns_per_question,omitempty"`
 }
 
@@ -139,8 +141,8 @@ type parallelBenchReport struct {
 	// without this flag such runs read as performance regressions.
 	SingleCore bool                  `json:"single_core"`
 	Results    []parallelBenchResult `json:"results"`
-	// Speedups is sequential-vs-pool for each operation (workers=1 ns over
-	// workers=ParallelWorkers ns).
+	// Speedups is sequential-vs-pool for each operation (workers=1 median
+	// ns over workers=ParallelWorkers median ns).
 	Speedups map[string]float64 `json:"speedups"`
 	// BatchSpeedups is the ALGORITHMIC speedup of folded verification over
 	// per-proof verification at each batch size, measured at workers=1 so
@@ -301,29 +303,42 @@ func writeParallelJSON(path string, parWorkers int) error {
 		Speedups:        map[string]float64{},
 		BatchSpeedups:   map[string]float64{},
 	}
+	// Each op's samples alternate between the two pool sizes, so a slow
+	// drift in host load reaches both sides of its speedup alike.
+	pools := []int{1, parWorkers}
+	rows := make([][]parallelBenchResult, len(pools))
 	seqNs := map[string]int64{}
-	for _, workers := range []int{1, parWorkers} {
-		prev := runtime.GOMAXPROCS(workers)
-		for _, op := range ops {
-			t, _ := measure(op.fn)
+	for _, op := range ops {
+		samples := make([][]time.Duration, len(pools))
+		for s := 0; s < jsonSamples; s++ {
+			for i, workers := range pools {
+				prev := runtime.GOMAXPROCS(workers)
+				samples[i] = append(samples[i], sample(op.fn))
+				runtime.GOMAXPROCS(prev)
+			}
+		}
+		for i, workers := range pools {
+			slices.Sort(samples[i])
+			t := samples[i][jsonSamples/2]
 			r := parallelBenchResult{
-				Name:      op.name,
-				Workers:   workers,
-				Questions: op.questions,
-				NsPerOp:   t.Nanoseconds(),
+				Name:       op.name,
+				Workers:    workers,
+				Questions:  op.questions,
+				NsPerOp:    t.Nanoseconds(),
+				NsPerOpMin: samples[i][0].Nanoseconds(),
 			}
 			if op.questions > 0 {
 				r.NsPerQuestion = float64(t.Nanoseconds()) / float64(op.questions)
 			}
-			report.Results = append(report.Results, r)
+			rows[i] = append(rows[i], r)
 			if workers == 1 {
 				seqNs[op.name] = t.Nanoseconds()
 			} else if seq := seqNs[op.name]; seq > 0 && t.Nanoseconds() > 0 {
 				report.Speedups[op.name] = float64(seq) / float64(t.Nanoseconds())
 			}
 		}
-		runtime.GOMAXPROCS(prev)
 	}
+	report.Results = slices.Concat(rows...)
 	// Algorithmic batch speedups at workers=1: per-proof cost scales
 	// linearly with the claim count, so every size's baseline derives from
 	// the one measured per-proof sweep over the largest batch.
@@ -498,8 +513,30 @@ func must(op func() error) func() {
 	}
 }
 
-// measure runs fn repeatedly for at least minDuration and returns the mean
-// per-op time and the allocation volume of one op.
+// jsonSamples is how many samples each -json row takes; its ns_per_op is
+// their median. On a shared 2-vCPU host one 200-ms mean can differ 2×
+// between back-to-back reports; the median of five 40-ms samples discards
+// such outliers, and the lazy set-up the first sample carries, in about the
+// same time per row.
+const (
+	jsonSamples   = 5
+	jsonSampleMin = 40 * time.Millisecond
+)
+
+// sample returns the mean per-op time of fn over at least jsonSampleMin
+// and one op.
+func sample(fn func()) time.Duration {
+	start := time.Now()
+	iters := 0
+	for iters == 0 || time.Since(start) < jsonSampleMin {
+		fn()
+		iters++
+	}
+	return time.Since(start) / time.Duration(iters)
+}
+
+// measure runs fn repeatedly for at least 200 ms and three ops and returns
+// the mean per-op time and the allocation volume of one op.
 func measure(fn func()) (time.Duration, uint64) {
 	var m0, m1 runtime.MemStats
 	runtime.GC()

@@ -19,15 +19,18 @@ import (
 // additions. The table width is the package constant FixedBaseWindowBits
 // (8): 32 windows of 255 points each, 8,160 affine points per base, held as
 // limbs (~512 KiB of coordinates). Tables are built in Jacobian coordinates
-// and normalized with ONE shared field inversion (batchAffineLAff), and
-// MulMany/MulManyAdd extend that idiom to whole batches of results: one
-// inversion per batch of ciphertexts instead of one per group operation.
+// and normalized with ONE shared field inversion (batchAffineLAff; the
+// build spends one more on its 32 window bases), and MulMany/MulManyAdd
+// extend that idiom to whole batches of results: one inversion per batch
+// of ciphertexts instead of one per group operation.
 
 const (
 	// FixedBaseWindowBits is the radix-2^w window width of every fixed-base
 	// table. Width 8 puts a 254-bit scalar multiplication at ≤32 mixed
-	// additions for a 32×255-point (~512 KiB) table per base; the build cost
-	// is amortized by the process-wide registry in internal/group.
+	// additions for a 32×255-point (~512 KiB) table per base. A build costs
+	// as much as ~90 variable-base multiplications, so internal/group builds
+	// one only for a base that has already served that many (see
+	// group.SharedBase).
 	FixedBaseWindowBits = 8
 
 	// fixedBaseWindows covers scalars up to 255 bits (reduced scalars are
@@ -46,30 +49,36 @@ type FixedBaseTable struct {
 	winL [][]g1AffL
 }
 
-// NewFixedBaseTable builds the window table for base. Building costs
-// ~⌈255/w⌉·2^w Jacobian additions and a single field inversion; Mul then
-// costs at most ⌈255/w⌉ mixed additions (versus ~254 doublings + ~127
-// additions for a cold double-and-add).
+// NewFixedBaseTable builds the window table for base. The 32 window bases
+// 2^(w·width)·base come first, by doubling, and are normalized with one
+// field inversion; each row is then a chain of ~2^w mixed additions of its
+// affine window base (7M+4S each, against 11M+5S for a Jacobian addition
+// of an unnormalized base), and a second inversion normalizes the whole
+// table. Mul then costs at most ⌈255/w⌉ mixed additions (versus ~254
+// doublings + ~127 additions for a cold double-and-add).
 func NewFixedBaseTable(base *G1) *FixedBaseTable {
 	t := &FixedBaseTable{base: base.Clone()}
 	if base.Inf {
 		return t // every Mul returns the identity
 	}
-	var cur g1JacL
 	var baseL g1AffL
 	baseL.fromG1(base)
-	cur.setAffine(&baseL)
-	flat := make([]g1JacL, 0, fixedBaseWindows*fixedBaseRowLen)
-	for w := 0; w < fixedBaseWindows; w++ {
-		row := make([]g1JacL, fixedBaseRowLen)
-		row[0] = cur
+	var winBases [fixedBaseWindows]g1JacL
+	winBases[0].setAffine(&baseL)
+	for w := 1; w < fixedBaseWindows; w++ {
+		winBases[w] = winBases[w-1]
+		for b := 0; b < FixedBaseWindowBits; b++ {
+			jacLDouble(&winBases[w])
+		}
+	}
+	winAff := batchAffineLAff(winBases[:])
+	flat := make([]g1JacL, fixedBaseWindows*fixedBaseRowLen)
+	for w := range winAff {
+		row := flat[w*fixedBaseRowLen : (w+1)*fixedBaseRowLen]
+		row[0].setAffine(&winAff[w])
 		for d := 1; d < fixedBaseRowLen; d++ {
 			row[d] = row[d-1]
-			jacLAdd(&row[d], &cur)
-		}
-		flat = append(flat, row...)
-		for b := 0; b < FixedBaseWindowBits; b++ {
-			jacLDouble(&cur)
+			jacLAddMixed(&row[d], &winAff[w])
 		}
 	}
 	affine := batchAffineLAff(flat)

@@ -80,21 +80,25 @@ func (pk *PublicKey) EncryptWithRandomness(m int64, r *big.Int) (Ciphertext, err
 	return Ciphertext{C1: c1, C2: c2}, nil
 }
 
-// MulH returns k·h for the public key element h, through the process-wide
-// fixed-base table registry: over backends with native precomputation the
-// multiplication costs a few dozen mixed additions, while metered and
-// table-less groups transparently fall back to ScalarMul (so on-chain gas
-// accounting is unchanged).
+// MulH returns k·h for the public key element h, through
+// group.SharedBase: a key that has served enough multiplications to pay
+// for a fixed-base table gets one and then costs a few dozen mixed
+// additions per multiplication, a key that has not is multiplied on the
+// group's variable-base path, and metered and table-less groups always fall
+// back to ScalarMul (so on-chain gas accounting is unchanged).
 func (pk *PublicKey) MulH(k *big.Int) group.Element {
 	return group.SharedBase(pk.Group, pk.H).Mul(k)
 }
 
 // EncryptBatchWithRandomness encrypts ms[i] with randomness rs[i] for every
 // i, returning ciphertexts identical to per-element EncryptWithRandomness
-// calls. The batch draws both bases through fixed-base tables and shares
-// one batch normalization per table call, which is what makes the
-// requester's encrypt-answers step cheap: for an n-question task the whole
-// batch costs O(n) mixed additions and O(1) field inversions.
+// calls. Both bases go through group.SharedBase, which serves the BN254
+// generator from its process-wide table, and h from a table once the key
+// has served enough multiplications to pay for one (a key shared across
+// tasks), with one batch normalization per table call. For an n-question task under such a
+// key the batch costs O(n) mixed additions and O(1) field inversions; a
+// fresh key with few answers pays n variable-base multiplications for h
+// instead of a table build.
 func (pk *PublicKey) EncryptBatchWithRandomness(ms []int64, rs []*big.Int) ([]Ciphertext, error) {
 	if len(ms) != len(rs) {
 		return nil, fmt.Errorf("elgamal: batch length mismatch: %d plaintexts, %d scalars", len(ms), len(rs))

@@ -1,6 +1,7 @@
 package elgamal
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
@@ -156,43 +157,53 @@ func TestSharedShortLogTable(t *testing.T) {
 }
 
 // TestEncryptBatchMatchesSingle: the batch kernel must be byte-identical to
-// per-element encryption with the same randomness, on both backends.
+// per-element encryption with the same randomness, on both backends, for a
+// fresh key that stays below group.SharedBase's table threshold (tens of
+// multiplications) and for one batch far longer than it, which builds h's
+// table mid-call.
 func TestEncryptBatchMatchesSingle(t *testing.T) {
 	for _, g := range []group.Group{group.TestSchnorr(), group.BN254G1()} {
 		t.Run(g.Name(), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(55))
-			sk, err := KeyGen(g, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pk := &sk.PublicKey
-			n := 17
-			ms := make([]int64, n)
-			rs := make([]*big.Int, n)
-			for i := range ms {
-				ms[i] = int64(i * 3)
-				rs[i] = new(big.Int).Rand(rng, g.Order())
-			}
-			batch, err := pk.EncryptBatchWithRandomness(ms, rs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range ms {
-				single, err := pk.EncryptWithRandomness(ms[i], rs[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if string(MarshalCiphertext(g, batch[i])) != string(MarshalCiphertext(g, single)) {
-					t.Fatalf("batch ciphertext %d differs from single-shot encryption", i)
-				}
-			}
-			if _, err := pk.EncryptBatchWithRandomness([]int64{1}, rs); err == nil {
-				t.Fatal("length mismatch must error")
-			}
-			if _, err := pk.EncryptBatchWithRandomness([]int64{-1}, rs[:1]); err == nil {
-				t.Fatal("negative plaintext must error")
+			for _, n := range []int{17, 256} {
+				t.Run(fmt.Sprint(n), func(t *testing.T) { checkEncryptBatch(t, g, n) })
 			}
 		})
+	}
+}
+
+// checkEncryptBatch encrypts n plaintexts under a fresh key, as one batch
+// and one by one, and fails unless the ciphertexts are identical.
+func checkEncryptBatch(t *testing.T, g group.Group, n int) {
+	rng := rand.New(rand.NewSource(55 + int64(n)))
+	sk, err := KeyGen(g, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk := &sk.PublicKey
+	ms := make([]int64, n)
+	rs := make([]*big.Int, n)
+	for i := range ms {
+		ms[i] = int64(i * 3)
+		rs[i] = new(big.Int).Rand(rng, g.Order())
+	}
+	batch, err := pk.EncryptBatchWithRandomness(ms, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ms {
+		single, err := pk.EncryptWithRandomness(ms[i], rs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(MarshalCiphertext(g, batch[i])) != string(MarshalCiphertext(g, single)) {
+			t.Fatalf("batch ciphertext %d differs from single-shot encryption", i)
+		}
+	}
+	if _, err := pk.EncryptBatchWithRandomness([]int64{1}, rs); err == nil {
+		t.Fatal("length mismatch must error")
+	}
+	if _, err := pk.EncryptBatchWithRandomness([]int64{-1}, rs[:1]); err == nil {
+		t.Fatal("negative plaintext must error")
 	}
 }
 
@@ -211,7 +222,13 @@ func benchEncrypt(b *testing.B, batch bool) {
 		ms[i] = int64(i % 5)
 		rs[i] = new(big.Int).Rand(rng, g.Order())
 	}
-	pk.MulH(big.NewInt(1)) // warm the shared tables
+	// Serve h far past group.SharedBase's table threshold (tens of
+	// multiplications), so the loop times the table path.
+	for i := 0; i < 64; i++ {
+		if _, err := pk.EncryptBatchWithRandomness(ms, rs); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

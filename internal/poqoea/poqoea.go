@@ -269,9 +269,9 @@ func Quality(answers []int64, st Statement) int {
 // helper used throughout the protocol and tests. Encryption randomness is
 // drawn sequentially from rnd (one scalar per question, matching the
 // sequential consumption order), then the crypto runs as one batch
-// encryption — fixed-base tables for both bases and one batch
-// normalization — so the ciphertext vector is identical to a sequential
-// encryption with the same stream.
+// encryption on the calling goroutine (elgamal.EncryptBatchWithRandomness),
+// so the ciphertext vector is identical to a sequential encryption with the
+// same stream.
 func EncryptAnswers(pk *elgamal.PublicKey, answers []int64, rnd io.Reader) ([]elgamal.Ciphertext, error) {
 	rs := make([]*big.Int, len(answers))
 	for i := range answers {
