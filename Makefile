@@ -68,9 +68,10 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -n 25
 
 # Short fuzz pass over the codec fuzz targets (wire reader/round-trip,
-# commitment open, contract and HTLC message decoders), seeded from the
-# checked-in corpus under each package's testdata/fuzz. CI runs this as a
-# smoke job; run with a larger FUZZTIME locally for a real hunt.
+# commitment open, contract and HTLC message decoders, the G1 point
+# decoder), seeded from the checked-in corpus under each package's
+# testdata/fuzz. CI runs this as a smoke job; run with a larger FUZZTIME
+# locally for a real hunt.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReaderOps -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wire
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalMessages -fuzztime=$(FUZZTIME) -run='^$$' ./internal/contract
 	$(GO) test -fuzz=FuzzUnmarshalHTLC -fuzztime=$(FUZZTIME) -run='^$$' ./internal/htlc
 	$(GO) test -fuzz=FuzzGLVDecompose -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
+	$(GO) test -fuzz=FuzzUnmarshalG1 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzFpMont -fuzztime=$(FUZZTIME) -run='^$$' ./internal/limb
 
 # Economic fuzz pass: the incentive solver's parameter space (MinimalReward

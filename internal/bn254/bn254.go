@@ -14,11 +14,14 @@
 //     (p¹²-1)/r final exponentiation. The style favours auditability over
 //     raw speed; it is more than fast enough for the paper's workloads.
 //
-// Exported values and the affine group law keep Fp elements as *big.Int
-// reduced in [0, p). G1 scalar multiplication — the GLV ladder, Pippenger
-// buckets, fixed-base windows — runs on internal/limb's 4×64-bit
-// Montgomery representation instead, allocation-free (fp.go); the tests
-// check it against an affine double-and-add over the big.Int group law.
+// G1 points hold their coordinates in internal/limb's 4×64-bit Montgomery
+// form (fp.go), and every G1 operation — the group law, the codec, the GLV
+// ladder, Pippenger buckets and fixed-base windows — runs on that one
+// representation. Only the pairing, which embeds a G1 point into Fp12, and
+// String read a G1 coordinate as a big.Int. G2, the tower fields and the
+// pairing keep *big.Int elements reduced in [0, p). The tests check every
+// G1 path against an affine double-and-add over a big.Int group law that
+// lives only in the tests.
 //
 // Curve parameters (BN parameterization with u = 4965661367192848881):
 //
@@ -29,6 +32,8 @@ package bn254
 import (
 	"math/big"
 	"sync"
+
+	"dragoon/internal/limb"
 )
 
 // Decimal constants for the curve parameters. They are cross-checked against
@@ -49,12 +54,13 @@ type curveParams struct {
 	loopCount *big.Int // 6u+2, the optimal-ate Miller loop count
 	finalExp  *big.Int // (p¹² − 1) / r
 
-	b  *big.Int // G1 curve coefficient: 3
-	b2 fp2Elem  // G2 curve coefficient: 3/ξ
+	fp *limb.Field // Fp in Montgomery limb form, the field of G1's coordinates
+	b  fpElem      // G1 curve coefficient: 3
+	b2 fp2Elem     // G2 curve coefficient: 3/ξ
 
 	xi fp2Elem // the sextic non-residue ξ = 9 + i
 
-	g1 *G1 // generator of G1: (1, 2)
+	g1 G1  // generator of G1: (1, 2)
 	g2 *G2 // generator of G2 (EIP-197 constants, verified at startup)
 }
 
@@ -89,7 +95,10 @@ func params() *curveParams {
 			panic("bn254: order constant does not match BN parameterization")
 		}
 
-		cp := &curveParams{P: p, R: r, U: u, b: big.NewInt(3)}
+		// BN254's modulus satisfies the CIOS no-carry bound, so MustField
+		// cannot fail.
+		cp := &curveParams{P: p, R: r, U: u, fp: limb.MustField(p)}
+		cp.fp.SetUint64(&cp.b, 3)
 
 		// Miller loop count 6u+2.
 		cp.loopCount = new(big.Int).Mul(big.NewInt(6), u)
@@ -110,7 +119,8 @@ func params() *curveParams {
 		cp.b2 = fp2MulP(three, fp2InvP(cp.xi, p), p)
 
 		// Generators.
-		cp.g1 = &G1{X: big.NewInt(1), Y: big.NewInt(2)}
+		cp.fp.SetUint64(&cp.g1.x, 1)
+		cp.fp.SetUint64(&cp.g1.y, 2)
 		cp.g2 = &G2{
 			X: fp2Elem{
 				A0: mustBig("10857046999023057135944570762232829481370756359578518086990519993285655852781"),
@@ -144,10 +154,11 @@ func mustBig(s string) *big.Int {
 	return v
 }
 
-// --- base-field helpers -----------------------------------------------------
+// --- base-field helpers for the tower ---------------------------------------
 //
-// Fp elements are *big.Int values kept reduced in [0, p). Helpers always
-// allocate a fresh result, so callers may alias arguments freely.
+// The coefficients of Fp2 elements (and so of Fp6, Fp12 and G2) are *big.Int
+// values kept reduced in [0, p). Helpers always allocate a fresh result, so
+// callers may alias arguments freely.
 
 func fpAdd(a, b, p *big.Int) *big.Int {
 	s := new(big.Int).Add(a, b)

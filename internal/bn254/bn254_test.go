@@ -1,20 +1,13 @@
 package bn254
 
 import (
-	"crypto/rand"
+	"bytes"
+	"errors"
 	"math/big"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func randScalar(t testing.TB) *big.Int {
-	t.Helper()
-	s, err := rand.Int(rand.Reader, Order())
-	if err != nil {
-		t.Fatalf("rand: %v", err)
-	}
-	return s
-}
 
 func TestG1GeneratorOnCurve(t *testing.T) {
 	g := G1Generator()
@@ -54,8 +47,12 @@ func TestG1GroupLaws(t *testing.T) {
 	if !a.Add(a.Neg()).IsInfinity() {
 		t.Error("G1 inverse law fails")
 	}
-	if !a.Double().Equal(a.Add(a)) {
-		t.Error("G1 double != add self")
+	phi := glv().phi(a) // same y as a, different x
+	if a.Equal(a.Neg()) || a.Equal(&phi) || a.Equal(b) || a.Equal(G1Infinity()) {
+		t.Error("G1 Equal reports distinct points equal")
+	}
+	if !a.Add(a).Equal(g.ScalarMul(big.NewInt(14))) {
+		t.Error("7G + 7G != 14G")
 	}
 	if !g.ScalarMul(big.NewInt(18)).Equal(a.Add(b)) {
 		t.Error("7G + 11G != 18G")
@@ -77,7 +74,7 @@ func TestG1ScalarMulProperties(t *testing.T) {
 
 func TestG1ScalarMulNegAndMod(t *testing.T) {
 	g := G1Generator()
-	k := randScalar(t)
+	k := randScalars(1, 3)[0]
 	negK := new(big.Int).Neg(k)
 	if !g.ScalarMul(negK).Equal(g.ScalarMul(k).Neg()) {
 		t.Error("(-k)G != -(kG)")
@@ -89,7 +86,7 @@ func TestG1ScalarMulNegAndMod(t *testing.T) {
 }
 
 func TestG1Marshal(t *testing.T) {
-	pts := []*G1{G1Generator(), G1Generator().ScalarMul(randScalar(t)), G1Infinity()}
+	pts := []*G1{G1Generator(), G1Generator().ScalarMul(randScalars(1, 4)[0]), G1Infinity()}
 	for _, pt := range pts {
 		enc := pt.Marshal()
 		dec, err := UnmarshalG1(enc)
@@ -108,6 +105,80 @@ func TestG1Marshal(t *testing.T) {
 	if _, err := UnmarshalG1(bad); err == nil {
 		t.Error("expected off-curve error")
 	}
+}
+
+// unmarshalCases are G1 encodings at and around every rule of the decoder:
+// points and their negations, off-curve pairs, coordinates equal to p, to
+// x + p and to 2²⁵⁶−1, a zero coordinate beside a nonzero one, the identity
+// and lengths other than 64.
+func unmarshalCases() [][]byte {
+	p := P()
+	enc := func(x, y *big.Int) []byte {
+		out := make([]byte, 64)
+		x.FillBytes(out[:32])
+		y.FillBytes(out[32:])
+		return out
+	}
+	zero, one := big.NewInt(0), big.NewInt(1)
+	max := new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)
+	cases := [][]byte{nil, {}, make([]byte, 63), make([]byte, 65), make([]byte, 128), make([]byte, 64)}
+	// No point has x = 0: (0, ±√3) would have order 3, and r is prime.
+	cases = append(cases, enc(p, zero), enc(zero, p), enc(max, max), enc(zero, max), enc(max, zero),
+		enc(zero, big.NewInt(2)), enc(one, zero), enc(one, big.NewInt(2)), enc(p, big.NewInt(2)))
+	rng := rand.New(rand.NewSource(29))
+	for _, k := range randScalars(6, 31) {
+		pt := G1Generator().ScalarMul(k)
+		x, y := pt.bigAffine()
+		cases = append(cases, pt.Marshal(), pt.Neg().Marshal(),
+			append(pt.Marshal(), 0), pt.Marshal()[1:],
+			enc(x, new(big.Int).Add(y, one)), enc(x, zero),
+			enc(new(big.Int).Add(x, p), y), enc(x, new(big.Int).Add(y, p)),
+			enc(x, p), enc(p, y), enc(x, max), enc(max, y),
+			enc(new(big.Int).Rand(rng, p), new(big.Int).Rand(rng, p)))
+	}
+	return cases
+}
+
+// TestUnmarshalG1MatchesReference: UnmarshalG1 accepts exactly what the
+// oracle's big.Int decoder accepts, decodes the same point, re-encodes it
+// to the same bytes, and every rejection matches ErrInvalidPoint.
+func TestUnmarshalG1MatchesReference(t *testing.T) {
+	for _, data := range unmarshalCases() {
+		want, ok := oracleUnmarshalG1(data)
+		got, err := UnmarshalG1(data)
+		switch {
+		case ok != (err == nil):
+			t.Fatalf("%x: reference accepts=%v, UnmarshalG1 err=%v", data, ok, err)
+		case !ok && !errors.Is(err, ErrInvalidPoint):
+			t.Fatalf("%x: error %v does not match ErrInvalidPoint", data, err)
+		case ok && !got.Equal(want.g1()):
+			t.Fatalf("%x: decoded %v, reference %v", data, got, want.g1())
+		case ok && !bytes.Equal(got.Marshal(), data):
+			t.Fatalf("%x: re-encodes as %x", data, got.Marshal())
+		}
+	}
+}
+
+// FuzzUnmarshalG1: decoding arbitrary bytes never panics, rejects with
+// ErrInvalidPoint exactly what the reference decoder rejects, and every
+// accepted input is on the curve and re-encodes to the same 64 bytes.
+func FuzzUnmarshalG1(f *testing.F) {
+	for _, data := range unmarshalCases() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		_, ok := oracleUnmarshalG1(data)
+		pt, err := UnmarshalG1(data)
+		if err != nil {
+			if ok || !errors.Is(err, ErrInvalidPoint) {
+				t.Fatalf("%x: rejected with %v (reference accepts: %v)", data, err, ok)
+			}
+			return
+		}
+		if !ok || !pt.IsOnCurve() || !bytes.Equal(pt.Marshal(), data) {
+			t.Fatalf("%x: accepted as %v (reference accepts: %v)", data, pt, ok)
+		}
+	})
 }
 
 func TestG2GroupLaws(t *testing.T) {

@@ -19,8 +19,8 @@ import (
 // additions. The table width is the package constant FixedBaseWindowBits
 // (8): 32 windows of 255 points each, 8,160 affine points per base, held as
 // limbs (~512 KiB of coordinates). Tables are built in Jacobian coordinates
-// and normalized with ONE shared field inversion (batchAffineLAff; the
-// build spends one more on its 32 window bases), and MulMany/MulManyAdd
+// and normalized with ONE shared field inversion (batchAffine; the build
+// spends one more on its 32 window bases), and MulMany/MulManyAdd
 // extend that idiom to whole batches of results: one inversion per batch
 // of ciphertexts instead of one per group operation.
 
@@ -43,10 +43,9 @@ const (
 // FixedBaseTable is a windowed precomputation for one fixed G1 base.
 // Tables are immutable after construction and safe for concurrent use.
 type FixedBaseTable struct {
-	base *G1
-	// winL[w][d-1] = d·2^(w·width)·base, affine in Montgomery limb form so
-	// every table hit is a cheap mixed addition.
-	winL [][]g1AffL
+	// winL[w][d-1] = d·2^(w·width)·base, affine so every table hit is a
+	// cheap mixed addition.
+	winL [][]G1
 }
 
 // NewFixedBaseTable builds the window table for base. The 32 window bases
@@ -57,21 +56,19 @@ type FixedBaseTable struct {
 // table. Mul then costs at most ⌈255/w⌉ mixed additions (versus ~254
 // doublings + ~127 additions for a cold double-and-add).
 func NewFixedBaseTable(base *G1) *FixedBaseTable {
-	t := &FixedBaseTable{base: base.Clone()}
+	t := &FixedBaseTable{}
 	if base.Inf {
 		return t // every Mul returns the identity
 	}
-	var baseL g1AffL
-	baseL.fromG1(base)
 	var winBases [fixedBaseWindows]g1JacL
-	winBases[0].setAffine(&baseL)
+	winBases[0].setAffine(base)
 	for w := 1; w < fixedBaseWindows; w++ {
 		winBases[w] = winBases[w-1]
 		for b := 0; b < FixedBaseWindowBits; b++ {
 			jacLDouble(&winBases[w])
 		}
 	}
-	winAff := batchAffineLAff(winBases[:])
+	winAff := batchAffine(winBases[:])
 	flat := make([]g1JacL, fixedBaseWindows*fixedBaseRowLen)
 	for w := range winAff {
 		row := flat[w*fixedBaseRowLen : (w+1)*fixedBaseRowLen]
@@ -81,16 +78,13 @@ func NewFixedBaseTable(base *G1) *FixedBaseTable {
 			jacLAddMixed(&row[d], &winAff[w])
 		}
 	}
-	affine := batchAffineLAff(flat)
-	t.winL = make([][]g1AffL, fixedBaseWindows)
+	affine := batchAffine(flat)
+	t.winL = make([][]G1, fixedBaseWindows)
 	for w := range t.winL {
 		t.winL[w] = affine[w*fixedBaseRowLen : (w+1)*fixedBaseRowLen]
 	}
 	return t
 }
-
-// Base returns (a copy of) the table's base point.
-func (t *FixedBaseTable) Base() *G1 { return t.base.Clone() }
 
 // mulJacL computes s·base in Jacobian coordinates; s must be reduced mod r.
 func (t *FixedBaseTable) mulJacL(s *big.Int) g1JacL {
@@ -109,7 +103,8 @@ func (t *FixedBaseTable) mulJacL(s *big.Int) g1JacL {
 // Mul returns k·base (k reduced modulo the group order).
 func (t *FixedBaseTable) Mul(k *big.Int) *G1 {
 	acc := t.mulJacL(new(big.Int).Mod(k, params().R))
-	return acc.affine()
+	res := acc.affine()
+	return &res
 }
 
 // MulMany returns k·base for every scalar, sharing ONE field inversion
@@ -123,10 +118,11 @@ func (t *FixedBaseTable) MulMany(ks []*big.Int) []*G1 {
 			jacs[i] = t.mulJacL(new(big.Int).Mod(k, r))
 		}
 	}
-	out := batchAffineL(jacs)
+	affs := batchAffine(jacs)
+	out := make([]*G1, len(ks))
 	for i, k := range ks {
-		if k == nil {
-			out[i] = nil
+		if k != nil {
+			out[i] = &affs[i]
 		}
 	}
 	return out
@@ -138,7 +134,6 @@ func (t *FixedBaseTable) MulMany(ks []*big.Int) []*G1 {
 func (t *FixedBaseTable) MulManyAdd(ks []*big.Int, addends []*G1) []*G1 {
 	r := params().R
 	jacs := make([]g1JacL, len(ks))
-	var aff g1AffL
 	for i, k := range ks {
 		s := new(big.Int)
 		if k != nil {
@@ -146,11 +141,15 @@ func (t *FixedBaseTable) MulManyAdd(ks []*big.Int, addends []*G1) []*G1 {
 		}
 		jacs[i] = t.mulJacL(s)
 		if i < len(addends) && addends[i] != nil {
-			aff.fromG1(addends[i])
-			jacLAddMixed(&jacs[i], &aff)
+			jacLAddMixed(&jacs[i], addends[i])
 		}
 	}
-	return batchAffineL(jacs)
+	affs := batchAffine(jacs)
+	out := make([]*G1, len(affs))
+	for i := range affs {
+		out[i] = &affs[i]
+	}
+	return out
 }
 
 // --- generator tables -------------------------------------------------------
@@ -167,7 +166,7 @@ var (
 // generator (built once, shared by ScalarBaseMul and the trusted setup).
 func G1GeneratorTable() *FixedBaseTable {
 	g1GenTableOnce.Do(func() {
-		g1GenTable = NewFixedBaseTable(params().g1)
+		g1GenTable = NewFixedBaseTable(&params().g1)
 	})
 	return g1GenTable
 }

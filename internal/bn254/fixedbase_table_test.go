@@ -47,9 +47,6 @@ func TestFixedBaseTableMatchesGeneric(t *testing.T) {
 	}
 	for _, base := range bases {
 		table := NewFixedBaseTable(base)
-		if !table.Base().Equal(base) {
-			t.Fatal("table does not report its base")
-		}
 		for _, k := range append(structuredScalars(), randScalars(16, 7)...) {
 			want := genericScalarMul(base, new(big.Int).Mod(k, Order()))
 			if got := table.Mul(k); !got.Equal(want) {

@@ -1,43 +1,19 @@
 package bn254
 
-import (
-	"sync"
+import "dragoon/internal/limb"
 
-	"dragoon/internal/limb"
-)
-
-// Limb arithmetic for G1. The exported surface of the package speaks
-// big.Int — G1 carries *big.Int affine coordinates, and every constructor
-// and codec takes or returns big.Int — but scalar multiplication (the GLV
-// and generic ladders, Pippenger buckets, fixed-base windows) runs on
-// fpElem, the 4×64-bit Montgomery representation from internal/limb.
-// Conversion happens once on ingress (affine big.Int → Montgomery limbs)
-// and once on egress (the normalized result back to big.Int); the
-// thousands of field multiplications in between touch no heap and pay no
-// division.
+// Limb arithmetic for G1. A G1 point holds its affine coordinates as
+// fpElem, the 4×64-bit Montgomery representation from internal/limb, and
+// the Jacobian ladders, Pippenger buckets and fixed-base windows below
+// accumulate in g1JacL on the same elements. A scalar multiplication
+// therefore takes and returns points without converting them; its
+// thousands of field multiplications touch no heap and pay no division,
+// and only normalising the result back to affine costs a field inversion
+// (one per batch in batchAffine). big.Int appears only at the package's
+// edges: scalars, the pairing's Fp12 embedding and String.
 
 // fpElem is a BN254 base-field element in Montgomery limb form.
 type fpElem = limb.Element
-
-var (
-	fpFieldOnce sync.Once
-	fpFieldVal  *limb.Field
-)
-
-// fpField returns the limb-arithmetic descriptor of Fp (built once; BN254's
-// modulus satisfies the CIOS no-carry bound, so MustField cannot fail).
-func fpField() *limb.Field {
-	fpFieldOnce.Do(func() {
-		fpFieldVal = limb.MustField(params().P)
-	})
-	return fpFieldVal
-}
-
-// g1AffL is an affine G1 point on limbs (the table/ingress representation).
-type g1AffL struct {
-	X, Y fpElem
-	Inf  bool
-}
 
 // g1JacL is a Jacobian G1 point on limbs; Z = 0 encodes the identity (the
 // zero value is the identity, which is what makes `var acc g1JacL` a valid
@@ -46,51 +22,34 @@ type g1JacL struct {
 	X, Y, Z fpElem
 }
 
-// fromG1 converts an exported affine point to limb form.
-func (a *g1AffL) fromG1(pt *G1) {
-	if pt.Inf {
-		*a = g1AffL{Inf: true}
-		return
-	}
-	f := fpField()
-	a.Inf = false
-	f.SetBig(&a.X, pt.X)
-	f.SetBig(&a.Y, pt.Y)
-}
-
-// toG1 converts back to the exported representation.
-func (a *g1AffL) toG1() *G1 {
-	if a.Inf {
-		return G1Infinity()
-	}
-	f := fpField()
-	return &G1{X: f.ToBig(nil, &a.X), Y: f.ToBig(nil, &a.Y)}
-}
-
 // setAffine loads an affine point as Z = 1 Jacobian.
-func (j *g1JacL) setAffine(a *g1AffL) {
+func (j *g1JacL) setAffine(a *G1) {
 	if a.Inf {
 		*j = g1JacL{}
 		return
 	}
-	j.X, j.Y = a.X, a.Y
-	j.Z = fpField().One()
+	j.X, j.Y = a.x, a.y
+	j.Z = params().fp.One()
 }
 
-// affine normalizes to the exported affine representation (one field
-// inversion, via the division-free limb EEA).
-func (j *g1JacL) affine() *G1 {
+// affine normalizes to an affine point: one field inversion (the
+// division-free limb EEA), skipped when Z is already 1.
+func (j *g1JacL) affine() G1 {
 	if j.Z.IsZero() {
-		return G1Infinity()
+		return G1{Inf: true}
 	}
-	f := fpField()
-	var zi, zi2, x, y fpElem
+	f := params().fp
+	if j.Z == f.One() {
+		return G1{x: j.X, y: j.Y}
+	}
+	var zi, zi2 fpElem
+	var out G1
 	f.Inverse(&zi, &j.Z)
 	f.Square(&zi2, &zi)
-	f.Mul(&x, &j.X, &zi2)
+	f.Mul(&out.x, &j.X, &zi2)
 	f.Mul(&zi2, &zi2, &zi) // now 1/Z³
-	f.Mul(&y, &j.Y, &zi2)
-	return &G1{X: f.ToBig(nil, &x), Y: f.ToBig(nil, &y)}
+	f.Mul(&out.y, &j.Y, &zi2)
+	return out
 }
 
 // jacLDouble doubles j in place (a = 0 doubling, 2M + 5S).
@@ -99,7 +58,7 @@ func jacLDouble(j *g1JacL) {
 		*j = g1JacL{}
 		return
 	}
-	f := fpField()
+	f := params().fp
 	var a, b, c, d, e, t fpElem
 	f.Square(&a, &j.X) // A = X²
 	f.Square(&b, &j.Y) // B = Y²
@@ -127,7 +86,7 @@ func jacLDouble(j *g1JacL) {
 }
 
 // jacLAddMixed sets j = j + b in place, with b affine (7M + 4S).
-func jacLAddMixed(j *g1JacL, b *g1AffL) {
+func jacLAddMixed(j *g1JacL, b *G1) {
 	if b.Inf {
 		return
 	}
@@ -135,11 +94,11 @@ func jacLAddMixed(j *g1JacL, b *g1AffL) {
 		j.setAffine(b)
 		return
 	}
-	f := fpField()
+	f := params().fp
 	var z1z1, u2, s2 fpElem
 	f.Square(&z1z1, &j.Z)
-	f.Mul(&u2, &b.X, &z1z1)
-	f.Mul(&s2, &b.Y, &j.Z)
+	f.Mul(&u2, &b.x, &z1z1)
+	f.Mul(&s2, &b.y, &j.Z)
 	f.Mul(&s2, &s2, &z1z1)
 	if u2.Equal(&j.X) {
 		if s2.Equal(&j.Y) {
@@ -178,7 +137,7 @@ func jacLAdd(a, b *g1JacL) {
 		*a = *b
 		return
 	}
-	f := fpField()
+	f := params().fp
 	var z1z1, z2z2, u1, u2, s1, s2 fpElem
 	f.Square(&z1z1, &a.Z)
 	f.Square(&z2z2, &b.Z)
@@ -216,30 +175,19 @@ func jacLAdd(a, b *g1JacL) {
 	a.X, a.Y = x3, t
 }
 
-// batchAffineL normalizes a batch of limb Jacobian points to exported
-// affine points (see batchAffineLAff).
-func batchAffineL(js []g1JacL) []*G1 {
-	affs := batchAffineLAff(js)
-	out := make([]*G1, len(affs))
-	for i := range affs {
-		out[i] = affs[i].toG1()
-	}
-	return out
-}
-
-// batchAffineLAff normalizes a batch of limb Jacobian points to limb affine
-// points with a single field inversion (Montgomery's trick): the product
+// batchAffine normalizes a batch of limb Jacobian points to affine points
+// with a single field inversion (Montgomery's trick): the product
 // of all Z coordinates is inverted once and unwound into the individual
 // 1/Z values. Identity points come back as the affine identity.
-func batchAffineLAff(js []g1JacL) []g1AffL {
-	f := fpField()
-	out := make([]g1AffL, len(js))
+func batchAffine(js []g1JacL) []G1 {
+	f := params().fp
+	out := make([]G1, len(js))
 	prefix := make([]fpElem, len(js)) // prefix[n] = Z product over earlier live points
 	live := make([]int, 0, len(js))
 	acc := f.One()
 	for i := range js {
 		if js[i].Z.IsZero() {
-			out[i] = g1AffL{Inf: true}
+			out[i] = G1{Inf: true}
 			continue
 		}
 		prefix[len(live)] = acc
@@ -257,9 +205,9 @@ func batchAffineLAff(js []g1JacL) []g1AffL {
 		f.Mul(&zi, &inv, &prefix[n]) // 1/Z_i
 		f.Mul(&inv, &inv, &js[i].Z)  // strip Z_i for the next step
 		f.Square(&zi2, &zi)
-		f.Mul(&out[i].X, &js[i].X, &zi2)
+		f.Mul(&out[i].x, &js[i].X, &zi2)
 		f.Mul(&zi2, &zi2, &zi)
-		f.Mul(&out[i].Y, &js[i].Y, &zi2)
+		f.Mul(&out[i].y, &js[i].Y, &zi2)
 	}
 	return out
 }

@@ -6,19 +6,103 @@ import (
 	"testing"
 )
 
+// bigG1 is the test oracle's affine point: the textbook group law and
+// decoder over math/big, which share no code with internal/limb.
+type bigG1 struct {
+	x, y *big.Int
+	inf  bool
+}
+
+// toBigG1 reads a point's coordinates into the oracle's representation.
+func toBigG1(a *G1) bigG1 {
+	if a.Inf {
+		return bigG1{inf: true}
+	}
+	x, y := a.bigAffine()
+	return bigG1{x: x, y: y}
+}
+
+// g1 converts an oracle point back, for comparison with Equal.
+func (a bigG1) g1() *G1 {
+	if a.inf {
+		return G1Infinity()
+	}
+	f := params().fp
+	pt := new(G1)
+	f.SetBig(&pt.x, a.x)
+	f.SetBig(&pt.y, a.y)
+	return pt
+}
+
+func (a bigG1) add(b bigG1) bigG1 {
+	if a.inf {
+		return b
+	}
+	if b.inf {
+		return a
+	}
+	p := P()
+	if a.x.Cmp(b.x) == 0 {
+		if a.y.Cmp(b.y) != 0 {
+			return bigG1{inf: true} // a = −b
+		}
+		return a.double()
+	}
+	// λ = (y2 − y1)/(x2 − x1).
+	lambda := fpMul(fpSub(b.y, a.y, p), fpInv(fpSub(b.x, a.x, p), p), p)
+	x3 := fpSub(fpSub(fpMul(lambda, lambda, p), a.x, p), b.x, p)
+	y3 := fpSub(fpMul(lambda, fpSub(a.x, x3, p), p), a.y, p)
+	return bigG1{x: x3, y: y3}
+}
+
+func (a bigG1) double() bigG1 {
+	if a.inf || a.y.Sign() == 0 {
+		return bigG1{inf: true}
+	}
+	p := P()
+	// λ = 3x²/(2y).
+	num := fpMul(big.NewInt(3), fpMul(a.x, a.x, p), p)
+	lambda := fpMul(num, fpInv(fpAdd(a.y, a.y, p), p), p)
+	x3 := fpSub(fpSub(fpMul(lambda, lambda, p), a.x, p), a.x, p)
+	y3 := fpSub(fpMul(lambda, fpSub(a.x, x3, p), p), a.y, p)
+	return bigG1{x: x3, y: y3}
+}
+
+// oracleAdd returns a + b by the oracle's group law.
+func oracleAdd(a, b *G1) *G1 { return toBigG1(a).add(toBigG1(b)).g1() }
+
+// oracleUnmarshalG1 is the oracle's decoder: 64 bytes, both coordinates
+// below p, and y² = x³ + 3, or 64 zero bytes for the identity.
+func oracleUnmarshalG1(data []byte) (bigG1, bool) {
+	if len(data) != 64 {
+		return bigG1{}, false
+	}
+	x := new(big.Int).SetBytes(data[:32])
+	y := new(big.Int).SetBytes(data[32:])
+	if x.Sign() == 0 && y.Sign() == 0 {
+		return bigG1{inf: true}, true
+	}
+	p := P()
+	if x.Cmp(p) >= 0 || y.Cmp(p) >= 0 {
+		return bigG1{}, false
+	}
+	rhs := fpAdd(fpMul(fpMul(x, x, p), x, p), big.NewInt(3), p)
+	return bigG1{x: x, y: y}, fpMul(y, y, p).Cmp(rhs) == 0
+}
+
 // affineLadder is the test oracle for every limb G1 path: a plain
-// double-and-add over the exported affine G1.Add/G1.Double, which run on
-// math/big and share no code with internal/limb. k is reduced mod r.
+// double-and-add over the oracle's group law. k is reduced mod r.
 func affineLadder(a *G1, k *big.Int) *G1 {
 	s := new(big.Int).Mod(k, Order())
-	acc := G1Infinity()
+	base := toBigG1(a)
+	acc := bigG1{inf: true}
 	for i := s.BitLen() - 1; i >= 0; i-- {
-		acc = acc.Double()
+		acc = acc.double()
 		if s.Bit(i) == 1 {
-			acc = acc.Add(a)
+			acc = acc.add(base)
 		}
 	}
-	return acc
+	return acc.g1()
 }
 
 func limbTestScalars(n int, seed int64) []*big.Int {
@@ -75,7 +159,7 @@ func TestMSMLimbVsBigInt(t *testing.T) {
 		want := G1Infinity()
 		for i := range points {
 			if scalars[i] != nil {
-				want = want.Add(affineLadder(points[i], scalars[i]))
+				want = oracleAdd(want, affineLadder(points[i], scalars[i]))
 			}
 		}
 		if got := MSMG1(points, scalars); !got.Equal(want) {
@@ -118,7 +202,7 @@ func TestFixedBaseTableLimbVsBigInt(t *testing.T) {
 	for i, got := range tbl.MulManyAdd(ks, addends) {
 		want := wants[i]
 		if addends[i] != nil {
-			want = want.Add(addends[i])
+			want = oracleAdd(want, addends[i])
 		}
 		if !got.Equal(want) {
 			t.Fatalf("MulManyAdd[%d]: got %v want %v", i, got, want)
@@ -140,13 +224,12 @@ func TestG1ScalarBaseMulLimb(t *testing.T) {
 // doubling — the two operations inside every ladder step, bucket update and
 // table hit — allocate nothing.
 func TestJacMixedAddZeroAllocs(t *testing.T) {
-	var aff g1AffL
-	aff.fromG1(G1Generator().ScalarMul(big.NewInt(99)))
+	aff := G1Generator().ScalarMul(big.NewInt(99))
 	var acc g1JacL
-	acc.setAffine(&aff)
+	acc.setAffine(aff)
 	jacLDouble(&acc)
 	if allocs := testing.AllocsPerRun(100, func() {
-		jacLAddMixed(&acc, &aff)
+		jacLAddMixed(&acc, aff)
 		jacLDouble(&acc)
 	}); allocs != 0 {
 		t.Fatalf("limb mixed add + double: %v allocs/op, want 0", allocs)
@@ -156,6 +239,36 @@ func TestJacMixedAddZeroAllocs(t *testing.T) {
 		jacLAdd(&acc, &other)
 	}); allocs != 0 {
 		t.Fatalf("limb general add: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestG1Allocs pins the allocations of the exported G1 operations: one, for
+// the result, per group-law or codec call, and per scalar multiplication at
+// most four beyond GLVDecompose's big.Int split of the same scalar.
+func TestG1Allocs(t *testing.T) {
+	a := G1Generator().ScalarMul(big.NewInt(7))
+	b := G1Generator().ScalarMul(big.NewInt(11))
+	enc := a.Marshal()
+	k := randScalars(1, 5)[0]
+	split := testing.AllocsPerRun(50, func() { GLVDecompose(k) })
+	for _, tc := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Add", 1, func() { a.Add(b) }},
+		{"Neg", 1, func() { a.Neg() }},
+		{"Marshal", 1, func() { a.Marshal() }},
+		{"UnmarshalG1", 1, func() {
+			if _, err := UnmarshalG1(enc); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"ScalarMul", split + 4, func() { a.ScalarMul(k) }},
+	} {
+		if got := testing.AllocsPerRun(50, tc.fn); got > tc.max {
+			t.Errorf("%s: %v allocs/op, want at most %v", tc.name, got, tc.max)
+		}
 	}
 }
 

@@ -6,27 +6,23 @@ import (
 	"math/big"
 )
 
-// G1 is a point on the curve y² = x³ + 3 over Fp, in affine coordinates.
-// The point at infinity is represented by Inf == true (X and Y then ignored).
-// G1 values are immutable: all methods return fresh points.
+// G1 is a point on the curve y² = x³ + 3 over Fp, in affine coordinates held
+// as Montgomery limbs. The point at infinity is represented by Inf == true
+// (its coordinates are then zero). G1 values are immutable: all methods
+// return fresh points.
 type G1 struct {
-	X, Y *big.Int
+	x, y fpElem
 	Inf  bool
 }
 
 // G1Generator returns the standard generator (1, 2) of G1.
-func G1Generator() *G1 { return params().g1.Clone() }
+func G1Generator() *G1 {
+	g := params().g1
+	return &g
+}
 
 // G1Infinity returns the identity element of G1.
-func G1Infinity() *G1 { return &G1{X: new(big.Int), Y: new(big.Int), Inf: true} }
-
-// Clone returns a deep copy of the point.
-func (a *G1) Clone() *G1 {
-	if a.Inf {
-		return G1Infinity()
-	}
-	return &G1{X: new(big.Int).Set(a.X), Y: new(big.Int).Set(a.Y)}
-}
+func G1Infinity() *G1 { return &G1{Inf: true} }
 
 // IsInfinity reports whether the point is the identity.
 func (a *G1) IsInfinity() bool { return a.Inf }
@@ -36,7 +32,7 @@ func (a *G1) Equal(b *G1) bool {
 	if a.Inf || b.Inf {
 		return a.Inf == b.Inf
 	}
-	return a.X.Cmp(b.X) == 0 && a.Y.Cmp(b.Y) == 0
+	return a.x == b.x && a.y == b.y
 }
 
 // IsOnCurve reports whether the point satisfies y² = x³ + 3 (the identity is
@@ -45,62 +41,30 @@ func (a *G1) IsOnCurve() bool {
 	if a.Inf {
 		return true
 	}
-	p := params().P
-	if a.X.Sign() < 0 || a.X.Cmp(p) >= 0 || a.Y.Sign() < 0 || a.Y.Cmp(p) >= 0 {
-		return false
-	}
-	lhs := fpMul(a.Y, a.Y, p)
-	rhs := fpAdd(fpMul(fpMul(a.X, a.X, p), a.X, p), params().b, p)
-	return lhs.Cmp(rhs) == 0
+	cp := params()
+	var lhs, rhs fpElem
+	cp.fp.Square(&lhs, &a.y)
+	cp.fp.Square(&rhs, &a.x)
+	cp.fp.Mul(&rhs, &rhs, &a.x)
+	cp.fp.Add(&rhs, &rhs, &cp.b)
+	return lhs == rhs
 }
 
 // Neg returns −a.
 func (a *G1) Neg() *G1 {
-	if a.Inf {
-		return G1Infinity()
-	}
-	return &G1{X: new(big.Int).Set(a.X), Y: fpNeg(a.Y, params().P)}
+	n := *a
+	params().fp.Neg(&n.y, &a.y)
+	return &n
 }
 
 // Add returns a + b.
 func (a *G1) Add(b *G1) *G1 {
-	if a.Inf {
-		return b.Clone()
-	}
-	if b.Inf {
-		return a.Clone()
-	}
-	p := params().P
-	if a.X.Cmp(b.X) == 0 {
-		if a.Y.Cmp(b.Y) != 0 {
-			return G1Infinity() // a = −b
-		}
-		return a.Double()
-	}
-	// λ = (y2 − y1)/(x2 − x1).
-	lambda := fpMul(fpSub(b.Y, a.Y, p), fpInv(fpSub(b.X, a.X, p), p), p)
-	x3 := fpSub(fpSub(fpMul(lambda, lambda, p), a.X, p), b.X, p)
-	y3 := fpSub(fpMul(lambda, fpSub(a.X, x3, p), p), a.Y, p)
-	return &G1{X: x3, Y: y3}
+	var j g1JacL
+	j.setAffine(a)
+	jacLAddMixed(&j, b)
+	sum := j.affine()
+	return &sum
 }
-
-// Double returns 2a.
-func (a *G1) Double() *G1 {
-	if a.Inf || a.Y.Sign() == 0 {
-		return G1Infinity()
-	}
-	p := params().P
-	// λ = 3x²/(2y).
-	num := fpMul(big.NewInt(3), fpMul(a.X, a.X, p), p)
-	den := fpInv(fpAdd(a.Y, a.Y, p), p)
-	lambda := fpMul(num, den, p)
-	x3 := fpSub(fpSub(fpMul(lambda, lambda, p), a.X, p), a.X, p)
-	y3 := fpSub(fpMul(lambda, fpSub(a.X, x3, p), p), a.Y, p)
-	return &G1{X: x3, Y: y3}
-}
-
-// Sub returns a − b.
-func (a *G1) Sub(b *G1) *G1 { return a.Add(b.Neg()) }
 
 // ScalarMul returns k·a. The scalar is reduced modulo the group order, so
 // negative scalars behave as their additive inverses. The multiplication
@@ -129,30 +93,44 @@ func (a *G1) Marshal() []byte {
 	if a.Inf {
 		return out
 	}
-	a.X.FillBytes(out[:32])
-	a.Y.FillBytes(out[32:])
+	f := params().fp
+	x, y := f.Bytes32(&a.x), f.Bytes32(&a.y)
+	copy(out[:32], x[:])
+	copy(out[32:], y[:])
 	return out
 }
 
-// ErrInvalidPoint is returned when decoding a point that is not on the curve.
-var ErrInvalidPoint = errors.New("bn254: point is not on the curve")
+// ErrInvalidPoint is returned when decoding bytes that encode no point: a
+// wrong length, a coordinate ≥ p, or a pair off the curve.
+var ErrInvalidPoint = errors.New("bn254: invalid point encoding")
 
-// UnmarshalG1 decodes a point produced by Marshal, validating curve
-// membership.
+// UnmarshalG1 decodes a point produced by Marshal, validating the length,
+// that each coordinate is below p, and curve membership. Every rejection
+// matches ErrInvalidPoint under errors.Is.
 func UnmarshalG1(data []byte) (*G1, error) {
 	if len(data) != 64 {
-		return nil, fmt.Errorf("bn254: bad G1 encoding length %d", len(data))
+		return nil, fmt.Errorf("%w: G1 encoding of %d bytes, want 64", ErrInvalidPoint, len(data))
 	}
-	x := new(big.Int).SetBytes(data[:32])
-	y := new(big.Int).SetBytes(data[32:])
-	if x.Sign() == 0 && y.Sign() == 0 {
-		return G1Infinity(), nil
+	f := params().fp
+	pt := new(G1)
+	if f.SetBytes32(&pt.x, data[:32]) != nil || f.SetBytes32(&pt.y, data[32:]) != nil {
+		return nil, ErrInvalidPoint
 	}
-	pt := &G1{X: x, Y: y}
+	if pt.x.IsZero() && pt.y.IsZero() {
+		pt.Inf = true
+		return pt, nil
+	}
 	if !pt.IsOnCurve() {
 		return nil, ErrInvalidPoint
 	}
 	return pt, nil
+}
+
+// bigAffine returns the affine coordinates as big.Ints in [0, p), for the
+// pairing's Fp12 embedding and String; the point must be finite.
+func (a *G1) bigAffine() (x, y *big.Int) {
+	f := params().fp
+	return f.ToBig(nil, &a.x), f.ToBig(nil, &a.y)
 }
 
 // String implements fmt.Stringer for debugging output.
@@ -160,5 +138,6 @@ func (a *G1) String() string {
 	if a.Inf {
 		return "G1(inf)"
 	}
-	return fmt.Sprintf("G1(%s, %s)", a.X.Text(16), a.Y.Text(16))
+	x, y := a.bigAffine()
+	return fmt.Sprintf("G1(%s, %s)", x.Text(16), y.Text(16))
 }

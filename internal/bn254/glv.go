@@ -26,7 +26,7 @@ import (
 // self-verified against the generator, so no magic numbers enter the code.
 
 type glvParams struct {
-	beta   *big.Int // cube root of unity in Fp: φ(x,y) = (β·x, y)
+	beta   fpElem   // cube root of unity in Fp: φ(x,y) = (β·x, y)
 	lambda *big.Int // matching cube root of unity in Zr: φ(P) = λ·P
 	// Reduced lattice basis of {(x, y) : x + y·λ ≡ 0 (mod r)}; both
 	// vectors have ~√r-size coordinates.
@@ -46,17 +46,19 @@ func glv() *glvParams {
 		p, r := cp.P, cp.R
 
 		// β = (−1 + √−3)/2 in Fp (a root of x² + x + 1).
-		beta := rootOfUnityCube(p)
+		g := &glvParams{}
+		cp.fp.SetBig(&g.beta, rootOfUnityCube(p))
 		// λ: same construction in Zr; two nontrivial roots exist (λ and
 		// λ²) and exactly one satisfies φ(G) = λ·G — probe the generator.
 		lambda := rootOfUnityCube(r)
-		phiG := &G1{X: fpMul(beta, cp.g1.X, p), Y: new(big.Int).Set(cp.g1.Y)}
-		if !genericScalarMul(cp.g1, lambda).Equal(phiG) {
+		phiG := g.phi(&cp.g1)
+		if !genericScalarMul(&cp.g1, lambda).Equal(&phiG) {
 			lambda = fpMul(lambda, lambda, r) // the other root
-			if !genericScalarMul(cp.g1, lambda).Equal(phiG) {
+			if !genericScalarMul(&cp.g1, lambda).Equal(&phiG) {
 				panic("bn254: no cube root of unity matches the endomorphism")
 			}
 		}
+		g.lambda = lambda
 
 		// Reduced basis via the extended Euclidean algorithm on (r, λ):
 		// every remainder rᵢ satisfies sᵢ·r + tᵢ·λ = rᵢ, so (rᵢ, −tᵢ) is
@@ -96,9 +98,17 @@ func glv() *glvParams {
 			b2 = new(big.Int).Neg(ts[l+2])
 		}
 
-		glvVal = &glvParams{beta: beta, lambda: lambda, a1: a1, b1: b1, a2: a2, b2: b2}
+		g.a1, g.b1, g.a2, g.b2 = a1, b1, a2, b2
+		glvVal = g
 	})
 	return glvVal
+}
+
+// phi returns φ(a) = (β·x, y); a must be finite.
+func (g *glvParams) phi(a *G1) G1 {
+	out := G1{y: a.y}
+	params().fp.Mul(&out.x, &g.beta, &a.x)
+	return out
 }
 
 // rootOfUnityCube returns a nontrivial cube root of unity modulo the prime
@@ -169,31 +179,29 @@ func (a *G1) glvMul(s *big.Int) *G1 {
 	if !ok {
 		return nil
 	}
-	g := glv()
-	p := params().P
-
-	p1 := a
+	f := params().fp
+	p1 := *a
 	if k1.Sign() < 0 {
-		p1 = a.Neg()
-		k1 = new(big.Int).Neg(k1)
+		f.Neg(&p1.y, &p1.y)
+		k1.Neg(k1)
 	}
-	phi := &G1{X: fpMul(g.beta, a.X, p), Y: new(big.Int).Set(a.Y)}
-	p2 := phi
+	p2 := glv().phi(a)
 	if k2.Sign() < 0 {
-		p2 = phi.Neg()
-		k2 = new(big.Int).Neg(k2)
+		f.Neg(&p2.y, &p2.y)
+		k2.Neg(k2)
 	}
-	p12 := p1.Add(p2) // joint-bit entry; may be the identity (handled by jacLAddMixed)
+	// The joint-bit entry P1 + P2, normalized once so every ladder step is
+	// a mixed addition; it may be the identity (handled by jacLAddMixed).
+	var j12 g1JacL
+	j12.setAffine(&p1)
+	jacLAddMixed(&j12, &p2)
+	p12 := j12.affine()
 
 	n := k1.BitLen()
 	if b := k2.BitLen(); b > n {
 		n = b
 	}
 	// Shamir's trick: one shared doubling chain over both half-scalars.
-	var l1, l2, l12 g1AffL
-	l1.fromG1(p1)
-	l2.fromG1(p2)
-	l12.fromG1(p12)
 	var acc g1JacL
 	for i := n - 1; i >= 0; i-- {
 		jacLDouble(&acc)
@@ -201,31 +209,30 @@ func (a *G1) glvMul(s *big.Int) *G1 {
 		b2 := k2.Bit(i) == 1
 		switch {
 		case b1 && b2:
-			jacLAddMixed(&acc, &l12)
+			jacLAddMixed(&acc, &p12)
 		case b1:
-			jacLAddMixed(&acc, &l1)
+			jacLAddMixed(&acc, &p1)
 		case b2:
-			jacLAddMixed(&acc, &l2)
+			jacLAddMixed(&acc, &p2)
 		}
 	}
-	return acc.affine()
+	res := acc.affine()
+	return &res
 }
 
 // genericScalarMul is the plain double-and-add ladder, kept as the GLV
 // fallback and the baseline the GLV tests compare against. s must be
 // reduced mod r.
 func genericScalarMul(a *G1, s *big.Int) *G1 {
-	if s.Sign() == 0 || a.Inf {
-		return G1Infinity()
-	}
-	var aff g1AffL
-	aff.fromG1(a)
 	var acc g1JacL
-	for i := s.BitLen() - 1; i >= 0; i-- {
-		jacLDouble(&acc)
-		if s.Bit(i) == 1 {
-			jacLAddMixed(&acc, &aff)
+	if !a.Inf {
+		for i := s.BitLen() - 1; i >= 0; i-- {
+			jacLDouble(&acc)
+			if s.Bit(i) == 1 {
+				jacLAddMixed(&acc, a)
+			}
 		}
 	}
-	return acc.affine()
+	res := acc.affine()
+	return &res
 }

@@ -55,18 +55,19 @@ func MSMG1(points []*G1, scalars []*big.Int) *G1 {
 		n = len(scalars)
 	}
 	workers := parallel.Workers(0)
-	if n < msmParallelThreshold || workers <= 1 {
-		acc := msmG1Chunk(points[:n], scalars[:n])
-		return acc.affine()
-	}
-	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (g1JacL, error) {
-		return msmG1Chunk(points[start:end], scalars[start:end]), nil
-	})
 	var acc g1JacL
-	for i := range partials {
-		jacLAdd(&acc, &partials[i])
+	if n < msmParallelThreshold || workers <= 1 {
+		acc = msmG1Chunk(points[:n], scalars[:n])
+	} else {
+		partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (g1JacL, error) {
+			return msmG1Chunk(points[start:end], scalars[start:end]), nil
+		})
+		for i := range partials {
+			jacLAdd(&acc, &partials[i])
+		}
 	}
-	return acc.affine()
+	sum := acc.affine()
+	return &sum
 }
 
 // msmG1Chunk is the sequential Jacobian Pippenger core.
@@ -74,7 +75,7 @@ func msmG1Chunk(points []*G1, scalars []*big.Int) g1JacL {
 	r := params().R
 
 	// Reduce scalars and drop nil/identity entries up front.
-	affs := make([]g1AffL, 0, len(points))
+	pts := make([]*G1, 0, len(points))
 	ss := make([]*big.Int, 0, len(points))
 	maxBits := 0
 	for i := range points {
@@ -88,16 +89,14 @@ func msmG1Chunk(points []*G1, scalars []*big.Int) g1JacL {
 		if b := s.BitLen(); b > maxBits {
 			maxBits = b
 		}
-		var aff g1AffL
-		aff.fromG1(points[i])
-		affs = append(affs, aff)
+		pts = append(pts, points[i])
 		ss = append(ss, s)
 	}
 	var acc g1JacL
-	if len(affs) == 0 {
+	if len(pts) == 0 {
 		return acc
 	}
-	window := msmWindow(len(affs))
+	window := msmWindow(len(pts))
 	numWindows := (maxBits + window - 1) / window
 	buckets := make([]g1JacL, 1<<window)
 	used := make([]bool, 1<<window)
@@ -108,16 +107,16 @@ func msmG1Chunk(points []*G1, scalars []*big.Int) g1JacL {
 		for b := range used {
 			used[b] = false
 		}
-		for i := range affs {
+		for i := range pts {
 			idx := msmBucketIndex(ss[i], w, window)
 			if idx == 0 {
 				continue
 			}
 			if !used[idx] {
-				buckets[idx].setAffine(&affs[i])
+				buckets[idx].setAffine(pts[i])
 				used[idx] = true
 			} else {
-				jacLAddMixed(&buckets[idx], &affs[i])
+				jacLAddMixed(&buckets[idx], pts[i])
 			}
 		}
 		// Running-sum bucket aggregation.

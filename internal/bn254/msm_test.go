@@ -50,7 +50,8 @@ func TestMSMG1Degenerates(t *testing.T) {
 	scalars[4] = new(big.Int) // zero scalar
 	scalars[5] = new(big.Int).Neg(big.NewInt(3))
 	// Duplicate point: buckets must merge, not clobber.
-	points[7] = points[6].Clone()
+	dup := *points[6]
+	points[7] = &dup
 	scalars[7] = new(big.Int).Set(scalars[6])
 	got := MSMG1(points, scalars)
 	want := naiveMSM(points, scalars)
@@ -59,9 +60,9 @@ func TestMSMG1Degenerates(t *testing.T) {
 	}
 }
 
-// TestJacAdd checks the limb general Jacobian addition (the MSM bucket and
-// chunk combiner) against the affine group law, including its doubling,
-// inverse and identity branches.
+// TestJacAdd checks G1.Add (a mixed Jacobian addition) and the limb general
+// Jacobian addition (the MSM bucket and chunk combiner) against the oracle's
+// affine group law, including their doubling, inverse and identity branches.
 func TestJacAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := G1ScalarBaseMul(new(big.Int).Rand(rng, Order()))
@@ -77,15 +78,16 @@ func TestJacAdd(t *testing.T) {
 		{"right-inf", a, G1Infinity()},
 	}
 	for _, tc := range cases {
-		var xa, ya g1AffL
-		xa.fromG1(tc.x)
-		ya.fromG1(tc.y)
+		want := oracleAdd(tc.x, tc.y)
 		var x, y g1JacL
-		x.setAffine(&xa)
-		y.setAffine(&ya)
+		x.setAffine(tc.x)
+		y.setAffine(tc.y)
 		jacLAdd(&x, &y)
-		if got, want := x.affine(), tc.x.Add(tc.y); !got.Equal(want) {
-			t.Errorf("jacLAdd %s: got %v want %v", tc.name, got, want)
+		if got := x.affine(); !got.Equal(want) {
+			t.Errorf("jacLAdd %s: got %v want %v", tc.name, &got, want)
+		}
+		if got := tc.x.Add(tc.y); !got.Equal(want) {
+			t.Errorf("G1.Add %s: got %v want %v", tc.name, got, want)
 		}
 	}
 }

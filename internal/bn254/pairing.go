@@ -97,8 +97,9 @@ func millerLoop(g1 *G1, g2 *G2) fp12Elem {
 	p := cp.P
 
 	q := untwist(g2, p)
-	px := fp12FromFp(g1.X)
-	py := fp12FromFp(g1.Y)
+	x, y := g1.bigAffine()
+	px := fp12FromFp(x)
+	py := fp12FromFp(y)
 
 	f := fp12One()
 	t := e12Point{x: q.x.clone(), y: q.y.clone()}

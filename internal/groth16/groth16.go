@@ -266,32 +266,25 @@ func Verify(vk *VerifyingKey, publicInputs []*big.Int, proof *Proof) (bool, erro
 	return ok, nil
 }
 
-// curvePoint abstracts G1/G2 for the shared Pippenger MSM.
-type curvePoint[P any] interface {
-	Add(P) P
-	Double() P
-	IsInfinity() bool
-}
-
 // msmParallelThreshold is the input size below which the chunking overhead
 // of a parallel multi-scalar multiplication outweighs the win.
 const msmParallelThreshold = 32
 
-// msm is a multi-scalar multiplication: below msmParallelThreshold it runs
-// the windowed Pippenger core directly; above it the input is split into one
-// contiguous chunk per pool worker, the chunks run concurrently, and the
-// partial sums are combined in chunk order. Group addition is associative,
-// so the combined point is exactly the sequential result.
-func msm[P curvePoint[P]](identity P, points []P, scalars []*big.Int, order *big.Int) P {
+// msm is a G2 multi-scalar multiplication: below msmParallelThreshold it
+// runs the windowed Pippenger core directly; above it the input is split
+// into one contiguous chunk per pool worker, the chunks run concurrently,
+// and the partial sums are combined in chunk order. Group addition is
+// associative, so the combined point is exactly the sequential result.
+func msm(points []*bn254.G2, scalars []*big.Int) *bn254.G2 {
 	n := len(points)
 	workers := parallel.Workers(0)
 	if n < msmParallelThreshold || workers <= 1 {
-		return msmChunk(identity, points, scalars, order)
+		return msmChunk(points, scalars)
 	}
-	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (P, error) {
-		return msmChunk(identity, points[start:end], scalars[start:end], order), nil
+	partials, _ := parallel.MapSpans(context.Background(), n, workers, func(start, end int) (*bn254.G2, error) {
+		return msmChunk(points[start:end], scalars[start:end]), nil
 	})
-	acc := identity
+	acc := bn254.G2Infinity()
 	for _, p := range partials {
 		acc = acc.Add(p)
 	}
@@ -299,7 +292,8 @@ func msm[P curvePoint[P]](identity P, points []P, scalars []*big.Int, order *big
 }
 
 // msmChunk is the sequential windowed Pippenger core.
-func msmChunk[P curvePoint[P]](identity P, points []P, scalars []*big.Int, order *big.Int) P {
+func msmChunk(points []*bn254.G2, scalars []*big.Int) *bn254.G2 {
+	identity := bn254.G2Infinity()
 	n := len(points)
 	if n == 0 {
 		return identity
@@ -314,6 +308,7 @@ func msmChunk[P curvePoint[P]](identity P, points []P, scalars []*big.Int, order
 	case n >= 64:
 		window = 5
 	}
+	order := bn254.Order()
 	reduced := make([]*big.Int, n)
 	maxBits := 0
 	for i, s := range scalars {
@@ -331,16 +326,14 @@ func msmChunk[P curvePoint[P]](identity P, points []P, scalars []*big.Int, order
 		for i := 0; i < window; i++ {
 			acc = acc.Double()
 		}
-		buckets := make([]P, 1<<window)
-		used := make([]bool, 1<<window)
+		buckets := make([]*bn254.G2, 1<<window)
 		for i := 0; i < n; i++ {
 			idx := bucketIndex(reduced[i], w, window)
 			if idx == 0 {
 				continue
 			}
-			if !used[idx] {
+			if buckets[idx] == nil {
 				buckets[idx] = points[i]
-				used[idx] = true
 			} else {
 				buckets[idx] = buckets[idx].Add(points[i])
 			}
@@ -349,7 +342,7 @@ func msmChunk[P curvePoint[P]](identity P, points []P, scalars []*big.Int, order
 		sum := identity
 		windowAcc := identity
 		for b := (1 << window) - 1; b >= 1; b-- {
-			if used[b] {
+			if buckets[b] != nil {
 				sum = sum.Add(buckets[b])
 			}
 			windowAcc = windowAcc.Add(sum)
@@ -382,15 +375,15 @@ func MSMG1(points []*bn254.G1, scalars []*big.Int) *bn254.G1 {
 // MSMG2 computes Σ scalars[i]·points[i] over G2 (nil points are skipped).
 func MSMG2(points []*bn254.G2, scalars []*big.Int) *bn254.G2 {
 	ps, ss := filterNil(points, scalars)
-	return msm[*bn254.G2](bn254.G2Infinity(), ps, ss, bn254.Order())
+	return msm(ps, ss)
 }
 
-func filterNil[P comparable](points []P, scalars []*big.Int) ([]P, []*big.Int) {
-	var zero P
-	ps := make([]P, 0, len(points))
+// filterNil drops the entries whose point or scalar is nil.
+func filterNil(points []*bn254.G2, scalars []*big.Int) ([]*bn254.G2, []*big.Int) {
+	ps := make([]*bn254.G2, 0, len(points))
 	ss := make([]*big.Int, 0, len(points))
 	for i := range points {
-		if points[i] == zero || i >= len(scalars) || scalars[i] == nil {
+		if points[i] == nil || i >= len(scalars) || scalars[i] == nil {
 			continue
 		}
 		ps = append(ps, points[i])

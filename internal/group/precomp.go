@@ -24,9 +24,9 @@ type FixedBase interface {
 }
 
 // FixedBaser is an optional Group extension for backends with native
-// fixed-base precomputation (window tables). Callers probe for it with a
-// type assertion via Precompute; backends without it get a generic
-// fallback that simply forwards to ScalarMul/Add.
+// fixed-base precomputation (window tables). SharedBase probes for it with a
+// type assertion; backends without it get a generic fallback that simply
+// forwards to ScalarMul/Add.
 type FixedBaser interface {
 	// PrecomputeFixedBase builds a reusable multiplication handle for base.
 	PrecomputeFixedBase(base Element) FixedBase
@@ -68,17 +68,6 @@ func (f genericFixedBase) MulManyAdd(ks []*big.Int, addends []Element) []Element
 		out[i] = e
 	}
 	return out
-}
-
-// Precompute returns a fixed-base multiplication handle for base. Backends
-// implementing FixedBaser get a native window table; everything else gets
-// the generic ScalarMul fallback. Either way the results are identical
-// group elements.
-func Precompute(g Group, base Element) FixedBase {
-	if fb, ok := g.(FixedBaser); ok {
-		return fb.PrecomputeFixedBase(base)
-	}
-	return genericFixedBase{g: g, base: base}
 }
 
 // --- process-wide shared-table registry -------------------------------------

@@ -33,12 +33,12 @@ func precompScalars(g Group, n int, seed int64) []*big.Int {
 func TestPrecomputeMatchesScalarMul(t *testing.T) {
 	for _, g := range []Group{TestSchnorr(), BN254G1()} {
 		t.Run(g.Name(), func(t *testing.T) {
-			base := g.ScalarBaseMul(big.NewInt(424242))
-			fb := Precompute(g, base)
-			if _, ok := fb.(genericFixedBase); ok {
+			fber, ok := g.(FixedBaser)
+			if !ok {
 				t.Fatalf("%s should provide a native FixedBase", g.Name())
 			}
-			checkHandle(t, g, base, fb, precompScalars(g, 8, 99), func(int) {})
+			base := g.ScalarBaseMul(big.NewInt(424242))
+			checkHandle(t, g, base, fber.PrecomputeFixedBase(base), precompScalars(g, 8, 99), func(int) {})
 		})
 	}
 }
@@ -106,12 +106,9 @@ type noTables struct{ Group }
 func TestGenericFallback(t *testing.T) {
 	g := noTables{TestSchnorr()}
 	base := g.ScalarBaseMul(big.NewInt(5))
-	fb := Precompute(g, base)
-	if _, ok := fb.(genericFixedBase); !ok {
-		t.Fatal("a group without FixedBaser must get the generic fallback")
-	}
+	fb := genericFixedBase{g: g, base: base}
 	if _, ok := SharedBase(g, base).(genericFixedBase); !ok {
-		t.Fatal("SharedBase must also fall back for a group without FixedBaser")
+		t.Fatal("SharedBase must fall back for a group without FixedBaser")
 	}
 	for _, k := range precompScalars(g, 4, 3) {
 		if !g.Equal(fb.Mul(k), g.ScalarMul(base, k)) {
