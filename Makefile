@@ -68,8 +68,8 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -n 25
 
 # Short fuzz pass over the codec fuzz targets (wire reader/round-trip,
-# commitment open, contract and HTLC message decoders, the G1 point
-# decoder), seeded from the checked-in corpus under each package's
+# commitment open, contract and HTLC message decoders, the G1 and G2 point
+# decoders), seeded from the checked-in corpus under each package's
 # testdata/fuzz. CI runs this as a smoke job; run with a larger FUZZTIME
 # locally for a real hunt.
 FUZZTIME ?= 30s
@@ -81,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzUnmarshalHTLC -fuzztime=$(FUZZTIME) -run='^$$' ./internal/htlc
 	$(GO) test -fuzz=FuzzGLVDecompose -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzUnmarshalG1 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
+	$(GO) test -fuzz=FuzzUnmarshalG2 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzFpMont -fuzztime=$(FUZZTIME) -run='^$$' ./internal/limb
 
 # Economic fuzz pass: the incentive solver's parameter space (MinimalReward

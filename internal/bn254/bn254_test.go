@@ -27,6 +27,9 @@ func TestG2GeneratorOnCurve(t *testing.T) {
 	if !g.IsInSubgroup() {
 		t.Fatal("G2 generator does not have order r")
 	}
+	if out := twistPointOutsideSubgroup(t); out.IsInSubgroup() {
+		t.Fatal("IsInSubgroup accepts a twist point of order other than r")
+	}
 }
 
 func TestG1GroupLaws(t *testing.T) {
@@ -210,6 +213,102 @@ func TestG2Marshal(t *testing.T) {
 			t.Error("G2 roundtrip mismatch")
 		}
 	}
+}
+
+// fp2Sqrt returns a square root of a in Fp2 for p ≡ 3 (mod 4), by
+// Algorithm 9 of Adj and Rodríguez-Henríquez (2012); ok is false if a is
+// not a square.
+func fp2Sqrt(a fp2Elem) (fp2Elem, bool) {
+	p := P()
+	a1 := fp2ExpP(a, new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(3)), 2), p)
+	alpha := fp2MulP(fp2SquareP(a1, p), a, p)
+	x0 := fp2MulP(a1, a, p)
+	var x fp2Elem
+	if fp2Equal(alpha, fp2NegP(fp2One(), p)) {
+		x = fp2Elem{A0: fpNeg(x0.A1, p), A1: new(big.Int).Set(x0.A0)} // i·x0
+	} else {
+		b := fp2ExpP(fp2AddP(fp2One(), alpha, p), new(big.Int).Rsh(new(big.Int).Sub(p, big.NewInt(1)), 1), p)
+		x = fp2MulP(b, x0, p)
+	}
+	return x, fp2Equal(fp2SquareP(x, p), a)
+}
+
+// twistPointOutsideSubgroup returns the twist point with x = 2 + i: on the
+// curve, but of an order other than r (the twist's cofactor is not 1).
+func twistPointOutsideSubgroup(t *testing.T) *G2 {
+	t.Helper()
+	p := P()
+	x := fp2Elem{A0: big.NewInt(2), A1: big.NewInt(1)}
+	rhs := fp2AddP(fp2MulP(fp2SquareP(x, p), x, p), params().b2, p)
+	y, ok := fp2Sqrt(rhs)
+	if !ok {
+		t.Fatal("x = 2 + i has no point on the twist")
+	}
+	pt := &G2{X: x, Y: y}
+	if !pt.IsOnCurve() {
+		t.Fatal("constructed point is off the twist")
+	}
+	return pt
+}
+
+// TestUnmarshalG2Rejects: UnmarshalG2 rejects, with ErrInvalidPoint, a
+// twist point outside the order-r subgroup, any coordinate ≥ p (X.A0 + p
+// among them, a second encoding of the generator), a pair off the twist
+// and every length but 128.
+func TestUnmarshalG2Rejects(t *testing.T) {
+	p := P()
+	gen := G2Generator().Marshal()
+	withCoord := func(i int, v *big.Int) []byte {
+		out := append([]byte{}, gen...)
+		v.FillBytes(out[32*i : 32*(i+1)])
+		return out
+	}
+	coord := func(i int) *big.Int { return new(big.Int).SetBytes(gen[32*i : 32*(i+1)]) }
+	cases := map[string][]byte{
+		"outside subgroup": twistPointOutsideSubgroup(t).Marshal(),
+		"X.A0 + p":         withCoord(1, new(big.Int).Add(coord(1), p)),
+		"X.A1 = p":         withCoord(0, p),
+		"Y.A1 + p":         withCoord(2, new(big.Int).Add(coord(2), p)),
+		"Y.A0 = 2^256−1":   withCoord(3, new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))),
+		"off the twist":    withCoord(3, new(big.Int).Add(coord(3), big.NewInt(1))),
+		"127 bytes":        gen[:127],
+		"129 bytes":        append(append([]byte{}, gen...), 0),
+		"empty":            nil,
+	}
+	for name, data := range cases {
+		if pt, err := UnmarshalG2(data); !errors.Is(err, ErrInvalidPoint) {
+			t.Errorf("%s: got %v, %v; want ErrInvalidPoint", name, pt, err)
+		}
+	}
+	if pt, err := UnmarshalG2(gen); err != nil || !pt.Equal(G2Generator()) {
+		t.Fatalf("generator: %v, %v", pt, err)
+	}
+}
+
+// FuzzUnmarshalG2: decoding arbitrary bytes never panics, every rejection
+// matches ErrInvalidPoint, and every accepted input is on the twist, in
+// the order-r subgroup, and re-encodes to the same 128 bytes.
+func FuzzUnmarshalG2(f *testing.F) {
+	gen := G2Generator()
+	f.Add(gen.Marshal())
+	f.Add(gen.ScalarMul(big.NewInt(3)).Marshal())
+	f.Add(G2Infinity().Marshal())
+	f.Add(gen.Marshal()[:127])
+	bad := gen.Marshal()
+	bad[127] ^= 1
+	f.Add(bad)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		pt, err := UnmarshalG2(data)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidPoint) {
+				t.Fatalf("%x: rejected with %v", data, err)
+			}
+			return
+		}
+		if !pt.IsOnCurve() || !pt.IsInSubgroup() || !bytes.Equal(pt.Marshal(), data) {
+			t.Fatalf("%x: accepted as %v", data, pt)
+		}
+	})
 }
 
 func TestFp2Arithmetic(t *testing.T) {

@@ -11,56 +11,64 @@ import (
 // setup), the requester public key h (the second half of every encryption
 // and one verification equation of every VPKE proof), and commitment bases.
 // FixedBaseTable trades a one-time table build per base for multiplications
-// with no doublings at all:
+// with no doublings at all. The scalar is read in radix-2^8 windows with
+// signed digits dᵥ ∈ [−127, 128] (a window above 128 borrows 256 from the
+// next one), and
 //
-//	table[w][d-1] = d · 2^(w·width) · B,   d ∈ [1, 2^width)
+//	row[w][|d|−1] = |d| · 2^(8w) · B,   |d| ∈ [1, 128]
 //
-// so k·B = Σ_w table[w][digit_w(k)] is at most ⌈255/width⌉ mixed Jacobian
-// additions. The table width is the package constant FixedBaseWindowBits
-// (8): 32 windows of 255 points each, 8,160 affine points per base, held as
-// limbs (~512 KiB of coordinates). Tables are built in Jacobian coordinates
-// and normalized with ONE shared field inversion (batchAffine; the build
-// spends one more on its 32 window bases), and MulMany/MulManyAdd
-// extend that idiom to whole batches of results: one inversion per batch
-// of ciphertexts instead of one per group operation.
+// so k·B = Σ_w ±row[w][|dᵥ|−1] is at most 32 mixed Jacobian additions, a
+// negative digit negating a copy of the entry's y. A G1 table holds 32 rows
+// of 128 affine points as bare limb (x, y) pairs: 4,096 points, 256 KiB of
+// coordinates. Tables are built in Jacobian coordinates and normalized with
+// ONE shared field inversion (normalize; the build spends one more on its
+// 32 window bases), and MulMany/MulManyAdd extend that idiom to whole
+// batches of results: one inversion per batch of ciphertexts instead of
+// one per group operation. The G2 generator's table, used only by the
+// Groth16 baseline, keeps unsigned digits: 32 rows of 255 points.
 
 const (
 	// FixedBaseWindowBits is the radix-2^w window width of every fixed-base
 	// table. Width 8 puts a 254-bit scalar multiplication at ≤32 mixed
-	// additions for a 32×255-point (~512 KiB) table per base. A build costs
-	// as much as ~90 variable-base multiplications, so internal/group builds
-	// one only for a base that has already served that many (see
-	// group.SharedBase).
+	// additions for a 32×128-point (256 KiB) G1 table per base. A build
+	// costs as much as ~60 variable-base multiplications, so
+	// internal/group builds one only for a base that has already served
+	// that many (see group.SharedBase).
 	FixedBaseWindowBits = 8
 
-	// fixedBaseWindows covers scalars up to 255 bits (reduced scalars are
-	// < r < 2^254, with one spare window for safety).
-	fixedBaseWindows = (255 + FixedBaseWindowBits - 1) / FixedBaseWindowBits
+	// fixedBaseWindows covers scalars up to 256 bits (reduced scalars are
+	// < r < 2^254, so the signed recoding never carries out of the top
+	// window).
+	fixedBaseWindows = (256 + FixedBaseWindowBits - 1) / FixedBaseWindowBits
 
-	fixedBaseRowLen = 1<<FixedBaseWindowBits - 1 // digits 1 .. 2^width−1
+	fixedBaseHalfRow = 1 << (FixedBaseWindowBits - 1) // G1 rows: |d| in 1 .. 2^(width−1)
+	fixedBaseRowLen  = 1<<FixedBaseWindowBits - 1     // G2 rows: d in 1 .. 2^width−1
 )
 
-// FixedBaseTable is a windowed precomputation for one fixed G1 base.
-// Tables are immutable after construction and safe for concurrent use.
+// FixedBaseTable is a signed-digit window precomputation for one fixed G1
+// base. Tables are immutable after construction and safe for concurrent
+// use.
 type FixedBaseTable struct {
-	// winL[w][d-1] = d·2^(w·width)·base, affine so every table hit is a
-	// cheap mixed addition.
-	winL [][]G1
+	// rows[w·fixedBaseHalfRow + d−1] = d·2^(w·width)·base for d in
+	// 1 .. fixedBaseHalfRow, affine so every table hit is a cheap mixed
+	// addition; nil for the identity base.
+	rows []xy
 }
 
 // NewFixedBaseTable builds the window table for base. The 32 window bases
 // 2^(w·width)·base come first, by doubling, and are normalized with one
-// field inversion; each row is then a chain of ~2^w mixed additions of its
+// field inversion; each row is then a chain of 127 mixed additions of its
 // affine window base (7M+4S each, against 11M+5S for a Jacobian addition
 // of an unnormalized base), and a second inversion normalizes the whole
-// table. Mul then costs at most ⌈255/w⌉ mixed additions (versus ~254
-// doublings + ~127 additions for a cold double-and-add).
+// table. Mul then costs at most 32 mixed additions (versus ~128 doublings
+// + ~43 additions for a cold GLV multiplication).
 func NewFixedBaseTable(base *G1) *FixedBaseTable {
 	t := &FixedBaseTable{}
 	if base.Inf {
 		return t // every Mul returns the identity
 	}
 	var winBases [fixedBaseWindows]g1JacL
+	var zs, scratch [fixedBaseWindows]fpElem
 	winBases[0].setAffine(base)
 	for w := 1; w < fixedBaseWindows; w++ {
 		winBases[w] = winBases[w-1]
@@ -68,33 +76,50 @@ func NewFixedBaseTable(base *G1) *FixedBaseTable {
 			jacLDouble(&winBases[w])
 		}
 	}
-	winAff := batchAffine(winBases[:])
-	flat := make([]g1JacL, fixedBaseWindows*fixedBaseRowLen)
-	for w := range winAff {
-		row := flat[w*fixedBaseRowLen : (w+1)*fixedBaseRowLen]
-		row[0].setAffine(&winAff[w])
-		for d := 1; d < fixedBaseRowLen; d++ {
+	normalize(winBases[:], zs[:], scratch[:])
+	flat := make([]g1JacL, fixedBaseWindows*fixedBaseHalfRow)
+	for w := range winBases {
+		wb := &winBases[w]
+		row := flat[w*fixedBaseHalfRow : (w+1)*fixedBaseHalfRow]
+		row[0] = *wb
+		for d := 1; d < fixedBaseHalfRow; d++ {
 			row[d] = row[d-1]
-			jacLAddMixed(&row[d], &winAff[w])
+			jacLAddAffine(&row[d], &wb.X, &wb.Y)
 		}
 	}
-	affine := batchAffine(flat)
-	t.winL = make([][]G1, fixedBaseWindows)
-	for w := range t.winL {
-		t.winL[w] = affine[w*fixedBaseRowLen : (w+1)*fixedBaseRowLen]
+	inv := make([]fpElem, 2*len(flat))
+	normalize(flat, inv[:len(flat)], inv[len(flat):])
+	t.rows = make([]xy, len(flat))
+	for i := range flat {
+		t.rows[i] = xy{x: flat[i].X, y: flat[i].Y}
 	}
 	return t
 }
 
-// mulJacL computes s·base in Jacobian coordinates; s must be reduced mod r.
-func (t *FixedBaseTable) mulJacL(s *big.Int) g1JacL {
+// mulJacL computes s·base in Jacobian coordinates, reading the signed
+// digits straight from the limbs of s (< r).
+func (t *FixedBaseTable) mulJacL(s *[4]uint64) g1JacL {
 	var acc g1JacL
-	if t.winL == nil || s.Sign() == 0 {
+	if t.rows == nil {
 		return acc
 	}
-	for w := 0; w*FixedBaseWindowBits < s.BitLen(); w++ {
-		if d := msmBucketIndex(s, w, FixedBaseWindowBits); d != 0 {
-			jacLAddMixed(&acc, &t.winL[w][d-1])
+	carry := 0
+	for w := 0; w < fixedBaseWindows; w++ {
+		d := int(s[w/8]>>(8*(w%8))&0xff) + carry
+		carry = 0
+		if d > fixedBaseHalfRow {
+			d -= 1 << FixedBaseWindowBits
+			carry = 1
+		}
+		switch {
+		case d > 0:
+			e := &t.rows[w*fixedBaseHalfRow+d-1]
+			jacLAddAffine(&acc, &e.x, &e.y)
+		case d < 0:
+			e := &t.rows[w*fixedBaseHalfRow-d-1]
+			var ny fpElem
+			params().fp.Neg(&ny, &e.y)
+			jacLAddAffine(&acc, &e.x, &ny)
 		}
 	}
 	return acc
@@ -102,7 +127,8 @@ func (t *FixedBaseTable) mulJacL(s *big.Int) g1JacL {
 
 // Mul returns k·base (k reduced modulo the group order).
 func (t *FixedBaseTable) Mul(k *big.Int) *G1 {
-	acc := t.mulJacL(new(big.Int).Mod(k, params().R))
+	s := scalarLimbs(k)
+	acc := t.mulJacL(&s)
 	res := acc.affine()
 	return &res
 }
@@ -111,11 +137,11 @@ func (t *FixedBaseTable) Mul(k *big.Int) *G1 {
 // across the whole batch (nil scalars yield nil results). The returned
 // points are identical to calling Mul per scalar.
 func (t *FixedBaseTable) MulMany(ks []*big.Int) []*G1 {
-	r := params().R
 	jacs := make([]g1JacL, len(ks))
 	for i, k := range ks {
 		if k != nil {
-			jacs[i] = t.mulJacL(new(big.Int).Mod(k, r))
+			s := scalarLimbs(k)
+			jacs[i] = t.mulJacL(&s)
 		}
 	}
 	affs := batchAffine(jacs)
@@ -130,16 +156,14 @@ func (t *FixedBaseTable) MulMany(ks []*big.Int) []*G1 {
 
 // MulManyAdd returns ks[i]·base + addends[i] for every i, again with one
 // shared inversion per batch — the encryption kernel's c2 = g^m · h^r shape
-// (nil addends are treated as the identity).
+// (nil scalars are treated as zero and nil addends as the identity).
 func (t *FixedBaseTable) MulManyAdd(ks []*big.Int, addends []*G1) []*G1 {
-	r := params().R
 	jacs := make([]g1JacL, len(ks))
 	for i, k := range ks {
-		s := new(big.Int)
 		if k != nil {
-			s.Mod(k, r)
+			s := scalarLimbs(k)
+			jacs[i] = t.mulJacL(&s)
 		}
-		jacs[i] = t.mulJacL(s)
 		if i < len(addends) && addends[i] != nil {
 			jacLAddMixed(&jacs[i], addends[i])
 		}

@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // structuredScalars are the boundary scalars every kernel equivalence test
@@ -36,9 +37,25 @@ func randScalars(n int, seed int64) []*big.Int {
 	return out
 }
 
+// signedDigitScalars have every window at a boundary of the signed
+// recoding: 0x80 (digit 128), 0x81 (−127 with a borrow), 0xff (−1, a chain
+// of borrows) and 0x7f, under a top byte that keeps them below r.
+func signedDigitScalars() []*big.Int {
+	var out []*big.Int
+	for _, b := range []byte{0x80, 0x81, 0xff, 0x7f} {
+		raw := make([]byte, 32)
+		for i := range raw {
+			raw[i] = b
+		}
+		raw[0] = 0x20
+		out = append(out, new(big.Int).SetBytes(raw))
+	}
+	return out
+}
+
 // TestFixedBaseTableMatchesGeneric: table multiplication must agree with the
-// generic ladder for every structured and random scalar, over the generator,
-// an arbitrary base, and the identity base.
+// generic ladder for every structured, signed-digit boundary and random
+// scalar, over the generator, an arbitrary base, and the identity base.
 func TestFixedBaseTableMatchesGeneric(t *testing.T) {
 	bases := []*G1{
 		G1Generator(),
@@ -47,12 +64,24 @@ func TestFixedBaseTableMatchesGeneric(t *testing.T) {
 	}
 	for _, base := range bases {
 		table := NewFixedBaseTable(base)
-		for _, k := range append(structuredScalars(), randScalars(16, 7)...) {
+		ks := append(structuredScalars(), signedDigitScalars()...)
+		for _, k := range append(ks, randScalars(16, 7)...) {
 			want := genericScalarMul(base, new(big.Int).Mod(k, Order()))
 			if got := table.Mul(k); !got.Equal(want) {
 				t.Fatalf("table.Mul(%s) = %s, generic = %s", k, got, want)
 			}
 		}
+	}
+}
+
+// TestFixedBaseTableSize: a G1 table holds 32 rows of 128 bare affine
+// points, 256 KiB of coordinates.
+func TestFixedBaseTableSize(t *testing.T) {
+	table := NewFixedBaseTable(G1Generator())
+	size := len(table.rows) * int(unsafe.Sizeof(table.rows[0]))
+	if len(table.rows) != fixedBaseWindows*fixedBaseHalfRow || size > 300<<10 {
+		t.Fatalf("table of %d points, %d bytes; want %d points and at most 300 KiB",
+			len(table.rows), size, fixedBaseWindows*fixedBaseHalfRow)
 	}
 }
 

@@ -52,6 +52,15 @@ func (j *g1JacL) affine() G1 {
 	return out
 }
 
+// affineNormalized reads a point normalize has brought to Z = 1, or the
+// identity it left at Z = 0.
+func (j *g1JacL) affineNormalized() G1 {
+	if j.Z.IsZero() {
+		return G1{Inf: true}
+	}
+	return G1{x: j.X, y: j.Y}
+}
+
 // jacLDouble doubles j in place (a = 0 doubling, 2M + 5S).
 func jacLDouble(j *g1JacL) {
 	if j.Z.IsZero() || j.Y.IsZero() {
@@ -87,25 +96,29 @@ func jacLDouble(j *g1JacL) {
 
 // jacLAddMixed sets j = j + b in place, with b affine (7M + 4S).
 func jacLAddMixed(j *g1JacL, b *G1) {
-	if b.Inf {
-		return
+	if !b.Inf {
+		jacLAddAffine(j, &b.x, &b.y)
 	}
-	if j.Z.IsZero() {
-		j.setAffine(b)
-		return
-	}
+}
+
+// jacLAddAffine sets j = j + (x, y) in place, for a finite affine point.
+func jacLAddAffine(j *g1JacL, x, y *fpElem) {
 	f := params().fp
+	if j.Z.IsZero() {
+		j.X, j.Y, j.Z = *x, *y, f.One()
+		return
+	}
 	var z1z1, u2, s2 fpElem
 	f.Square(&z1z1, &j.Z)
-	f.Mul(&u2, &b.x, &z1z1)
-	f.Mul(&s2, &b.y, &j.Z)
+	f.Mul(&u2, x, &z1z1)
+	f.Mul(&s2, y, &j.Z)
 	f.Mul(&s2, &s2, &z1z1)
 	if u2.Equal(&j.X) {
 		if s2.Equal(&j.Y) {
 			jacLDouble(j)
 			return
 		}
-		*j = g1JacL{} // b = −j
+		*j = g1JacL{} // (x, y) = −j
 		return
 	}
 	var h, hh, v, r, t fpElem
@@ -175,39 +188,40 @@ func jacLAdd(a, b *g1JacL) {
 	a.X, a.Y = x3, t
 }
 
-// batchAffine normalizes a batch of limb Jacobian points to affine points
-// with a single field inversion (Montgomery's trick): the product
-// of all Z coordinates is inverted once and unwound into the individual
-// 1/Z values. Identity points come back as the affine identity.
-func batchAffine(js []g1JacL) []G1 {
+// normalize brings every point of js to Z = 1 in place, leaving the
+// identity at Z = 0, with one field inversion for the whole slice
+// (Montgomery's trick, limb.BatchInvert). zs and scratch hold at least
+// len(js) elements each.
+func normalize(js []g1JacL, zs, scratch []fpElem) {
 	f := params().fp
-	out := make([]G1, len(js))
-	prefix := make([]fpElem, len(js)) // prefix[n] = Z product over earlier live points
-	live := make([]int, 0, len(js))
-	acc := f.One()
+	zs = zs[:len(js)]
 	for i := range js {
-		if js[i].Z.IsZero() {
-			out[i] = G1{Inf: true}
+		zs[i] = js[i].Z
+	}
+	f.BatchInvert(zs, scratch)
+	one := f.One()
+	for i := range js {
+		if zs[i].IsZero() {
 			continue
 		}
-		prefix[len(live)] = acc
-		live = append(live, i)
-		f.Mul(&acc, &acc, &js[i].Z)
+		var zi2 fpElem
+		f.Square(&zi2, &zs[i])
+		f.Mul(&js[i].X, &js[i].X, &zi2)
+		f.Mul(&zi2, &zi2, &zs[i])
+		f.Mul(&js[i].Y, &js[i].Y, &zi2)
+		js[i].Z = one
 	}
-	if len(live) == 0 {
-		return out
-	}
-	var inv fpElem
-	f.Inverse(&inv, &acc) // the one inversion
-	for n := len(live) - 1; n >= 0; n-- {
-		i := live[n]
-		var zi, zi2 fpElem
-		f.Mul(&zi, &inv, &prefix[n]) // 1/Z_i
-		f.Mul(&inv, &inv, &js[i].Z)  // strip Z_i for the next step
-		f.Square(&zi2, &zi)
-		f.Mul(&out[i].x, &js[i].X, &zi2)
-		f.Mul(&zi2, &zi2, &zi)
-		f.Mul(&out[i].y, &js[i].Y, &zi2)
+}
+
+// batchAffine normalizes a batch of limb Jacobian points to affine points
+// with a single field inversion (normalize); identity points come back as
+// the affine identity. js is left normalized.
+func batchAffine(js []g1JacL) []G1 {
+	zs := make([]fpElem, 2*len(js))
+	normalize(js, zs[:len(js)], zs[len(js):])
+	out := make([]G1, len(js))
+	for i := range js {
+		out[i] = js[i].affineNormalized()
 	}
 	return out
 }

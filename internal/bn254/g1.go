@@ -68,17 +68,21 @@ func (a *G1) Add(b *G1) *G1 {
 
 // ScalarMul returns k·a. The scalar is reduced modulo the group order, so
 // negative scalars behave as their additive inverses. The multiplication
-// runs through the GLV endomorphism split (see glv.go).
+// is the one-element span of the GLV kernel (see glv.go), run on scratch
+// buffers on this call's stack.
 func (a *G1) ScalarMul(k *big.Int) *G1 {
-	cp := params()
-	s := new(big.Int).Mod(k, cp.R)
-	if s.Sign() == 0 || a.Inf {
-		return G1Infinity()
-	}
-	if res := a.glvMul(s); res != nil {
-		return res
-	}
-	return genericScalarMul(a, s)
+	var (
+		table   [1]glvTable
+		scalar  [1]glvScalar
+		jac     [glvTableLen]g1JacL
+		zs      [glvTableLen]fpElem
+		scratch [glvTableLen]fpElem
+		out     [1]G1
+	)
+	sp := glvSpan{tables: table[:], scalars: scalar[:], jac: jac[:], zs: zs[:], scratch: scratch[:]}
+	sp.run(out[:], []*G1{a}, []*big.Int{k}, nil)
+	res := out[0]
+	return &res
 }
 
 // G1ScalarBaseMul returns k·G for the standard generator G, using a

@@ -50,9 +50,11 @@ func (a *G2) isOnCurveWith(cp *curveParams) bool {
 // IsOnCurve reports whether the point satisfies the twist equation.
 func (a *G2) IsOnCurve() bool { return a.isOnCurveWith(params()) }
 
-// IsInSubgroup reports whether the point lies in the prime-order-r subgroup.
+// IsInSubgroup reports whether the point lies in the prime-order-r
+// subgroup: r·a, by a double-and-add over the unreduced r, is the identity.
+// (ScalarMul would reduce r to 0 and accept every point.)
 func (a *G2) IsInSubgroup() bool {
-	return a.ScalarMul(params().R).IsInfinity()
+	return a.mul(params().R).IsInfinity()
 }
 
 // Neg returns −a.
@@ -106,7 +108,11 @@ func (a *G2) Sub(b *G2) *G2 { return a.Add(b.Neg()) }
 // Jacobian coordinates — one Fp2 inversion total instead of one per
 // addition step.
 func (a *G2) ScalarMul(k *big.Int) *G2 {
-	s := new(big.Int).Mod(k, params().R)
+	return a.mul(new(big.Int).Mod(k, params().R))
+}
+
+// mul returns s·a for s ≥ 0, without reducing s modulo r.
+func (a *G2) mul(s *big.Int) *G2 {
 	if s.Sign() == 0 || a.Inf {
 		return G2Infinity()
 	}
@@ -140,21 +146,29 @@ func (a *G2) Marshal() []byte {
 	return out
 }
 
-// UnmarshalG2 decodes a point produced by Marshal, validating membership of
-// the twist curve.
+// UnmarshalG2 decodes a point produced by Marshal, validating that each
+// coordinate is below p, membership of the twist curve and of the order-r
+// subgroup. Every rejection matches ErrInvalidPoint under errors.Is.
 func UnmarshalG2(data []byte) (*G2, error) {
 	if len(data) != 128 {
-		return nil, fmt.Errorf("bn254: bad G2 encoding length %d", len(data))
+		return nil, fmt.Errorf("%w: G2 encoding of %d bytes, want 128", ErrInvalidPoint, len(data))
 	}
-	pt := &G2{
-		X: fp2Elem{A1: new(big.Int).SetBytes(data[0:32]), A0: new(big.Int).SetBytes(data[32:64])},
-		Y: fp2Elem{A1: new(big.Int).SetBytes(data[64:96]), A0: new(big.Int).SetBytes(data[96:128])},
+	var c [4]*big.Int
+	for i := range c {
+		c[i] = new(big.Int).SetBytes(data[32*i : 32*(i+1)])
+		if c[i].Cmp(params().P) >= 0 {
+			return nil, fmt.Errorf("%w: G2 coordinate not below p", ErrInvalidPoint)
+		}
 	}
+	pt := &G2{X: fp2Elem{A1: c[0], A0: c[1]}, Y: fp2Elem{A1: c[2], A0: c[3]}}
 	if pt.X.isZero() && pt.Y.isZero() {
 		return G2Infinity(), nil
 	}
 	if !pt.IsOnCurve() {
-		return nil, ErrInvalidPoint
+		return nil, fmt.Errorf("%w: G2 point not on the twist", ErrInvalidPoint)
+	}
+	if !pt.IsInSubgroup() {
+		return nil, fmt.Errorf("%w: G2 point outside the order-r subgroup", ErrInvalidPoint)
 	}
 	return pt, nil
 }

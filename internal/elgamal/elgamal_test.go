@@ -5,13 +5,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 )
 
 func testKey(t *testing.T, g group.Group) *elgamal.PrivateKey {
 	t.Helper()
-	sk, err := elgamal.KeyGen(g, nil)
+	sk, err := elgamal.KeyGen(g, drbg.New(1, "elgamal-test-key"))
 	if err != nil {
 		t.Fatalf("KeyGen: %v", err)
 	}
@@ -22,8 +23,9 @@ func TestEncryptDecryptRoundtrip(t *testing.T) {
 	for _, g := range []group.Group{group.TestSchnorr(), group.BN254G1()} {
 		t.Run(g.Name(), func(t *testing.T) {
 			sk := testKey(t, g)
+			rnd := drbg.New(2, "roundtrip-"+g.Name())
 			for _, m := range []int64{0, 1, 2, 7, 15} {
-				ct, _, err := sk.Encrypt(m, nil)
+				ct, _, err := sk.Encrypt(m, rnd)
 				if err != nil {
 					t.Fatalf("Encrypt(%d): %v", m, err)
 				}
@@ -39,9 +41,10 @@ func TestEncryptDecryptRoundtrip(t *testing.T) {
 func TestDecryptQuick(t *testing.T) {
 	g := group.TestSchnorr()
 	sk := testKey(t, g)
+	rnd := drbg.New(3, "decrypt-quick")
 	f := func(raw uint16) bool {
 		m := int64(raw % 512)
-		ct, _, err := sk.Encrypt(m, nil)
+		ct, _, err := sk.Encrypt(m, rnd)
 		if err != nil {
 			return false
 		}
@@ -56,8 +59,9 @@ func TestDecryptQuick(t *testing.T) {
 func TestDecryptOutOfRange(t *testing.T) {
 	g := group.TestSchnorr()
 	sk := testKey(t, g)
+	rnd := drbg.New(4, "out-of-range")
 	const m = 100
-	ct, _, err := sk.Encrypt(m, nil)
+	ct, _, err := sk.Encrypt(m, rnd)
 	if err != nil {
 		t.Fatalf("Encrypt: %v", err)
 	}
@@ -73,7 +77,7 @@ func TestDecryptOutOfRange(t *testing.T) {
 
 func TestNegativePlaintextRejected(t *testing.T) {
 	sk := testKey(t, group.TestSchnorr())
-	if _, _, err := sk.Encrypt(-1, nil); err == nil {
+	if _, _, err := sk.Encrypt(-1, drbg.New(5, "negative")); err == nil {
 		t.Error("expected error for negative plaintext")
 	}
 }
@@ -99,11 +103,12 @@ func TestShortLogBSGS(t *testing.T) {
 func TestHomomorphicAddition(t *testing.T) {
 	g := group.TestSchnorr()
 	sk := testKey(t, g)
-	c1, _, err := sk.Encrypt(3, nil)
+	rnd := drbg.New(6, "homomorphic")
+	c1, _, err := sk.Encrypt(3, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, _, err := sk.Encrypt(4, nil)
+	c2, _, err := sk.Encrypt(4, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +122,12 @@ func TestHomomorphicAddition(t *testing.T) {
 func TestRerandomize(t *testing.T) {
 	g := group.TestSchnorr()
 	sk := testKey(t, g)
-	ct, _, err := sk.Encrypt(5, nil)
+	rnd := drbg.New(7, "rerandomize")
+	ct, _, err := sk.Encrypt(5, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct2, err := sk.Rerandomize(ct, nil)
+	ct2, err := sk.Rerandomize(ct, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +144,7 @@ func TestCiphertextMarshalRoundtrip(t *testing.T) {
 	for _, g := range []group.Group{group.TestSchnorr(), group.BN254G1()} {
 		t.Run(g.Name(), func(t *testing.T) {
 			sk := testKey(t, g)
-			ct, _, err := sk.Encrypt(9, nil)
+			ct, _, err := sk.Encrypt(9, drbg.New(8, "marshal-"+g.Name()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,11 +168,12 @@ func TestCiphertextMarshalRoundtrip(t *testing.T) {
 func TestCiphertextsAreRandomized(t *testing.T) {
 	g := group.TestSchnorr()
 	sk := testKey(t, g)
-	a, _, err := sk.Encrypt(1, nil)
+	rnd := drbg.New(9, "randomized")
+	a, _, err := sk.Encrypt(1, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := sk.Encrypt(1, nil)
+	b, _, err := sk.Encrypt(1, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}

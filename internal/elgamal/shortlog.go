@@ -129,15 +129,38 @@ func (t *ShortLogTable) LookupOps(target group.Element) (int64, bool, ScanOps) {
 	return 0, false, ops
 }
 
-// DecryptWith decrypts ct using the precomputed table (behaviourally
-// identical to Decrypt with the table's bound).
-func (sk *PrivateKey) DecryptWith(t *ShortLogTable, ct Ciphertext) Plaintext {
+// DecryptMany decrypts a span of ciphertexts under sk and solves each short
+// log with t; every result equals Decrypt's with the table's bound. Over a
+// group with a batch variable-base kernel (group.ScalarMulManyAdder) the
+// span's g^m = c2 + (r − k)·c1 take one kernel call, which recodes the key
+// once and shares the span's field inversions; any other group decrypts
+// element by element.
+func (sk *PrivateKey) DecryptMany(t *ShortLogTable, cts []Ciphertext) []Plaintext {
 	g := sk.Group
-	gm := group.Sub(g, ct.C2, g.ScalarMul(ct.C1, sk.K))
-	if m, ok := t.Lookup(gm); ok {
-		return Plaintext{InRange: true, Value: m, Element: gm}
+	var gms []group.Element
+	if b, ok := g.(group.ScalarMulManyAdder); ok {
+		r := g.Order()
+		negK := new(big.Int).Mod(sk.K, r)
+		negK.Sub(r, negK)
+		c1s := make([]group.Element, len(cts))
+		ks := make([]*big.Int, len(cts))
+		c2s := make([]group.Element, len(cts))
+		for i, ct := range cts {
+			c1s[i], ks[i], c2s[i] = ct.C1, negK, ct.C2
+		}
+		gms = b.ScalarMulManyAdd(c1s, ks, c2s)
+	} else {
+		gms = make([]group.Element, len(cts))
+		for i, ct := range cts {
+			gms[i] = group.Sub(g, ct.C2, g.ScalarMul(ct.C1, sk.K))
+		}
 	}
-	return Plaintext{Element: gm}
+	out := make([]Plaintext, len(cts))
+	for i, gm := range gms {
+		out[i].Element = gm
+		out[i].Value, out[i].InRange = t.Lookup(gm)
+	}
+	return out
 }
 
 // --- process-wide shared-table registry -------------------------------------

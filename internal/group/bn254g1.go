@@ -65,6 +65,32 @@ func (bn254G1) MultiScalarMul(points []Element, scalars []*big.Int) Element {
 	return g1Elem{pt: bn254.MSMG1(pts, scalars)}
 }
 
+// ScalarMulManyAdd implements the optional ScalarMulManyAdder extension
+// with the curve's GLV span kernel (bn254.G1ScalarMulManyAdd): one field
+// inversion for the span's odd-multiple tables and one for its results,
+// with a table shared by consecutive entries over the same point and a
+// recoding by consecutive entries with the same scalar.
+func (bn254G1) ScalarMulManyAdd(points []Element, ks []*big.Int, addends []Element) []Element {
+	pts := make([]*bn254.G1, len(points))
+	for i, e := range points {
+		pts[i] = asG1(e).pt
+	}
+	adds := make([]*bn254.G1, len(points))
+	for i := range adds {
+		if i < len(addends) && addends[i] != nil {
+			adds[i] = asG1(addends[i]).pt
+		}
+	}
+	res := bn254.G1ScalarMulManyAdd(pts, ks, adds)
+	out := make([]Element, len(res))
+	for i := range res {
+		out[i] = g1Elem{pt: &res[i]}
+	}
+	return out
+}
+
+var _ ScalarMulManyAdder = bn254G1{}
+
 func (bn254G1) Equal(a, b Element) bool { return asG1(a).pt.Equal(asG1(b).pt) }
 
 func (bn254G1) IsIdentity(a Element) bool { return asG1(a).pt.IsInfinity() }

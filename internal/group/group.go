@@ -68,6 +68,20 @@ type MultiScalarMuler interface {
 	MultiScalarMul(points []Element, scalars []*big.Int) Element
 }
 
+// ScalarMulManyAdder is an optional Group extension for backends with a
+// batch variable-base kernel. Callers multiplying many points at once
+// (fixed-base handles without a table, requester decryption) probe for it
+// with a type assertion and fall back to ScalarMul and Add without it;
+// metered decorators do not implement it, so every multiplication they
+// serve is charged on its own.
+type ScalarMulManyAdder interface {
+	// ScalarMulManyAdd returns ks[i]·points[i] + addends[i] for every i.
+	// A nil scalar counts as zero; addends may be nil, or hold nil
+	// entries, for no addend. Passing the same point or scalar pointer
+	// for consecutive entries lets the backend share work between them.
+	ScalarMulManyAdd(points []Element, ks []*big.Int, addends []Element) []Element
+}
+
 // ErrWrongGroup is returned when an element from another backend is passed in.
 var ErrWrongGroup = errors.New("group: element belongs to a different group")
 

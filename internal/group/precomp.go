@@ -32,10 +32,13 @@ type FixedBaser interface {
 	PrecomputeFixedBase(base Element) FixedBase
 }
 
-// genericFixedBase is the fallback handle for groups without FixedBaser:
-// no precomputation, every call forwards to the group's own operations.
-// Metered groups always get it, so every multiplication is charged gas
-// exactly as a plain ScalarMul would be.
+// genericFixedBase is the handle for groups without FixedBaser, and for
+// bases below SharedBase's threshold: no precomputation. A group with the
+// ScalarMulManyAdder extension serves each batch in one call of its
+// variable-base kernel, which shares the base's table across the batch;
+// any other group gets one ScalarMul (and Add) per scalar. Metered groups
+// are of the second kind, so every multiplication is charged gas exactly
+// as a plain ScalarMul would be.
 type genericFixedBase struct {
 	g    Group
 	base Element
@@ -44,17 +47,32 @@ type genericFixedBase struct {
 func (f genericFixedBase) Mul(k *big.Int) Element { return f.g.ScalarMul(f.base, k) }
 
 func (f genericFixedBase) MulMany(ks []*big.Int) []Element {
+	if _, ok := f.g.(ScalarMulManyAdder); ok {
+		out := f.MulManyAdd(ks, nil)
+		for i, k := range ks {
+			if k == nil {
+				out[i] = nil
+			}
+		}
+		return out
+	}
 	out := make([]Element, len(ks))
 	for i, k := range ks {
-		if k == nil {
-			continue
+		if k != nil {
+			out[i] = f.g.ScalarMul(f.base, k)
 		}
-		out[i] = f.g.ScalarMul(f.base, k)
 	}
 	return out
 }
 
 func (f genericFixedBase) MulManyAdd(ks []*big.Int, addends []Element) []Element {
+	if b, ok := f.g.(ScalarMulManyAdder); ok {
+		points := make([]Element, len(ks))
+		for i := range points {
+			points[i] = f.base
+		}
+		return b.ScalarMulManyAdd(points, ks, addends)
+	}
 	out := make([]Element, len(ks))
 	for i, k := range ks {
 		s := k
@@ -89,16 +107,16 @@ const sharedCountCap = 4 * sharedBaseCap
 // variable-base path before SharedBase builds its table, set by the
 // ski-rental rule: keep paying per multiplication until the work already
 // spent equals one build, then build. On a 2-vCPU Xeon host with go1.24
-// (medians of five alternating runs), a BN254 table build costs 8.8 ms
-// (BenchmarkFixedBaseTableBuild), a variable-base multiplication, GLV
-// ScalarMul plus Add, 98 µs (BenchmarkSharedBaseCold, MulManyAdd batches of
-// 8) and a table one 14 µs (BenchmarkSharedBaseHot): 8.8 ms / 98 µs ≈ 90.
-// Whatever a base goes on to serve, the rule costs it at most twice what
-// the better of "never build" and "build at once" would have. A fresh key
-// per task on the small_tasks_own_keys service workload serves 24
-// multiplications and never builds; the shared key of imagenet_honest
-// serves 424 per task and builds during its first.
-const tableThreshold = 90
+// (medians of five runs that alternate the two benchmarks), a BN254 table
+// build costs 5.1 ms (BenchmarkFixedBaseTableBuild) and a variable-base
+// multiplication, a scalar of a MulManyAdd batch of 8 on the GLV span
+// kernel, 60 µs (BenchmarkSharedBaseCold): 5.1 ms / 60 µs ≈ 85. Whatever a
+// base goes on to serve, the rule costs it at most twice what the better
+// of "never build" and "build at once" would have. A fresh key per task on
+// the small_tasks_own_keys service workload serves 24 multiplications and
+// never builds; the shared key of imagenet_honest serves 424 per task and
+// builds during its first.
+const tableThreshold = 85
 
 type sharedBaseKey struct {
 	g    Group

@@ -112,10 +112,7 @@ func TestProveOpenedMatchesProve(t *testing.T) {
 		t.Fatal(err)
 	}
 	table := elgamal.NewShortLogTable(g, st.RangeSize)
-	plains := make([]elgamal.Plaintext, len(cts))
-	for i, ct := range cts {
-		plains[i] = sk.DecryptWith(table, ct)
-	}
+	plains := sk.DecryptMany(table, cts)
 
 	chi, want, err := poqoea.Prove(sk, cts, st, stream(3))
 	if err != nil {

@@ -454,9 +454,9 @@ func (r *Requester) decryptTable() *elgamal.ShortLogTable {
 
 // open decodes revealed submission i and decrypts each of its ciphertexts
 // exactly once, in contiguous spans on the work pool (one work unit per
-// pool worker; each span writes only its own slots). It records the
-// submission's answer vector for Answers and returns the ciphertexts and
-// plaintexts for evaluation to prove from.
+// pool worker; each span writes only its own slots), each span in one
+// DecryptMany call. It records the submission's answer vector for Answers
+// and returns the ciphertexts and plaintexts for evaluation to prove from.
 func (r *Requester) open(i int, sub submission) ([]elgamal.Ciphertext, []elgamal.Plaintext, error) {
 	cts, err := r.decode(sub.data)
 	if err != nil {
@@ -466,8 +466,8 @@ func (r *Requester) open(i int, sub submission) ([]elgamal.Ciphertext, []elgamal
 	plains := make([]elgamal.Plaintext, len(cts))
 	answers := make([]int64, len(cts))
 	_ = parallel.ForSpans(context.Background(), len(cts), 0, func(start, end int) error {
+		copy(plains[start:end], r.sk.DecryptMany(table, cts[start:end]))
 		for q := start; q < end; q++ {
-			plains[q] = r.sk.DecryptWith(table, cts[q])
 			answers[q] = -1 // out of range
 			if plains[q].InRange {
 				answers[q] = plains[q].Value

@@ -3,6 +3,7 @@ package vpke_test
 import (
 	"testing"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/vpke"
@@ -12,14 +13,15 @@ import (
 // pair must not verify against another requester's key, even for the same
 // plaintext (the Fiat–Shamir challenge binds h).
 func TestProofBoundToPublicKey(t *testing.T) {
+	rnd := drbg.New(31, "TestProofBoundToPublicKey")
 	g := group.TestSchnorr()
-	sk1 := setup(t, g)
-	sk2 := setup(t, g)
-	ct, _, err := sk1.Encrypt(1, nil)
+	sk1 := setup(t, g, rnd)
+	sk2 := setup(t, g, rnd)
+	ct, _, err := sk1.Encrypt(1, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pi, err := vpke.Prove(sk1, ct, rangeSize, nil)
+	_, pi, err := vpke.Prove(sk1, ct, rangeSize, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,17 +36,18 @@ func TestProofBoundToPublicKey(t *testing.T) {
 // Re-randomizing the ciphertext invalidates its proof: the challenge binds
 // (c1, c2) exactly.
 func TestProofBoundToRandomness(t *testing.T) {
+	rnd := drbg.New(32, "TestProofBoundToRandomness")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
-	ct, _, err := sk.Encrypt(2, nil)
+	sk := setup(t, g, rnd)
+	ct, _, err := sk.Encrypt(2, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+	_, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct2, err := sk.Rerandomize(ct, nil)
+	ct2, err := sk.Rerandomize(ct, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,13 +59,14 @@ func TestProofBoundToRandomness(t *testing.T) {
 // A proof with swapped A/B components must not verify (component ordering
 // is part of the statement, not a convention).
 func TestProofComponentsNotInterchangeable(t *testing.T) {
+	rnd := drbg.New(33, "TestProofComponentsNotInterchangeable")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
-	ct, _, err := sk.Encrypt(0, nil)
+	sk := setup(t, g, rnd)
+	ct, _, err := sk.Encrypt(0, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+	_, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}

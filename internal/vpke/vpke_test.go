@@ -2,6 +2,7 @@ package vpke_test
 
 import (
 	"bytes"
+	"io"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -14,9 +15,11 @@ import (
 
 const rangeSize = 4
 
-func setup(t *testing.T, g group.Group) *elgamal.PrivateKey {
+// setup draws a key pair from rnd; keys drawn in turn from one reader
+// differ.
+func setup(t *testing.T, g group.Group, rnd io.Reader) *elgamal.PrivateKey {
 	t.Helper()
-	sk, err := elgamal.KeyGen(g, nil)
+	sk, err := elgamal.KeyGen(g, rnd)
 	if err != nil {
 		t.Fatalf("KeyGen: %v", err)
 	}
@@ -24,15 +27,16 @@ func setup(t *testing.T, g group.Group) *elgamal.PrivateKey {
 }
 
 func TestCompleteness(t *testing.T) {
+	rnd := drbg.New(11, "TestCompleteness")
 	for _, g := range []group.Group{group.TestSchnorr(), group.BN254G1()} {
 		t.Run(g.Name(), func(t *testing.T) {
-			sk := setup(t, g)
+			sk := setup(t, g, rnd)
 			for m := int64(0); m < rangeSize; m++ {
-				ct, _, err := sk.Encrypt(m, nil)
+				ct, _, err := sk.Encrypt(m, rnd)
 				if err != nil {
 					t.Fatal(err)
 				}
-				plain, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+				plain, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 				if err != nil {
 					t.Fatalf("Prove: %v", err)
 				}
@@ -48,14 +52,15 @@ func TestCompleteness(t *testing.T) {
 }
 
 func TestCompletenessOutOfRange(t *testing.T) {
+	rnd := drbg.New(12, "TestCompletenessOutOfRange")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
+	sk := setup(t, g, rnd)
 	const m = 99 // outside [0, rangeSize)
-	ct, _, err := sk.Encrypt(m, nil)
+	ct, _, err := sk.Encrypt(m, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+	plain, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 	if err != nil {
 		t.Fatalf("Prove: %v", err)
 	}
@@ -74,13 +79,14 @@ func TestCompletenessOutOfRange(t *testing.T) {
 // Soundness: a proof for the true plaintext must not verify against any
 // other claimed plaintext.
 func TestSoundnessWrongPlaintext(t *testing.T) {
+	rnd := drbg.New(13, "TestSoundnessWrongPlaintext")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
-	ct, _, err := sk.Encrypt(2, nil)
+	sk := setup(t, g, rnd)
+	ct, _, err := sk.Encrypt(2, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+	_, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,17 +102,18 @@ func TestSoundnessWrongPlaintext(t *testing.T) {
 
 // Soundness: a proof is bound to its ciphertext.
 func TestSoundnessWrongCiphertext(t *testing.T) {
+	rnd := drbg.New(14, "TestSoundnessWrongCiphertext")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
-	ct1, _, err := sk.Encrypt(1, nil)
+	sk := setup(t, g, rnd)
+	ct1, _, err := sk.Encrypt(1, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct2, _, err := sk.Encrypt(1, nil)
+	ct2, _, err := sk.Encrypt(1, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pi, err := vpke.Prove(sk, ct1, rangeSize, nil)
+	_, pi, err := vpke.Prove(sk, ct1, rangeSize, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +124,14 @@ func TestSoundnessWrongCiphertext(t *testing.T) {
 
 // Soundness: mangled proof components must be rejected.
 func TestSoundnessMangledProof(t *testing.T) {
+	rnd := drbg.New(15, "TestSoundnessMangledProof")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
-	ct, _, err := sk.Encrypt(3, nil)
+	sk := setup(t, g, rnd)
+	ct, _, err := sk.Encrypt(3, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+	_, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,16 +156,17 @@ func TestSoundnessMangledProof(t *testing.T) {
 }
 
 func TestSoundnessQuick(t *testing.T) {
+	rnd := drbg.New(16, "TestSoundnessQuick")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
+	sk := setup(t, g, rnd)
 	f := func(mRaw, claimRaw uint8) bool {
 		m := int64(mRaw % rangeSize)
 		claim := int64(claimRaw % rangeSize)
-		ct, _, err := sk.Encrypt(m, nil)
+		ct, _, err := sk.Encrypt(m, rnd)
 		if err != nil {
 			return false
 		}
-		_, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+		_, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 		if err != nil {
 			return false
 		}
@@ -174,14 +183,15 @@ func TestSoundnessQuick(t *testing.T) {
 // the Fiat–Shamir verifier (the hash cannot be programmed), confirming the
 // simulation is meaningful.
 func TestZeroKnowledgeSimulation(t *testing.T) {
+	rnd := drbg.New(17, "TestZeroKnowledgeSimulation")
 	g := group.TestSchnorr()
-	sk := setup(t, g)
-	ct, _, err := sk.Encrypt(1, nil)
+	sk := setup(t, g, rnd)
+	ct, _, err := sk.Encrypt(1, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gm := g.ScalarBaseMul(big.NewInt(1))
-	pi, c, err := vpke.SimulateProof(&sk.PublicKey, gm, ct, nil)
+	pi, c, err := vpke.SimulateProof(&sk.PublicKey, gm, ct, rnd)
 	if err != nil {
 		t.Fatalf("SimulateProof: %v", err)
 	}
@@ -194,14 +204,15 @@ func TestZeroKnowledgeSimulation(t *testing.T) {
 }
 
 func TestProofMarshalRoundtrip(t *testing.T) {
+	rnd := drbg.New(18, "TestProofMarshalRoundtrip")
 	for _, g := range []group.Group{group.TestSchnorr(), group.BN254G1()} {
 		t.Run(g.Name(), func(t *testing.T) {
-			sk := setup(t, g)
-			ct, _, err := sk.Encrypt(2, nil)
+			sk := setup(t, g, rnd)
+			ct, _, err := sk.Encrypt(2, rnd)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, pi, err := vpke.Prove(sk, ct, rangeSize, nil)
+			_, pi, err := vpke.Prove(sk, ct, rangeSize, rnd)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,7 +258,7 @@ func TestProveOpenedMatchesProveWithNonce(t *testing.T) {
 				}
 				for name, opened := range map[string]elgamal.Plaintext{
 					"decrypt": sk.Decrypt(ct, rangeSize),
-					"table":   sk.DecryptWith(table, ct),
+					"table":   sk.DecryptMany(table, []elgamal.Ciphertext{ct})[0],
 				} {
 					got := vpke.ProveOpened(sk, ct, opened, x)
 					if !bytes.Equal(vpke.MarshalProof(g, got), vpke.MarshalProof(g, want)) {
