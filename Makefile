@@ -36,10 +36,8 @@ examples:
 # plus the snapshot/restore sweep), the shared chain with its optimistic
 # parallel round executor (conflict-matrix + randomized sequential-vs-
 # parallel oracle tests) and per-contract event cursors, the shared
-# off-chain store, the HTLC escrow the sharded settlement epoch drives
-# from concurrently-mined shards, and the concurrent crypto (PoQoEA batch
-# prove/verify, QAP quotient, Groth16 MSM fork/join, parallel Miller
-# loops). The crypto-kernel packages (fixed-base tables, GLV, the shared
+# off-chain store, and the concurrent crypto (PoQoEA batch prove/verify,
+# QAP quotient, Groth16 MSM fork/join, parallel Miller loops). The crypto-kernel packages (fixed-base tables, GLV, the shared
 # precomputation and short-log registries, the requester's lazy decrypt
 # table) run here too — their property tests and the concurrent-init
 # regression tests are race-sensitive by design. So do the
@@ -48,7 +46,7 @@ examples:
 race:
 	$(GO) test -race ./internal/parallel ./internal/market ./internal/sim \
 		./internal/service ./internal/adversary ./internal/chain \
-		./internal/htlc ./internal/swarm ./internal/poqoea ./internal/batch \
+		./internal/swarm ./internal/poqoea ./internal/batch \
 		./internal/qap ./internal/groth16 ./internal/bn254 \
 		./internal/elgamal ./internal/group ./internal/protocol \
 		./internal/commit ./internal/incentive ./internal/worker \
@@ -68,7 +66,7 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -n 25
 
 # Short fuzz pass over the codec fuzz targets (wire reader/round-trip,
-# commitment open, contract and HTLC message decoders, the G1 and G2 point
+# commitment open, contract message decoders, the G1 and G2 point
 # decoders), seeded from the checked-in corpus under each package's
 # testdata/fuzz. CI runs this as a smoke job; run with a larger FUZZTIME
 # locally for a real hunt.
@@ -78,7 +76,6 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzCommitOpen -fuzztime=$(FUZZTIME) -run='^$$' ./internal/commit
 	$(GO) test -fuzz=FuzzUnmarshalMessages -fuzztime=$(FUZZTIME) -run='^$$' ./internal/contract
-	$(GO) test -fuzz=FuzzUnmarshalHTLC -fuzztime=$(FUZZTIME) -run='^$$' ./internal/htlc
 	$(GO) test -fuzz=FuzzGLVDecompose -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzUnmarshalG1 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzUnmarshalG2 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254

@@ -253,17 +253,6 @@ func writeParallelJSON(path string, parWorkers int) error {
 			}
 		}},
 	}
-	// The marketplace split across S lockstep-mined chains, cross-shard
-	// payouts settling through the HTLC escrow. s1 is the single-chain
-	// baseline under the same op so the shard series is self-contained; at
-	// workers=1 the s>1 rows price the sharding + settlement overhead, at
-	// the pool size they measure concurrent shard mining.
-	for _, s := range []int{1, 2, 4, 8} {
-		cfg := marketCfg
-		cfg.Shards = s
-		ops = append(ops, benchOp{fmt.Sprintf("marketplace_sharded_s%d", s), marketQuestions,
-			must(func() error { return runMarket(cfg) })})
-	}
 	// Folded vs per-proof verification at each batch size, plus ONE
 	// per-proof baseline over the largest batch (per-proof cost is linear
 	// in the claim count, so smaller baselines are derived from it). Each
@@ -383,8 +372,7 @@ func writeParallelJSON(path string, parWorkers int) error {
 }
 
 // runMarket runs the marketplace workload as one batch and fails unless
-// every task finalizes and every cross-shard settlement claims (a refund
-// would mean the op measured a broken run).
+// every task finalizes.
 func runMarket(cfg market.Config) error {
 	res, err := market.Run(cfg)
 	if err != nil {
@@ -393,11 +381,6 @@ func runMarket(cfg market.Config) error {
 	for _, tr := range res.Tasks {
 		if !tr.Finalized {
 			return fmt.Errorf("marketplace task %s did not finalize", tr.ID)
-		}
-	}
-	for _, st := range res.Settlements {
-		if !st.Claimed {
-			return fmt.Errorf("cross-shard settlement to %s did not claim", st.Worker)
 		}
 	}
 	return nil

@@ -75,12 +75,11 @@
 // runtime.GOMAXPROCS, which is NumCPU unless the process sets it.
 // Options.Parallelism — embedded in SimulationConfig,
 // MarketplaceConfig, ScenarioOptions and ServiceConfig — does not resize
-// that pool. It bounds three fan-outs of its own run: the per-round
-// computation of the simulated workers, how many shards mine a round at
-// once, and the optimistic block executor, which it also switches on by
-// default when it allows more than one worker (see below). Parallelism 1
-// steps the workers and mines the shards one at a time, but the kernels
-// inside a step still use the GOMAXPROCS-sized pool. The Options struct
+// that pool. It bounds two fan-outs of its own run: the per-round
+// computation of the simulated workers and the optimistic block executor,
+// which it also switches on by default when it allows more than one worker
+// (see below). Parallelism 1 steps the workers one at a time, but the
+// kernels inside a step still use the GOMAXPROCS-sized pool. The Options struct
 // consolidates every per-run knob: Parallelism, BatchVerify and
 // ParallelExec.
 //

@@ -2,10 +2,10 @@
 // byzantine protocol executions — cheating workers, malicious requesters,
 // hostile network schedulers, and combinations of all three — that run
 // through the real end-to-end harnesses (package sim for a single task,
-// package market for many tasks on one or more shards, package service for
-// a stream) and are checked against the protocol's security invariants:
+// package market for many tasks on one chain, package service for a
+// stream) and are checked against the protocol's security invariants:
 //
-//   - fund conservation: no run creates or destroys coins, on any shard;
+//   - fund conservation: no run creates or destroys coins;
 //   - escrow drainage: every settled contract's escrow is exactly empty;
 //   - honest payment: the paper's core guarantee — an honest worker on a
 //     finalized task is always paid, and never loses funds on a cancelled
@@ -72,16 +72,6 @@ type Scenario struct {
 	// CheckInvariants can enforce the incentive-layer invariants on top of
 	// the fund-safety ones. Nil for purely byzantine scenarios.
 	Econ *EconSpec
-	// Settle optionally fault-injects the cross-shard HTLC settlement epoch
-	// of a sharded run (see market.SettleConfig). workers holds the enrolled
-	// workers' chain addresses in lineup order. Only consulted when the run
-	// is sharded (Options.Shards > 1); nil keeps the honest default.
-	Settle func(workers []chain.Address) market.SettleConfig
-	// ExpectRefund declares that, under this scenario's settlement faults,
-	// every cross-shard transfer must unwind through the refund path rather
-	// than claim. CheckInvariants checks it against the report's
-	// settlements (none on one shard).
-	ExpectRefund bool
 }
 
 // Options configures a scenario run.
@@ -94,13 +84,6 @@ type Options struct {
 	WorkerBalance ledger.Amount
 	// N overrides the generated tasks' question count (0 → 16).
 	N int
-	// Shards splits the marketplace run across max(1, Shards) chains (0 and
-	// 1 both mean one chain); see market.Config.Shards. Cross-shard payouts
-	// settle through the HTLC escrow, and CheckInvariants checks fund
-	// conservation across every shard and the lock/claim/refund story.
-	Shards int
-	// Placement selects the task→shard policy.
-	Placement market.Placement
 	// Options consolidates the run's execution knobs — Parallelism,
 	// BatchVerify, ParallelExec. The embedded fields promote, so
 	// o.Parallelism etc. read as before; see package opts for the tri-state
@@ -187,8 +170,6 @@ type TaskReport struct {
 	NumGolden int
 	Threshold int
 	RangeSize int64
-	// Shard is the index of the chain the task ran on in Report.Shards.
-	Shard int
 }
 
 // taskReport seeds one task's report with the scenario metadata every
@@ -213,29 +194,16 @@ func (s Scenario) taskReport(inst *task.Instance, reqAddr chain.Address) TaskRep
 type Report struct {
 	// Name labels the run ("garbled-reveal/sim", "matrix").
 	Name string
-	// Ledger and Chain are shard 0's final state — the whole world of a
-	// one-shard run.
+	// Ledger and Chain are the run's final state.
 	Ledger *ledger.Ledger
 	Chain  *chain.Chain
 	// WorkerBalance is what each population member was pre-funded with.
 	WorkerBalance ledger.Amount
 	// Minted is the coin supply the harness itself created: every task's
-	// 2B deposit plus every population member's pre-funding. The bridge's
-	// liquidity comes on top, on every shard.
+	// 2B deposit plus every population member's pre-funding.
 	Minted ledger.Amount
 	// Tasks holds per-task reports.
 	Tasks []TaskReport
-	// Shards holds every chain of the run, in index order — one for the sim
-	// and stream harnesses and for unsharded market runs.
-	Shards []*chain.Shard
-	// Bridge is the HTLC bridge account and BridgeLiquidity what it was
-	// minted on every shard (0 on one shard); Settlements are the
-	// cross-shard transfers, and ExpectRefund says whether the scenario
-	// predicts refunds instead of claims.
-	Bridge          chain.Address
-	BridgeLiquidity ledger.Amount
-	Settlements     []market.Settlement
-	ExpectRefund    bool
 }
 
 // workerAddrs maps a population to its chain addresses (the harnesses'
@@ -289,7 +257,6 @@ func (s Scenario) RunSim(opts Options) (*Report, error) {
 		WorkerBalance: opts.WorkerBalance,
 		Minted:        inst.Task.Budget*2 + ledger.Amount(len(models))*opts.WorkerBalance,
 		Tasks:         []TaskReport{tr},
-		Shards:        []*chain.Shard{{Ledger: res.Ledger, Chain: res.Chain}},
 	}, nil
 }
 
@@ -377,16 +344,14 @@ func (t *TaskReport) fill(res *market.TaskResult) {
 }
 
 // runMarket runs the co-location as one marketplace under cfg, which
-// carries the scenario-specific scheduler and settlement faults.
-func (c *colocation) runMarket(name string, cfg market.Config, opts Options, expectRefund bool) (*Report, error) {
+// carries the scenario-specific scheduler.
+func (c *colocation) runMarket(name string, cfg market.Config, opts Options) (*Report, error) {
 	cfg.Tasks = c.specs
 	cfg.Group = opts.Group
 	cfg.Population = c.population
 	cfg.Seed = opts.Seed
 	cfg.WorkerBalance = opts.WorkerBalance
 	cfg.MaxRounds = c.maxRounds
-	cfg.Shards = opts.Shards
-	cfg.Placement = opts.Placement
 	cfg.Options = opts.Options
 	res, err := market.Run(cfg)
 	if err != nil {
@@ -394,53 +359,37 @@ func (c *colocation) runMarket(name string, cfg market.Config, opts Options, exp
 	}
 	for i := range c.reports {
 		c.reports[i].fill(&res.Tasks[i])
-		c.reports[i].Shard = res.TaskShards[i]
 	}
 	return &Report{
-		Name:            name,
-		Ledger:          res.Ledger,
-		Chain:           res.Chain,
-		WorkerBalance:   opts.WorkerBalance,
-		Minted:          c.minted,
-		Tasks:           c.reports,
-		Shards:          res.Shards,
-		Bridge:          res.Bridge,
-		BridgeLiquidity: res.BridgeLiquidity,
-		Settlements:     res.Settlements,
-		ExpectRefund:    expectRefund,
+		Name:          name,
+		Ledger:        res.Ledger,
+		Chain:         res.Chain,
+		WorkerBalance: opts.WorkerBalance,
+		Minted:        c.minted,
+		Tasks:         c.reports,
 	}, nil
 }
 
 // RunMarket executes m independent instances of the scenario concurrently
-// on one marketplace (split across Options.Shards chains), each with its
-// own requester and its own slice of the worker population, all scheduled
-// by the scenario's network adversary — one instance per shard.
+// on one marketplace, each with its own requester and its own slice of the
+// worker population, all scheduled by the scenario's network adversary.
 func (s Scenario) RunMarket(m int, opts Options) (*Report, error) {
 	c, err := colocate(s.copies(m), opts)
 	if err != nil {
 		return nil, err
 	}
 	var cfg market.Config
-	popAddrs := workerAddrs(c.population)
 	if s.NewScheduler != nil {
-		// One scheduler instance per shard (same construction arguments),
-		// so stateful schedulers never share mutable state across the
-		// concurrently mined shards.
-		cfg.ShardSchedulers = func(int) chain.Scheduler {
-			return s.NewScheduler(opts.Seed, popAddrs, c.requesters)
-		}
+		cfg.Scheduler = s.NewScheduler(opts.Seed, workerAddrs(c.population), c.requesters)
 	}
-	if s.Settle != nil {
-		cfg.Settle = s.Settle(popAddrs)
-	}
-	return c.runMarket(fmt.Sprintf("%s/market-%d", s.Name, len(c.specs)), cfg, opts, s.ExpectRefund)
+	return c.runMarket(fmt.Sprintf("%s/market-%d", s.Name, len(c.specs)), cfg, opts)
 }
 
 // RunMatrix co-locates MANY scenarios as concurrent tasks of one
-// marketplace (split across Options.Shards chains) — the full
-// participant-level adversarial matrix attacking side by side. Scenarios
-// with their own scheduler are rejected: a chain has exactly one network
-// adversary, so scheduler scenarios run through RunSim/RunMarket instead.
+// marketplace — the full participant-level adversarial matrix attacking
+// side by side. Scenarios with their own scheduler are rejected: a chain
+// has exactly one network adversary, so scheduler scenarios run through
+// RunSim/RunMarket instead.
 func RunMatrix(scenarios []Scenario, opts Options) (*Report, error) {
 	if err := participants(scenarios); err != nil {
 		return nil, err
@@ -449,7 +398,7 @@ func RunMatrix(scenarios []Scenario, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.runMarket("matrix", market.Config{}, opts, false)
+	return c.runMarket("matrix", market.Config{}, opts)
 }
 
 // maxRoundsOf returns the largest per-scenario round bound (0 if none pin

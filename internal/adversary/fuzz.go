@@ -3,12 +3,12 @@ package adversary
 // Property-based scenario generation: GenerateSpec derives a random VALID
 // adversarial scenario — worker lineup mix (honest, rational, collusion
 // ring, sybil swarm, byzantine attackers), requester policy, network
-// scheduler, shard count, reward regime, and execution knobs — from one
-// DRBG seed. The companion fuzz target (FuzzScenario in fuzz_test.go) runs
-// each generated scenario through the batch market, the streaming service
-// and the single-task sim, asserts CheckInvariants on every path plus
-// cross-harness transcript equality, and shrinks a failing spec toward a
-// minimal lineup with ShrinkSpec before reporting it.
+// scheduler, reward regime, and execution knobs — from one DRBG seed. The
+// companion fuzz target (FuzzScenario in fuzz_test.go) runs each generated
+// scenario through the batch market, the streaming service and the
+// single-task sim, asserts CheckInvariants on every path plus cross-harness
+// transcript equality, and shrinks a failing spec toward a minimal lineup
+// with ShrinkSpec before reporting it.
 //
 // The generator never emits a spec whose outcome is unpredictable: every
 // byzantine model it picks settles deterministically under every scheduler
@@ -106,8 +106,6 @@ type GenSpec struct {
 	// Stingy posts a reward below every strategy's break-even instead of
 	// the generous catalogue budget.
 	Stingy bool
-	// Shards >1 runs the market path sharded with HTLC settlement.
-	Shards int
 	// Parallelism, Batch, Exec are the execution knobs (see opts.Options).
 	Parallelism, Batch, Exec int
 }
@@ -125,7 +123,6 @@ func GenerateSpec(seed int64) GenSpec {
 		Policy:    rng.Intn(len(fuzzPolicies)),
 		Scheduler: rng.Intn(numSchedKinds),
 		Stingy:    rng.Intn(4) == 0,
-		Shards:    1,
 		Batch:     rng.Intn(3) - 1,
 		Exec:      rng.Intn(3) - 1,
 	}
@@ -140,9 +137,6 @@ func GenerateSpec(seed int64) GenSpec {
 	}
 	if rng.Intn(6) == 0 {
 		spec.Starve = 1
-	}
-	if rng.Intn(4) == 0 {
-		spec.Shards = 2
 	}
 	if rng.Intn(2) == 0 {
 		spec.Parallelism = 1
@@ -183,7 +177,6 @@ func (g *GenSpec) normalize() {
 	g.Starve = clamp(g.Starve, 0, 1)
 	g.Policy = clamp(g.Policy, 0, len(fuzzPolicies)-1)
 	g.Scheduler = clamp(g.Scheduler, 0, numSchedKinds-1)
-	g.Shards = clamp(g.Shards, 1, 2)
 	g.Parallelism = clamp(g.Parallelism, 0, 1)
 	g.Batch = clamp(g.Batch, -1, 1)
 	g.Exec = clamp(g.Exec, -1, 1)
@@ -376,7 +369,6 @@ func (g GenSpec) Options(grp group.Group) Options {
 		Group:         grp,
 		Seed:          g.Seed,
 		WorkerBalance: 5,
-		Shards:        g.Shards,
 		Options: opt.Options{
 			Parallelism:  g.Parallelism,
 			BatchVerify:  g.Batch,
@@ -397,8 +389,8 @@ func indicesFrom(start, n int) []int {
 // ShrinkSpec greedily minimizes a failing spec: it tries one simplifying
 // mutation at a time — dropping byzantine members, dissolving the ring and
 // the swarm, removing the rational head, un-starving the quota, reverting
-// policy, scheduler and reward regime to honest defaults, unsharding, and
-// zeroing the execution knobs — keeping each mutation only if fails still
+// policy, scheduler and reward regime to honest defaults, and zeroing the
+// execution knobs — keeping each mutation only if fails still
 // holds, until a full pass changes nothing or budget mutations were tested.
 // The result is the minimal still-failing neighbour, the right thing to
 // print in a fuzz failure.
@@ -417,7 +409,6 @@ func ShrinkSpec(spec GenSpec, fails func(GenSpec) bool, budget int) GenSpec {
 		func(g *GenSpec) { g.Policy = 0 },
 		func(g *GenSpec) { g.Scheduler = schedFIFO },
 		func(g *GenSpec) { g.Stingy = false },
-		func(g *GenSpec) { g.Shards = 1 },
 		func(g *GenSpec) { g.Parallelism = 0 },
 		func(g *GenSpec) { g.Batch = 0 },
 		func(g *GenSpec) { g.Exec = 0 },
@@ -451,7 +442,7 @@ func (g GenSpec) equal(o GenSpec) bool {
 	if g.Seed != o.Seed || g.HonestN != o.HonestN || g.Rational != o.Rational ||
 		g.RingN != o.RingN || g.SybilN != o.SybilN || g.Starve != o.Starve ||
 		g.Policy != o.Policy || g.Scheduler != o.Scheduler || g.Stingy != o.Stingy ||
-		g.Shards != o.Shards || g.Parallelism != o.Parallelism ||
+		g.Parallelism != o.Parallelism ||
 		g.Batch != o.Batch || g.Exec != o.Exec || len(g.Byz) != len(o.Byz) {
 		return false
 	}

@@ -11,15 +11,15 @@ import (
 // corpusSeeds is FuzzScenario's seed corpus. Together the generated specs
 // cover every requester policy, every scheduler, every byzantine model,
 // every rational profile (including the stingy-reward abstention), a
-// collusion ring, a sybil swarm, a starved quota, a sharded run, and every
-// execution knob — TestFuzzCorpusCoverage proves it and fails if the
+// collusion ring, a sybil swarm, a starved quota, and every execution
+// knob — TestFuzzCorpusCoverage proves it and fails if the
 // generator drifts.
 var corpusSeeds = []int64{1, 2, 3, 6, 8, 9, 12, 16, 17, 19, 25, 26}
 
 // runSpec executes one generated scenario down every harness path and
-// returns the first violation: market-path invariants (sharded when the
-// spec says so), stream-path invariants plus byte-for-byte transcript
-// equality against the market on unsharded specs, and sim-path invariants.
+// returns the first violation: market-path invariants, stream-path
+// invariants plus byte-for-byte transcript equality against the market,
+// and sim-path invariants.
 func runSpec(spec adversary.GenSpec) error {
 	s := spec.Scenario()
 	o := spec.Options(group.TestSchnorr())
@@ -31,17 +31,15 @@ func runSpec(spec adversary.GenSpec) error {
 	if err := mkt.CheckInvariants(); err != nil {
 		return fmt.Errorf("market: %w", err)
 	}
-	if o.Shards <= 1 {
-		str, err := s.RunStream(1, o)
-		if err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
-		if err := str.CheckInvariants(); err != nil {
-			return fmt.Errorf("stream: %w", err)
-		}
-		if fingerprint(mkt) != fingerprint(str) {
-			return fmt.Errorf("market and stream transcripts diverge")
-		}
+	str, err := s.RunStream(1, o)
+	if err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	if err := str.CheckInvariants(); err != nil {
+		return fmt.Errorf("stream: %w", err)
+	}
+	if fingerprint(mkt) != fingerprint(str) {
+		return fmt.Errorf("market and stream transcripts diverge")
 	}
 	sim, err := s.RunSim(o)
 	if err != nil {
@@ -106,9 +104,6 @@ func TestFuzzCorpusCoverage(t *testing.T) {
 				covered["rational-abstains"] = true
 			}
 		}
-		if g.Shards > 1 {
-			covered["sharded"] = true
-		}
 		if g.Parallelism == 1 {
 			covered["parallel"] = true
 		}
@@ -130,7 +125,7 @@ func TestFuzzCorpusCoverage(t *testing.T) {
 		want = append(want, fmt.Sprintf("rational-%d", i))
 	}
 	want = append(want, "ring", "sybil", "starve", "stingy", "rational-abstains",
-		"sharded", "parallel", "batch-verify", "parallel-exec")
+		"parallel", "batch-verify", "parallel-exec")
 	for _, w := range want {
 		if !covered[w] {
 			t.Errorf("seed corpus never generates %s", w)
@@ -156,7 +151,7 @@ func TestShrinkSpec(t *testing.T) {
 		t.Fatalf("shrinker lost the failure-triggering ring: %+v", min)
 	}
 	if min.SybilN != 0 || len(min.Byz) != 0 || min.Rational != 0 || min.Starve != 0 ||
-		min.Policy != 0 || min.Scheduler != 0 || min.Stingy || min.Shards != 1 ||
+		min.Policy != 0 || min.Scheduler != 0 || min.Stingy ||
 		min.HonestN != 1 || min.Parallelism != 0 || min.Batch != 0 || min.Exec != 0 {
 		t.Fatalf("shrinker kept irrelevant structure: %+v", min)
 	}

@@ -6,8 +6,6 @@ import (
 
 	"dragoon/internal/chain"
 	"dragoon/internal/contract"
-	"dragoon/internal/htlc"
-	"dragoon/internal/keccak"
 	"dragoon/internal/ledger"
 )
 
@@ -21,26 +19,16 @@ import (
 //     their computed best response and honest effort was paid, coalitions
 //     and sybil principals could not beat the independent baseline, and no
 //     below-threshold shared stream was paid under an honest audit;
-//  2. fund conservation: every shard's ledger conserves with every escrow
-//     (task or HTLC) drained, and the supply summed over all shards is
-//     exactly what the harness minted plus the bridge liquidity on each
-//     shard;
+//  2. fund conservation: the ledger conserves with every task escrow
+//     drained, and its supply is exactly what the harness minted;
 //  3. exact balances: each requester holds 2B minus one reward per paid
 //     worker (2B after a cancel — division dust always returns to her),
 //     and each worker holds its pre-funding plus one reward per task that
-//     paid it, summed over all shards, while the bridge keeps exactly its
-//     liquidity;
+//     paid it;
 //  4. honest payment: every honest worker of a finalized task is paid and
 //     not rejected; on a cancelled task it is unpaid but lost nothing;
 //  5. phase monotonicity: each contract's event log is a well-formed
-//     phase story with every event inside its protocol window;
-//  6. the HTLC story: every lock on every shard is settled — claimed
-//     (within its timelock, with a preimage matching the lock hash) or
-//     refunded (after it), never both, never neither.
-//
-// A one-shard report is the degenerate case of every check: no bridge
-// liquidity, no HTLC events, no settlements. On more shards the worker and
-// bridge totals stay exact whether transfers claimed or refunded.
+//     phase story with every event inside its protocol window.
 func (r *Report) CheckInvariants() error {
 	if err := r.checkSettlement(); err != nil {
 		return fmt.Errorf("%s: %w", r.Name, err)
@@ -59,19 +47,7 @@ func (r *Report) CheckInvariants() error {
 			return fmt.Errorf("%s: task %s: %w", r.Name, r.Tasks[i].ID, err)
 		}
 	}
-	if err := r.checkHTLCStory(); err != nil {
-		return fmt.Errorf("%s: %w", r.Name, err)
-	}
 	return nil
-}
-
-// balanceAcrossShards sums an address's balance over every chain of the run.
-func (r *Report) balanceAcrossShards(addr chain.Address) ledger.Amount {
-	var total ledger.Amount
-	for _, sh := range r.Shards {
-		total += sh.Ledger.Balance(ledger.AccountID(addr))
-	}
-	return total
 }
 
 func (r *Report) checkSettlement() error {
@@ -98,15 +74,11 @@ func (r *Report) checkFunds() error {
 		return err
 	}
 	// Exact per-worker balances, accumulated across every task that paid
-	// them (a population member may be enrolled in several). The balance is
-	// the SUM over all shards: a claimed transfer moves the reward to the
-	// home shard, a refunded one leaves it on the task shard, and either way
-	// the total is exact — the HTLC can neither create nor strand worker
-	// coins.
+	// them (a population member may be enrolled in several).
 	wantWorker := make(map[chain.Address]ledger.Amount)
 	for i := range r.Tasks {
 		t := &r.Tasks[i]
-		if got := r.Shards[t.Shard].Ledger.Escrow(ledger.ContractID(t.ID)); got != 0 {
+		if got := r.Ledger.Escrow(ledger.ContractID(t.ID)); got != 0 {
 			return fmt.Errorf("task %s escrow %d after settlement", t.ID, got)
 		}
 		reward := t.Budget / ledger.Amount(t.Quota)
@@ -127,46 +99,30 @@ func (r *Report) checkFunds() error {
 		}
 	}
 	for addr, want := range wantWorker {
-		if got := r.balanceAcrossShards(addr); got != want {
+		if got := r.Ledger.Balance(ledger.AccountID(addr)); got != want {
 			return fmt.Errorf("worker %s balance %d, want %d", addr, got, want)
 		}
-	}
-	// The bridge ends every run holding exactly the liquidity it was minted:
-	// each claimed transfer costs it R on the home shard and repays R on the
-	// task shard; refunded transfers cost it nothing.
-	want := r.BridgeLiquidity * ledger.Amount(len(r.Shards))
-	if got := r.balanceAcrossShards(r.Bridge); got != want {
-		return fmt.Errorf("bridge %s holds %d across shards, minted liquidity %d", r.Bridge, got, want)
 	}
 	return nil
 }
 
-// checkSupply asserts that every shard's ledger conserves and that every
-// coin on it is liquid again (no contract escrow, task or HTLC, holds
-// anything), and that the supply summed over all shards is exactly the
-// harness's own minted count plus the bridge liquidity on every shard.
+// checkSupply asserts that the ledger conserves, that every coin on it is
+// liquid again (no contract escrow holds anything), and that the supply is
+// exactly the harness's own minted count.
 func (r *Report) checkSupply() error {
-	var total ledger.Amount
-	for si, sh := range r.Shards {
-		if err := sh.Ledger.CheckConservation(); err != nil {
-			return fmt.Errorf("shard %d: %w", si, err)
-		}
-		supply := sh.Ledger.TotalSupply()
-		var liquid ledger.Amount
-		for _, acct := range sh.Ledger.Accounts() {
-			liquid += sh.Ledger.Balance(acct)
-		}
-		if liquid != supply {
-			return fmt.Errorf("shard %d liquid balances sum to %d, supply %d (escrow not drained)", si, liquid, supply)
-		}
-		if got := sh.Ledger.Escrow(htlc.ContractID); got != 0 {
-			return fmt.Errorf("shard %d HTLC escrow still holds %d (open lock)", si, got)
-		}
-		total += supply
+	if err := r.Ledger.CheckConservation(); err != nil {
+		return err
 	}
-	if want := r.Minted + r.BridgeLiquidity*ledger.Amount(len(r.Shards)); total != want {
-		return fmt.Errorf("supply %d across %d shards, minted %d plus bridge liquidity %d per shard",
-			total, len(r.Shards), r.Minted, r.BridgeLiquidity)
+	supply := r.Ledger.TotalSupply()
+	var liquid ledger.Amount
+	for _, acct := range r.Ledger.Accounts() {
+		liquid += r.Ledger.Balance(acct)
+	}
+	if liquid != supply {
+		return fmt.Errorf("liquid balances sum to %d, supply %d (escrow not drained)", liquid, supply)
+	}
+	if supply != r.Minted {
+		return fmt.Errorf("supply %d, minted %d", supply, r.Minted)
 	}
 	return nil
 }
@@ -196,7 +152,7 @@ func (r *Report) checkHonestPaid() error {
 // checkPhaseStory validates one contract's event log against the protocol
 // phase machine and its timing windows.
 func (r *Report) checkPhaseStory(t *TaskReport) error {
-	events := r.Shards[t.Shard].Chain.EventsFor(ledger.ContractID(t.ID))
+	events := r.Chain.EventsFor(ledger.ContractID(t.ID))
 	if len(events) == 0 {
 		return fmt.Errorf("no events (task never published)")
 	}
@@ -361,116 +317,6 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 		if o.Paid != paid[o.Addr] || o.Rejected != rejected[o.Addr] || o.Revealed != revealed[o.Addr] {
 			return fmt.Errorf("outcome for %s (paid=%v rejected=%v revealed=%v) disagrees with event log (%v/%v/%v)",
 				o.Addr, o.Paid, o.Rejected, o.Revealed, paid[o.Addr], rejected[o.Addr], revealed[o.Addr])
-		}
-	}
-	return nil
-}
-
-// htlcLockStory is one lock's observed life on one shard.
-type htlcLockStory struct {
-	locked   *htlc.LockedEvent
-	claimed  bool
-	refunded bool
-}
-
-// checkHTLCStory replays every shard's HTLC event log against the escrow's
-// safety rules, then cross-checks the settlement outcomes the harness
-// reported:
-//
-//   - every claim and refund references an existing lock, never both fire
-//     for one lock, and every lock eventually fires one of them (no coin is
-//     stranded in the escrow — the escrow-drained supply check above is the
-//     balance-level shadow of this event-level claim);
-//   - claims land within the timelock and their preimage hashes to the lock
-//     hash; refunds land strictly after the timelock;
-//   - a settlement reported Claimed has claimed locks on BOTH shards (the
-//     worker collected at home, the bridge collected on the task shard) and
-//     one reported Refunded has its task-shard lock refunded;
-//   - under ExpectRefund no settlement claimed at all.
-func (r *Report) checkHTLCStory() error {
-	stories := make([]map[string]*htlcLockStory, len(r.Shards))
-	for si, sh := range r.Shards {
-		stories[si] = make(map[string]*htlcLockStory)
-		for _, ev := range sh.Chain.EventsFor(htlc.ContractID) {
-			switch ev.Name {
-			case "locked":
-				le, err := htlc.ParseLockedEvent(ev.Data)
-				if err != nil {
-					return fmt.Errorf("shard %d: undecodable locked event: %w", si, err)
-				}
-				if stories[si][le.ID] != nil {
-					return fmt.Errorf("shard %d: lock %s created twice", si, le.ID)
-				}
-				stories[si][le.ID] = &htlcLockStory{locked: le}
-			case "claimed":
-				ce, err := htlc.ParseClaimedEvent(ev.Data)
-				if err != nil {
-					return fmt.Errorf("shard %d: undecodable claimed event: %w", si, err)
-				}
-				st := stories[si][ce.ID]
-				if st == nil {
-					return fmt.Errorf("shard %d: claim of unknown lock %s", si, ce.ID)
-				}
-				if st.claimed || st.refunded {
-					return fmt.Errorf("shard %d: lock %s settled twice", si, ce.ID)
-				}
-				if ev.Round > int(st.locked.Timeout) {
-					return fmt.Errorf("shard %d: lock %s claimed at round %d after timelock %d",
-						si, ce.ID, ev.Round, st.locked.Timeout)
-				}
-				if keccak.Sum256(ce.Preimage) != st.locked.Hash {
-					return fmt.Errorf("shard %d: lock %s claimed with a preimage that does not hash to the lock", si, ce.ID)
-				}
-				st.claimed = true
-			case "refunded":
-				id, err := htlc.ParseRefundedEvent(ev.Data)
-				if err != nil {
-					return fmt.Errorf("shard %d: undecodable refunded event: %w", si, err)
-				}
-				st := stories[si][id]
-				if st == nil {
-					return fmt.Errorf("shard %d: refund of unknown lock %s", si, id)
-				}
-				if st.claimed || st.refunded {
-					return fmt.Errorf("shard %d: lock %s settled twice", si, id)
-				}
-				if ev.Round <= int(st.locked.Timeout) {
-					return fmt.Errorf("shard %d: lock %s refunded at round %d inside timelock %d",
-						si, id, ev.Round, st.locked.Timeout)
-				}
-				st.refunded = true
-			default:
-				return fmt.Errorf("shard %d: unknown HTLC event %q", si, ev.Name)
-			}
-		}
-		for id, st := range stories[si] {
-			if st.claimed == st.refunded {
-				return fmt.Errorf("shard %d: lock %s neither claimed nor refunded (amount %d stranded)",
-					si, id, st.locked.Amount)
-			}
-		}
-	}
-	for _, s := range r.Settlements {
-		if s.Claimed == s.Refunded {
-			return fmt.Errorf("settlement %s reports claimed=%v refunded=%v", s.LockID, s.Claimed, s.Refunded)
-		}
-		if r.ExpectRefund && s.Claimed {
-			return fmt.Errorf("settlement %s claimed, scenario predicts refunds", s.LockID)
-		}
-		taskLock := stories[s.TaskShard][s.LockID]
-		if taskLock == nil {
-			return fmt.Errorf("settlement %s has no task-shard lock", s.LockID)
-		}
-		if s.Claimed {
-			homeLock := stories[s.HomeShard][s.LockID]
-			if homeLock == nil || !homeLock.claimed {
-				return fmt.Errorf("settlement %s reported claimed but the home-shard lock was not", s.LockID)
-			}
-			if !taskLock.claimed {
-				return fmt.Errorf("settlement %s reported claimed but the bridge never collected the task-shard lock", s.LockID)
-			}
-		} else if !taskLock.refunded {
-			return fmt.Errorf("settlement %s reported refunded but the task-shard lock was not", s.LockID)
 		}
 	}
 	return nil

@@ -5,8 +5,6 @@ import (
 
 	"dragoon/internal/chain"
 	"dragoon/internal/contract"
-	"dragoon/internal/htlc"
-	"dragoon/internal/market"
 	"dragoon/internal/protocol"
 	"dragoon/internal/task"
 	"dragoon/internal/worker"
@@ -469,57 +467,4 @@ func ParticipantMatrix() []Scenario {
 		}
 	}
 	return out
-}
-
-// SettleScenarios returns the cross-shard settlement catalogue: adversaries
-// attacking the HTLC epoch of a SHARDED run (Options.Shards > 1) rather
-// than the task protocol. The task epoch is honest in all of them; what
-// varies is who sabotages the atomic swap, and the invariant is always the
-// same — either a transfer claims atomically on both shards, or both locks
-// refund and every party keeps exactly what it had.
-func SettleScenarios() []Scenario {
-	honest := Scenario{
-		Quota:  3,
-		Lineup: func(inst *task.Instance, _ *rand.Rand) []worker.Model { return perfect(inst, 3) },
-		Honest: indices(3),
-	}
-	claim := honest
-	claim.Name = "htlc-claim-path"
-	claim.Description = "honest settlement: every cross-shard payout locks, counter-locks and claims atomically; the worker ends with its reward at home and the bridge is made whole"
-
-	withhold := honest
-	withhold.Name = "htlc-withhold-preimage"
-	withhold.Description = "every paid worker withholds its preimage after the bridge counter-locks; both locks expire, both sides refund, and the griefing gains nothing"
-	withhold.ExpectRefund = true
-	withhold.Settle = func(workers []chain.Address) market.SettleConfig {
-		withheld := make(map[chain.Address]bool, len(workers))
-		for _, w := range workers {
-			withheld[w] = true
-		}
-		// A short timelock keeps the refund epoch cheap.
-		return market.SettleConfig{LockRounds: 4, CounterRounds: 2, WithholdPreimage: withheld}
-	}
-
-	silent := honest
-	silent.Name = "htlc-silent-bridge"
-	silent.Description = "the bridge never counter-locks (a timeout-griefing operator); every worker lock expires unanswered and refunds, so workers keep their rewards on the task shard"
-	silent.ExpectRefund = true
-	silent.Settle = func([]chain.Address) market.SettleConfig {
-		return market.SettleConfig{LockRounds: 4, SilentBridge: true}
-	}
-
-	censor := honest
-	censor.Name = "htlc-censor-claim"
-	censor.Description = "the scheduler delays every HTLC claim by the synchrony bound while the counter-lock timelock leaves no slack; the worker's claim lands one round past the deadline and reverts, and both locks fall back to refunds"
-	censor.ExpectRefund = true
-	censor.NewScheduler = func(_ int64, _, _ []chain.Address) chain.Scheduler {
-		return chain.MethodDelayScheduler{Methods: map[string]bool{htlc.MethodClaim: true}}
-	}
-	censor.Settle = func([]chain.Address) market.SettleConfig {
-		// CounterRounds 1: an honest claim would land exactly on the
-		// deadline round, so the one-round censorship delay pushes it past.
-		return market.SettleConfig{LockRounds: 8, CounterRounds: 1}
-	}
-
-	return []Scenario{claim, withhold, silent, censor}
 }

@@ -103,7 +103,6 @@ func (c *colocation) runStream(name string, sched chain.Scheduler, opts Options,
 		WorkerBalance: opts.WorkerBalance,
 		Minted:        c.minted,
 		Tasks:         c.reports,
-		Shards:        svc.Shards(),
 	}, nil
 }
 

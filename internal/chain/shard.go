@@ -1,40 +1,26 @@
 package chain
 
-// Shard handles: the per-chain state bundle that lets multiple chains
-// coexist in one process. Historically the stack assumed exactly one chain;
-// a Shard packages everything one chain owns — its coin ledger, the chain
+// Shard handles: everything one chain owns — its coin ledger, the chain
 // itself (storage, mempool, scheduler, executor) and its off-chain content
-// store — so the sharded marketplace can hold S of them and mine their
-// rounds concurrently. Shards share nothing: every cross-shard effect must
-// go through an explicit protocol (the HTLC settlement layer in
-// internal/market), which is what makes parallel shard mining byte-identical
-// to mining the shards one by one.
+// store. The marketplace and the streaming service each build their one
+// chain through NewShard.
 
 import (
-	"context"
-	"fmt"
-
 	"dragoon/internal/ledger"
-	"dragoon/internal/parallel"
 	"dragoon/internal/swarm"
 )
 
-// Shard is one independent chain with its own ledger and off-chain store.
+// Shard is one chain with its own ledger and off-chain store.
 type Shard struct {
-	// Index is the shard's position in its ShardSet.
+	// Index labels the chain; the marketplace and the service use 0.
 	Index  int
 	Ledger *ledger.Ledger
 	Chain  *Chain
 	Store  *swarm.Store
 }
 
-// NewShard builds a fresh shard: new ledger, new chain over it with the
+// NewShard builds a fresh chain: new ledger, new chain over it with the
 // given scheduler (FIFO if nil), new off-chain store.
-//
-// Schedulers are per shard. A stateless scheduler value may be shared
-// across shards, but stateful ones (e.g. RandomScheduler) must not be: the
-// shards mine concurrently, and sharing mutable scheduler state across them
-// would be both racy and order-dependent.
 func NewShard(index int, s Scheduler) *Shard {
 	led := ledger.New()
 	return &Shard{
@@ -43,109 +29,4 @@ func NewShard(index int, s Scheduler) *Shard {
 		Chain:  New(led, s),
 		Store:  swarm.New(),
 	}
-}
-
-// ShardSet is a fixed-size collection of shards mined in lockstep: one call
-// to MineAll advances every shard by exactly one round.
-type ShardSet struct {
-	shards []*Shard
-	// miners bounds the number of shards mined concurrently; <= 1 mines
-	// sequentially. Either way the observable state is identical, because
-	// shards share nothing.
-	miners int
-}
-
-// NewShardSet creates n shards (n >= 1) with schedulers drawn from mk
-// (nil mk or nil results mean FIFO). mk is called once per shard index, so
-// stateful schedulers get one instance per shard.
-func NewShardSet(n int, mk func(shard int) Scheduler) (*ShardSet, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("chain: shard count %d < 1", n)
-	}
-	set := &ShardSet{shards: make([]*Shard, n), miners: 1}
-	for i := range set.shards {
-		var s Scheduler
-		if mk != nil {
-			s = mk(i)
-		}
-		set.shards[i] = NewShard(i, s)
-	}
-	return set, nil
-}
-
-// WrapShards packages existing shards as a ShardSet — the restore path,
-// where each shard's ledger, chain and store were rebuilt from a snapshot
-// rather than created fresh. Shards must be listed in index order.
-func WrapShards(shards []*Shard) (*ShardSet, error) {
-	if len(shards) < 1 {
-		return nil, fmt.Errorf("chain: shard count %d < 1", len(shards))
-	}
-	for i, sh := range shards {
-		if sh.Index != i {
-			return nil, fmt.Errorf("chain: shard at position %d has index %d", i, sh.Index)
-		}
-	}
-	return &ShardSet{shards: shards, miners: 1}, nil
-}
-
-// SetMiners bounds concurrent shard mining (<= 1 is sequential).
-func (s *ShardSet) SetMiners(n int) { s.miners = n }
-
-// Len returns the number of shards.
-func (s *ShardSet) Len() int { return len(s.shards) }
-
-// Shard returns the i-th shard.
-func (s *ShardSet) Shard(i int) *Shard { return s.shards[i] }
-
-// Shards returns the underlying slice (callers must not mutate it).
-func (s *ShardSet) Shards() []*Shard { return s.shards }
-
-// Round returns the common clock round, verifying the shards are in
-// lockstep.
-func (s *ShardSet) Round() (int, error) {
-	r := s.shards[0].Chain.Round()
-	for _, sh := range s.shards[1:] {
-		if sh.Chain.Round() != r {
-			return 0, fmt.Errorf("chain: shard %d at round %d, shard 0 at %d", sh.Index, sh.Chain.Round(), r)
-		}
-	}
-	return r, nil
-}
-
-// MineAll mines one round on every shard — concurrently when miners > 1,
-// with a deterministic join: results are collected per shard index and the
-// lowest-indexed error wins, exactly the internal/parallel contract.
-func (s *ShardSet) MineAll(ctx context.Context) ([][]*Receipt, error) {
-	receipts := make([][]*Receipt, len(s.shards))
-	err := parallel.For(ctx, len(s.shards), s.miners, func(i int) error {
-		rs, err := s.shards[i].Chain.MineRound()
-		if err != nil {
-			return fmt.Errorf("chain: shard %d: %w", i, err)
-		}
-		receipts[i] = rs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return receipts, nil
-}
-
-// TotalSupply sums the minted supply across every shard's ledger.
-func (s *ShardSet) TotalSupply() ledger.Amount {
-	var total ledger.Amount
-	for _, sh := range s.shards {
-		total += sh.Ledger.TotalSupply()
-	}
-	return total
-}
-
-// CheckConservation runs every shard ledger's conservation check.
-func (s *ShardSet) CheckConservation() error {
-	for _, sh := range s.shards {
-		if err := sh.Ledger.CheckConservation(); err != nil {
-			return fmt.Errorf("chain: shard %d: %w", sh.Index, err)
-		}
-	}
-	return nil
 }

@@ -108,15 +108,15 @@ const sharedCountCap = 4 * sharedBaseCap
 // ski-rental rule: keep paying per multiplication until the work already
 // spent equals one build, then build. On a 2-vCPU Xeon host with go1.24
 // (medians of five runs that alternate the two benchmarks), a BN254 table
-// build costs 5.1 ms (BenchmarkFixedBaseTableBuild) and a variable-base
-// multiplication, a scalar of a MulManyAdd batch of 8 on the GLV span
-// kernel, 60 µs (BenchmarkSharedBaseCold): 5.1 ms / 60 µs ≈ 85. Whatever a
-// base goes on to serve, the rule costs it at most twice what the better
-// of "never build" and "build at once" would have. A fresh key per task on
-// the small_tasks_own_keys service workload serves 24 multiplications and
-// never builds; the shared key of imagenet_honest serves 424 per task and
-// builds during its first.
-const tableThreshold = 85
+// build costs 4.5 ms (BenchmarkFixedBaseTableBuild) and a variable-base
+// multiplication, a full-width scalar of a MulManyAdd batch of 8 on the GLV
+// span kernel, 106 µs (BenchmarkSharedBaseCold): 4.5 ms / 106 µs ≈ 43.
+// Whatever a base goes on to serve, the rule costs it at most twice what
+// the better of "never build" and "build at once" would have. A fresh key
+// per task on the small_tasks_own_keys service workload serves 24
+// multiplications and never builds; the shared key of imagenet_honest
+// serves 424 per task and builds during its first.
+const tableThreshold = 43
 
 type sharedBaseKey struct {
 	g    Group

@@ -295,10 +295,15 @@ func TestSharedBaseGenerator(t *testing.T) {
 // benchSharedBase times three MulManyAdd batches of 8 per op, 24 scalars,
 // the multiplications by h one requester key serves per task on the
 // small_tasks_own_keys service workload, and reports the cost per scalar.
-// base(i) gives the base of op i.
+// The scalars are full-width draws from a seeded source, as real
+// encryption randomness is. base(i) gives the base of op i.
 func benchSharedBase(b *testing.B, base func(i int) Element) {
 	g := BN254G1()
-	ks := precompScalars(g, 4, 3)
+	rng := rand.New(rand.NewSource(3))
+	ks := make([]*big.Int, 8)
+	for i := range ks {
+		ks[i] = new(big.Int).Rand(rng, g.Order())
+	}
 	adds := make([]Element, len(ks))
 	for i := range adds {
 		adds[i] = g.ScalarBaseMul(big.NewInt(int64(i + 1)))

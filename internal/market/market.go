@@ -1,9 +1,9 @@
 // Package market is the multi-task marketplace harness: it runs M
 // concurrent HIT contracts on a shared chain, the deployment model of the
 // paper's §VI evaluation (a requester key pair serves "all her tasks", and a
-// real chain hosts many instances at once). Each chain is a shard — a
-// ledger, a simulated chain with one pluggable network adversary, and an
-// off-chain store; on top of the shards it runs a task registry of
+// real chain hosts many instances at once). The chain is one chain.Shard —
+// a ledger, a simulated chain with one pluggable network adversary, and an
+// off-chain store; on top of it the harness runs a task registry of
 // independent HIT instances — each with its own requester client and its
 // own contract — over a shared worker population whose members may enroll
 // in several tasks.
@@ -12,18 +12,17 @@
 // workers' answers sequentially (answer models may share a seeded rng),
 // fans the heavy per-worker crypto of ALL tasks out over one work pool
 // (internal/parallel), submits the resulting transactions in a fixed
-// (task, worker) order, and mines one round per shard that interleaves its
-// tasks' transactions under that shard's scheduler. Contract storage and
-// event logs are namespaced per contract, and each observer polls its own
-// event cursor, so tasks cannot observe — or pay for — each other's traffic.
+// (task, worker) order, and mines one round that interleaves every task's
+// transactions under the chain's scheduler. Contract storage and event logs
+// are namespaced per contract, and each observer polls its own event
+// cursor, so tasks cannot observe — or pay for — each other's traffic.
 //
-// One run body and one round step (StepRound) serve every shard count: the
-// one shared chain is the one-shard case, and a run over S > 1 shards adds
-// only the cross-shard HTLC settlement (shard_run.go). A single-task
-// simulation (package sim) is in turn the M=1 case: with an honest FIFO
-// scheduler, a seeded marketplace run yields per-task payments, gas and
-// harvested answers identical to running each task alone on its own chain
-// (the differential test in market_test.go).
+// One round step (StepRound) serves both the batch run and the streaming
+// service (internal/service). A single-task simulation (package sim) is in
+// turn the M=1 case: with an honest FIFO scheduler, a seeded marketplace run
+// yields per-task payments, gas and harvested answers identical to running
+// each task alone on its own chain (the differential test in
+// market_test.go).
 package market
 
 import (
@@ -91,8 +90,8 @@ type Config struct {
 	Group group.Group
 	// Population is the shared worker pool tasks enroll from.
 	Population []worker.Model
-	// Scheduler is the network adversary of every shard (honest FIFO if
-	// nil). It sees every task's transactions on its shard interleaved.
+	// Scheduler is the chain's network adversary (honest FIFO if nil). It
+	// sees every task's transactions interleaved.
 	Scheduler chain.Scheduler
 	// SharedKey optionally makes every requester share one ElGamal key pair
 	// — the paper's §VI key-reuse deployment ("the requester manages only
@@ -106,27 +105,6 @@ type Config struct {
 	WorkerBalance ledger.Amount
 	// MaxRounds bounds the run (default 40).
 	MaxRounds int
-	// Shards splits the marketplace across max(1, Shards) independent
-	// chains, each mining its own rounds (over internal/parallel,
-	// deterministic join order) with tasks assigned by Placement and every
-	// population member homed on shard (index mod Shards). 0 and 1 both mean
-	// one shared chain. With more than one shard, cross-shard payouts settle
-	// through the HTLC escrow (internal/htlc): a worker paid on a foreign
-	// task shard locks its reward there and claims it on its home shard via
-	// a bridge counter-lock, with a refund path on every timeout.
-	Shards int
-	// Placement selects the task→shard policy when Shards > 1.
-	Placement Placement
-	// ShardSchedulers optionally builds one network adversary per shard
-	// (shard index → scheduler), at every shard count; it overrides
-	// Scheduler. When nil every shard shares the Scheduler value — fine for
-	// the stateless schedulers, but stateful ones (e.g. RandomScheduler)
-	// must come through this hook once Shards > 1 so each concurrently mined
-	// shard owns its own instance.
-	ShardSchedulers func(shard int) chain.Scheduler
-	// Settle tunes (and fault-injects) the cross-shard HTLC settlement
-	// epoch; the zero value is the honest default.
-	Settle SettleConfig
 	// Options consolidates the run's execution knobs — Parallelism,
 	// BatchVerify, ParallelExec — shared by every run mode (sim, market,
 	// adversary, service). The embedded fields promote, so cfg.Parallelism
@@ -200,22 +178,10 @@ type Result struct {
 	// AuditedProofs counts the VPKE openings the round auditor re-verified
 	// in cross-task folds (0 unless batch verification was enabled).
 	AuditedProofs int
-	// Ledger and Chain expose shard 0's final state for deeper assertions —
-	// the whole world of a one-shard run; Shards holds the full set.
+	// Ledger and Chain expose the chain's final state for deeper
+	// assertions.
 	Ledger *ledger.Ledger
 	Chain  *chain.Chain
-	// The shard state, present at every shard count: the shard handles, the
-	// task→shard assignment (Config.Tasks order), each population member's
-	// home shard, the per-shard minted supply, the HTLC bridge account with
-	// its per-shard liquidity (0 on one shard), and the cross-shard
-	// settlement outcomes (none on one shard).
-	Shards          []*chain.Shard
-	TaskShards      []int
-	HomeShards      []int
-	MintedByShard   []ledger.Amount
-	Bridge          chain.Address
-	BridgeLiquidity ledger.Amount
-	Settlements     []Settlement
 }
 
 // Run executes every task of the marketplace to completion.
@@ -226,11 +192,6 @@ func Run(cfg Config) (*Result, error) {
 // RunContext is Run with cancellation: the context is checked between
 // rounds and threaded into the per-round worker fan-out, so a cancelled run
 // returns promptly with ctx.Err() instead of mining to MaxRounds.
-//
-// Every run mines max(1, Shards) shards through this one body and one round
-// step (StepRound); a single chain is the one-shard case. Only a run over
-// S > 1 shards deploys the HTLC escrow, funds the bridge and follows the
-// task epoch with the cross-shard settlement epoch (shard_run.go).
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if len(cfg.Tasks) == 0 {
 		return nil, errors.New("market: no tasks")
@@ -241,47 +202,20 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.MaxRounds == 0 {
 		cfg.MaxRounds = 40
 	}
-	shards := max(1, cfg.Shards)
-	mk := cfg.ShardSchedulers
-	if mk == nil {
-		mk = func(int) chain.Scheduler { return cfg.Scheduler }
-	}
-	set, err := chain.NewShardSet(shards, mk)
-	if err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
-	set.SetMiners(cfg.Parallelism)
-	execWorkers := chain.ResolveExecWorkers(cfg.ParallelExec, cfg.Parallelism)
-	for _, sh := range set.Shards() {
-		sh.Chain.SetParallelExecution(execWorkers)
-	}
+	sh := chain.NewShard(0, cfg.Scheduler)
+	sh.Chain.SetParallelExecution(chain.ResolveExecWorkers(cfg.ParallelExec, cfg.Parallelism))
 
-	taskShards := PlaceTasks(&cfg, shards)
-	minted := make([]ledger.Amount, shards)
-
-	// Every population member funds (and is homed) on shard index mod S.
 	popAddrs := make([]chain.Address, len(cfg.Population))
-	homeShards := make([]int, len(cfg.Population))
 	for i, m := range cfg.Population {
 		popAddrs[i] = WorkerAddr(i, m.Name)
-		homeShards[i] = HomeShard(i, shards)
 		if cfg.WorkerBalance > 0 {
-			set.Shard(homeShards[i]).Ledger.Mint(ledger.AccountID(popAddrs[i]), cfg.WorkerBalance)
-			minted[homeShards[i]] += cfg.WorkerBalance
-		}
-	}
-	var liquidity ledger.Amount
-	if shards > 1 {
-		if liquidity, err = openBridge(set, cfg.Tasks, minted); err != nil {
-			return nil, err
+			sh.Ledger.Mint(ledger.AccountID(popAddrs[i]), cfg.WorkerBalance)
 		}
 	}
 
-	// Build each task's runtime against its own shard's chain and store.
 	tasks := make([]*Runtime, len(cfg.Tasks))
 	seen := make(map[ledger.ContractID]int, len(cfg.Tasks))
 	for ti, spec := range cfg.Tasks {
-		sh := set.Shard(taskShards[ti])
 		t, err := NewRuntime(RuntimeConfig{
 			Spec:        spec,
 			Index:       ti,
@@ -297,14 +231,11 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Contract IDs stay globally unique: cross-shard lock IDs embed the
-		// task ID.
 		if prev, dup := seen[t.id]; dup {
 			return nil, fmt.Errorf("market: tasks %d and %d share contract ID %q", prev, ti, t.id)
 		}
 		seen[t.id] = ti
 		t.Fund(sh.Ledger)
-		minted[taskShards[ti]] += 2 * spec.Instance.Task.Budget
 		tasks[ti] = t
 	}
 
@@ -314,25 +245,18 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 	}
 
-	// With batching on, one read-only auditor per shard folds every
-	// rejection proof the contracts accept in a mined round into one batch
-	// verification (see audit.go); it cannot change the run's transcript.
-	// Folds never cross a shard boundary (receipts of different chains have
-	// independent rounds).
-	auditors := make([]*Auditor, shards)
+	// With batching on, one read-only auditor folds every rejection proof
+	// the contracts accept in a mined round into one batch verification
+	// (see audit.go); it cannot change the run's transcript.
+	var auditor *Auditor
 	if batch.Resolve(cfg.BatchVerify) {
-		for ti, t := range tasks {
-			s := taskShards[ti]
-			if auditors[s] == nil {
-				auditors[s] = NewAuditor(cfg.Group)
-			}
-			auditors[s].Register(t.id, t.RequesterKey().H)
+		auditor = NewAuditor(cfg.Group)
+		for _, t := range tasks {
+			auditor.Register(t.id, t.RequesterKey().H)
 		}
 	}
 
-	// The task epoch: all live tasks advance in lockstep, every shard mining
-	// one round per iteration; a shard whose tasks have all settled keeps
-	// mining empty rounds so the clocks agree.
+	// All live tasks advance in lockstep, one mined round per iteration.
 	for round := 0; round < cfg.MaxRounds; round++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("market: round %d: %w", round, err)
@@ -344,51 +268,27 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if !live {
 			break
 		}
-		if err := StepRound(ctx, set, tasks, taskShards, cfg.Parallelism, auditors); err != nil {
+		if err := StepRound(ctx, sh.Chain, tasks, cfg.Parallelism, auditor); err != nil {
 			return nil, err
 		}
 	}
-	taskEpochEnd, err := set.Round()
-	if err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
+	rounds := sh.Chain.Round()
 	for _, t := range tasks {
 		if !t.finished {
-			t.finalRound = taskEpochEnd
-		}
-	}
-	var settlements []Settlement
-	if shards > 1 {
-		settlements, err = settleAcrossShards(ctx, &cfg, set, tasks, taskShards, popAddrs, homeShards, taskEpochEnd)
-		if err != nil {
-			return nil, err
+			t.finalRound = rounds
 		}
 	}
 
-	rounds, err := set.Round()
-	if err != nil {
-		return nil, fmt.Errorf("market: %w", err)
-	}
 	res := &Result{
-		Tasks:           make([]TaskResult, len(tasks)),
-		Rounds:          rounds,
-		Ledger:          set.Shard(0).Ledger,
-		Chain:           set.Shard(0).Chain,
-		Shards:          set.Shards(),
-		TaskShards:      taskShards,
-		HomeShards:      homeShards,
-		MintedByShard:   minted,
-		Bridge:          BridgeAddr,
-		BridgeLiquidity: liquidity,
-		Settlements:     settlements,
+		Tasks:  make([]TaskResult, len(tasks)),
+		Rounds: rounds,
+		Ledger: sh.Ledger,
+		Chain:  sh.Chain,
 	}
-	for _, a := range auditors {
-		if a != nil {
-			res.AuditedProofs += a.Count()
-		}
+	if auditor != nil {
+		res.AuditedProofs = auditor.Count()
 	}
 	for ti, t := range tasks {
-		sh := set.Shard(taskShards[ti])
 		tr, err := t.Result(sh.Chain, sh.Ledger)
 		if err != nil {
 			return nil, err
@@ -396,56 +296,49 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		res.GasTotal += tr.GasTotal
 		res.Tasks[ti] = tr
 	}
-	if err := set.CheckConservation(); err != nil {
+	if err := sh.Ledger.CheckConservation(); err != nil {
 		return nil, fmt.Errorf("market: %w", err)
 	}
 	return res, nil
 }
 
-// StepRound advances the live tasks of a shard set through one mined round:
+// StepRound advances the live tasks on one chain through one mined round:
 // requesters step in task order, the enrolled workers' answers resolve
 // sequentially in (task, worker) order (answer models may share one seeded
-// rng), the heavy per-worker crypto of ALL tasks on every shard fans out
-// over one work pool, the resulting transactions enter each shard's mempool
-// in (task, worker) order, every shard mines its round (concurrently, with
-// a deterministic join), the optional per-shard auditors re-verify the
+// rng), the heavy per-worker crypto of ALL tasks fans out over one work
+// pool, the resulting transactions enter the mempool in (task, worker)
+// order, the chain mines its round, the optional auditor re-verifies the
 // round's accepted rejection proofs, and each task folds the round's events
-// into its phase observer. Shards share nothing, so each shard's transcript
-// equals the sequential transcript of its own tasks.
+// into its phase observer.
 //
-// taskShards[i] is tasks[i]'s shard; finished tasks are skipped. auditors
-// is indexed by shard and may be nil (or hold nils) when auditing is off.
+// Finished tasks are skipped; auditor may be nil when auditing is off.
 // Exported so the streaming service (internal/service) drives exactly the
 // code path of a batch Run — a task settles identically whichever harness
 // hosts it.
-func StepRound(ctx context.Context, set *chain.ShardSet, tasks []*Runtime, taskShards []int, parallelism int, auditors []*Auditor) error {
-	round, err := set.Round()
-	if err != nil {
-		return fmt.Errorf("market: %w", err)
+func StepRound(ctx context.Context, ch *chain.Chain, tasks []*Runtime, parallelism int, auditor *Auditor) error {
+	round := ch.Round()
+	var active []*Runtime
+	for _, t := range tasks {
+		if !t.finished {
+			active = append(active, t)
+		}
+	}
+	for _, t := range active {
+		if err := t.StepRequester(); err != nil {
+			return fmt.Errorf("market: task %q requester step (round %d): %w", t.id, round, err)
+		}
 	}
 	type slot struct {
-		t     *Runtime
-		shard int
-		i     int
-	}
-	var active []slot // one entry per live task, i unused
-	for ti, t := range tasks {
-		if !t.finished {
-			active = append(active, slot{t: t, shard: taskShards[ti]})
-		}
-	}
-	for _, s := range active {
-		if err := s.t.StepRequester(); err != nil {
-			return fmt.Errorf("market: task %q requester step (round %d): %w", s.t.id, round, err)
-		}
+		t *Runtime
+		i int
 	}
 	var slots []slot
-	for _, s := range active {
-		for i := range s.t.clients {
-			if err := s.t.Prepare(i); err != nil {
-				return fmt.Errorf("market: task %q worker %d prepare (round %d): %w", s.t.id, i, round, err)
+	for _, t := range active {
+		for i := range t.clients {
+			if err := t.Prepare(i); err != nil {
+				return fmt.Errorf("market: task %q worker %d prepare (round %d): %w", t.id, i, round, err)
 			}
-			slots = append(slots, slot{t: s.t, shard: s.shard, i: i})
+			slots = append(slots, slot{t: t, i: i})
 		}
 	}
 	// Each worker reads only mined chain state through its own event cursor
@@ -463,27 +356,24 @@ func StepRound(ctx context.Context, set *chain.ShardSet, tasks []*Runtime, taskS
 	if err != nil {
 		return err
 	}
-	for k, txs := range txsPerSlot {
+	for _, txs := range txsPerSlot {
 		for _, tx := range txs {
-			if err := set.Shard(slots[k].shard).Chain.Submit(tx); err != nil {
+			if err := ch.Submit(tx); err != nil {
 				return fmt.Errorf("market: round %d: %w", round, err)
 			}
 		}
 	}
-	receipts, err := set.MineAll(ctx)
+	receipts, err := ch.MineRound()
 	if err != nil {
 		return fmt.Errorf("market: mining round %d: %w", round, err)
 	}
-	for si, a := range auditors {
-		if a == nil {
-			continue
-		}
-		if err := a.Audit(set.Shard(si).Chain.Round(), receipts[si]); err != nil {
+	if auditor != nil {
+		if err := auditor.Audit(ch.Round(), receipts); err != nil {
 			return err
 		}
 	}
-	for _, s := range active {
-		if err := s.t.CheckPhase(set.Shard(s.shard).Chain.Round()); err != nil {
+	for _, t := range active {
+		if err := t.CheckPhase(ch.Round()); err != nil {
 			return err
 		}
 	}

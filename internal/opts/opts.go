@@ -9,13 +9,12 @@ package opts
 // Options bundles the three performance knobs every run resolves:
 //
 //   - Parallelism bounds the run's own fan-outs: the per-round worker
-//     computation, concurrent shard mining, and the optimistic executor's
-//     worker count and default (see ParallelExec). 0 follows
-//     runtime.GOMAXPROCS(0), n > 0 bounds each of them at n. The crypto
-//     kernels a round calls — requester decryption, PoQoEA proving and
-//     verification, batch ciphertext decoding, the MSMs — run on a
-//     GOMAXPROCS-sized pool whatever the setting, so 1 is not fully
-//     sequential.
+//     computation and the optimistic executor's worker count and default
+//     (see ParallelExec). 0 follows runtime.GOMAXPROCS(0), n > 0 bounds
+//     each of them at n. The crypto kernels a round calls — requester
+//     decryption, PoQoEA proving and verification, batch ciphertext
+//     decoding, the MSMs — run on a GOMAXPROCS-sized pool whatever the
+//     setting, so 1 is not fully sequential.
 //   - BatchVerify selects batched proof verification: > 0 turns folded
 //     verification on; 0 and < 0 keep per-proof verification.
 //   - ParallelExec selects optimistic parallel block execution on the run's
@@ -26,8 +25,8 @@ package opts
 // Whatever the settings, a seeded run's transcript — receipts, gas, events,
 // payments — is byte-identical: the knobs only change wall-clock time.
 type Options struct {
-	// Parallelism bounds the run's worker fan-out, shard mining and
-	// executor (0 = GOMAXPROCS); the crypto kernels ignore it.
+	// Parallelism bounds the run's worker fan-out and executor
+	// (0 = GOMAXPROCS); the crypto kernels ignore it.
 	Parallelism int
 	// BatchVerify selects batched verification (> 0 on, otherwise off).
 	BatchVerify int

@@ -4,8 +4,8 @@
 // batch verification (internal/poqoea), ciphertext decoding
 // (internal/batch), requester decryption (internal/protocol), the QAP
 // quotient and its NTT kernels (internal/qap, internal/ff), optimistic
-// round execution and shard mining (internal/chain), and the per-round
-// off-chain worker computation of the marketplace harness (internal/market).
+// round execution (internal/chain), and the per-round off-chain worker
+// computation of the marketplace harness (internal/market).
 //
 // The engine makes three guarantees that the callers rely on:
 //
@@ -18,9 +18,9 @@
 //     panic in any item is re-raised on the calling goroutine after all
 //     workers have drained, never leaked to a bare goroutine.
 //
-// The bound is per call, not process-wide: nested fan-outs (a shard's
-// optimistic executor inside concurrent shard mining, an MSM chunking
-// inside a prover fork) can transiently exceed GOMAXPROCS goroutines. That
+// The bound is per call, not process-wide: nested fan-outs (an MSM
+// chunking inside a prover fork) can transiently exceed GOMAXPROCS
+// goroutines. That
 // is deliberate — items are coarse (scalar multiplications at minimum), the
 // runtime still multiplexes onto GOMAXPROCS threads, and a shared token
 // budget across nesting levels would risk deadlock for little gain.

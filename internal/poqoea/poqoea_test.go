@@ -1,10 +1,12 @@
 package poqoea_test
 
 import (
+	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/poqoea"
@@ -34,10 +36,12 @@ func answersWithQuality(st poqoea.Statement, q int, n int) []int64 {
 	return answers
 }
 
-func setup(t *testing.T) (*elgamal.PrivateKey, group.Group) {
+// setup draws a key pair from the test's seeded reader, so keys drawn in
+// turn by one test still differ.
+func setup(t *testing.T, rnd io.Reader) (*elgamal.PrivateKey, group.Group) {
 	t.Helper()
 	g := group.TestSchnorr()
-	sk, err := elgamal.KeyGen(g, nil)
+	sk, err := elgamal.KeyGen(g, rnd)
 	if err != nil {
 		t.Fatalf("KeyGen: %v", err)
 	}
@@ -45,18 +49,19 @@ func setup(t *testing.T) (*elgamal.PrivateKey, group.Group) {
 }
 
 func TestCompletenessAllQualities(t *testing.T) {
-	sk, _ := setup(t)
+	rnd := drbg.New(21, "TestCompletenessAllQualities")
+	sk, _ := setup(t, rnd)
 	st := imagenetStatement()
 	for q := 0; q <= len(st.GoldenIndices); q++ {
 		answers := answersWithQuality(st, q, 106)
 		if got := poqoea.Quality(answers, st); got != q {
 			t.Fatalf("constructed vector has quality %d, want %d", got, q)
 		}
-		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, rnd)
 		if err != nil {
 			t.Fatal(err)
 		}
-		quality, pf, err := poqoea.Prove(sk, cts, st, nil)
+		quality, pf, err := poqoea.Prove(sk, cts, st, rnd)
 		if err != nil {
 			t.Fatalf("Prove: %v", err)
 		}
@@ -75,15 +80,16 @@ func TestCompletenessAllQualities(t *testing.T) {
 // Upper-bound soundness: the requester cannot get a claim below the true
 // quality accepted (that would underpay the worker).
 func TestUpperBoundSoundness(t *testing.T) {
-	sk, _ := setup(t)
+	rnd := drbg.New(22, "TestUpperBoundSoundness")
+	sk, _ := setup(t, rnd)
 	st := imagenetStatement()
 	trueQuality := 4
 	answers := answersWithQuality(st, trueQuality, 106)
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quality, pf, err := poqoea.Prove(sk, cts, st, nil)
+	quality, pf, err := poqoea.Prove(sk, cts, st, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +115,15 @@ func TestUpperBoundSoundness(t *testing.T) {
 // A cheating requester cannot fabricate a wrong-answer revelation for a
 // question the worker answered correctly.
 func TestCannotForgeWrongAnswer(t *testing.T) {
-	sk, g := setup(t)
+	rnd := drbg.New(23, "TestCannotForgeWrongAnswer")
+	sk, g := setup(t, rnd)
 	st := imagenetStatement()
 	answers := answersWithQuality(st, 6, 106) // all golden answers correct
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, honest, err := poqoea.Prove(sk, cts, st, nil)
+	_, honest, err := poqoea.Prove(sk, cts, st, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +132,13 @@ func TestCannotForgeWrongAnswer(t *testing.T) {
 	}
 	// Forge: claim question 3 (golden, truth 1, worker answered 1) decrypts
 	// to 0, reusing a proof generated for a different ciphertext.
-	otherCt, _, err := sk.Encrypt(0, nil)
+	otherCt, _, err := sk.Encrypt(0, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stolen, pi, err := poqoea.Prove(sk, []elgamal.Ciphertext{otherCt}, poqoea.Statement{
 		GoldenIndices: []int{0}, GoldenAnswers: []int64{1}, RangeSize: 2,
-	}, nil)
+	}, rnd)
 	if err != nil || stolen != 0 || len(pi.Wrong) != 1 {
 		t.Fatalf("setup for forgery failed: %v %d", err, stolen)
 	}
@@ -147,14 +154,15 @@ func TestCannotForgeWrongAnswer(t *testing.T) {
 }
 
 func TestRejectMalformedProofs(t *testing.T) {
-	sk, _ := setup(t)
+	rnd := drbg.New(24, "TestRejectMalformedProofs")
+	sk, _ := setup(t, rnd)
 	st := imagenetStatement()
 	answers := answersWithQuality(st, 3, 106)
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quality, pf, err := poqoea.Prove(sk, cts, st, nil)
+	quality, pf, err := poqoea.Prove(sk, cts, st, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,15 +192,16 @@ func TestRejectMalformedProofs(t *testing.T) {
 }
 
 func TestOutOfRangeAnswerRevealed(t *testing.T) {
-	sk, _ := setup(t)
+	rnd := drbg.New(25, "TestOutOfRangeAnswerRevealed")
+	sk, _ := setup(t, rnd)
 	st := imagenetStatement()
 	answers := answersWithQuality(st, 6, 106)
 	answers[st.GoldenIndices[0]] = 77 // out of the binary range
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quality, pf, err := poqoea.Prove(sk, cts, st, nil)
+	quality, pf, err := poqoea.Prove(sk, cts, st, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +241,8 @@ func TestStatementValidation(t *testing.T) {
 // Property: for random golden layouts and random answers, Prove's reported
 // quality always equals the plaintext Quality function and verifies.
 func TestProveMatchesQualityQuick(t *testing.T) {
-	sk, _ := setup(t)
+	rnd := drbg.New(26, "TestProveMatchesQualityQuick")
+	sk, _ := setup(t, rnd)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 8 + rng.Intn(8)
@@ -247,11 +257,11 @@ func TestProveMatchesQualityQuick(t *testing.T) {
 		for i := range answers {
 			answers[i] = int64(rng.Intn(4))
 		}
-		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, rnd)
 		if err != nil {
 			return false
 		}
-		quality, pf, err := poqoea.Prove(sk, cts, st, nil)
+		quality, pf, err := poqoea.Prove(sk, cts, st, rnd)
 		if err != nil {
 			return false
 		}

@@ -3,6 +3,7 @@ package poqoea_test
 import (
 	"testing"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/poqoea"
@@ -15,19 +16,20 @@ import (
 // their programmed challenges, and do NOT pass the Fiat–Shamir verifier.
 func TestSimulatorProducesValidTranscripts(t *testing.T) {
 	g := group.TestSchnorr()
-	sk, err := elgamal.KeyGen(g, nil)
+	rnd := drbg.New(31, "TestSimulatorProducesValidTranscripts")
+	sk, err := elgamal.KeyGen(g, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := imagenetStatement()
 	answers := answersWithQuality(st, 4, 106) // true quality 4
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, nil)
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answers, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The simulator never sees sk: it takes only the public key.
 	for chi := 0; chi <= len(st.GoldenIndices); chi++ {
-		tr, err := poqoea.Simulate(&sk.PublicKey, cts, chi, st, nil)
+		tr, err := poqoea.Simulate(&sk.PublicKey, cts, chi, st, rnd)
 		if err != nil {
 			t.Fatalf("Simulate(χ=%d): %v", chi, err)
 		}
@@ -50,36 +52,38 @@ func TestSimulatorProducesValidTranscripts(t *testing.T) {
 
 func TestSimulatorRejectsBadQuality(t *testing.T) {
 	g := group.TestSchnorr()
-	sk, err := elgamal.KeyGen(g, nil)
+	rnd := drbg.New(32, "TestSimulatorRejectsBadQuality")
+	sk, err := elgamal.KeyGen(g, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := imagenetStatement()
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answersWithQuality(st, 3, 106), nil)
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answersWithQuality(st, 3, 106), rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := poqoea.Simulate(&sk.PublicKey, cts, -1, st, nil); err == nil {
+	if _, err := poqoea.Simulate(&sk.PublicKey, cts, -1, st, rnd); err == nil {
 		t.Error("negative quality accepted")
 	}
-	if _, err := poqoea.Simulate(&sk.PublicKey, cts, 7, st, nil); err == nil {
+	if _, err := poqoea.Simulate(&sk.PublicKey, cts, 7, st, rnd); err == nil {
 		t.Error("quality above |G| accepted")
 	}
 }
 
 func TestSimulatedGuessesAvoidTruth(t *testing.T) {
 	g := group.TestSchnorr()
-	sk, err := elgamal.KeyGen(g, nil)
+	rnd := drbg.New(33, "TestSimulatedGuessesAvoidTruth")
+	sk, err := elgamal.KeyGen(g, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := imagenetStatement()
-	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answersWithQuality(st, 0, 106), nil)
+	cts, err := poqoea.EncryptAnswers(&sk.PublicKey, answersWithQuality(st, 0, 106), rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for trial := 0; trial < 20; trial++ {
-		tr, err := poqoea.Simulate(&sk.PublicKey, cts, 0, st, nil)
+		tr, err := poqoea.Simulate(&sk.PublicKey, cts, 0, st, rnd)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,14 +24,8 @@
 // (chain.ReplayBackend), re-drawing the same randomness and re-building the
 // same cursors, then flipped live. See docs/SERVICE.md.
 //
-// The chain is a chain.ShardSet of max(1, Config.Shards) independent chains
-// mined in lockstep, and one shared chain is its one-shard case: admission
-// routes each task to one shard under Config.Placement, every round is
-// market.StepRound over the whole set, and retention, pruning and snapshots
-// all operate per shard — pruning a settled task on shard A never disturbs
-// cursors or history on shard B. Tasks never span shards inside the
-// service, so a sharded stream settles each task byte-identically to the
-// unsharded stream of the same submissions.
+// The chain is one chain.Shard — ledger, chain and off-chain store — built
+// by New (or rebuilt by Restore); every round is market.StepRound over it.
 package service
 
 import (
@@ -64,6 +58,10 @@ const (
 // ErrClosed is returned by submissions to a closed service.
 var ErrClosed = errors.New("service: closed")
 
+// ErrSnapshotVersion is wrapped by Restore when a snapshot's version is not
+// one this build can read.
+var ErrSnapshotVersion = errors.New("service: unsupported snapshot version")
+
 // Config configures a streaming marketplace service.
 type Config struct {
 	// Group selects the crypto backend for every task.
@@ -73,18 +71,8 @@ type Config struct {
 	Population []worker.Model
 	// Scheduler is the network adversary for the shared chain (honest FIFO
 	// if nil). It must be stateless across rounds if the service is to be
-	// snapshotted (the FIFO default is); with Shards > 1 the one value is
-	// shared by every shard, so it must be stateless there too.
+	// snapshotted (the FIFO default is).
 	Scheduler chain.Scheduler
-	// Shards splits the service across max(1, Shards) independent chains
-	// mined in lockstep (0 and 1 both mean one shared chain). Each shard
-	// owns its ledger, chain and off-chain store; admitted tasks are routed
-	// to shards by Placement and never span shards.
-	Shards int
-	// Placement picks each admitted task's shard:
-	// round-robin by admission index (default), or least-loaded by the
-	// enrolled-worker count of currently active tasks.
-	Placement market.Placement
 	// SharedKey optionally makes every requester share one ElGamal key pair
 	// (the paper's §VI key-reuse deployment).
 	SharedKey *elgamal.PrivateKey
@@ -132,8 +120,6 @@ func (c *Config) taskRoundBudget() int {
 	return c.TaskRoundBudget
 }
 
-func (c *Config) shardCount() int { return max(1, c.Shards) }
-
 // TaskStatus is the settlement report delivered for one submitted task.
 type TaskStatus struct {
 	// ID is the task (and contract) identifier.
@@ -177,31 +163,18 @@ type Stats struct {
 // taskState is one admitted task riding the shared chain.
 type taskState struct {
 	rt         *market.Runtime
-	spec       market.TaskSpec
 	index      int
 	seed       int64
-	shard      int // the shard hosting the task's contract and content
 	admitted   int // chain round
 	admittedAt time.Time
 	questions  swarm.Digest
 }
 
-// contentKey identifies one off-chain blob on one shard: shards have
-// independent stores, so the live-reference count is per (shard, digest).
-type contentKey struct {
-	shard  int
-	digest swarm.Digest
-}
-
-// Service is a long-lived streaming marketplace over a set of independent
-// chains mined in lockstep — one shared chain when Config.Shards <= 1.
+// Service is a long-lived streaming marketplace over one shared chain.
 type Service struct {
-	cfg    Config
-	shards []*chain.Shard
-	// set mines the shards in lockstep; shard 0 is the clock and report
-	// shard.
-	set      *chain.ShardSet
-	auditors []*market.Auditor // per shard; nil when batch verify is off
+	cfg      Config
+	sh       *chain.Shard
+	auditor  *market.Auditor // nil when batch verify is off
 	popAddrs []chain.Address
 
 	// mu guards the chain substrate and the active task set; it is held for
@@ -209,7 +182,7 @@ type Service struct {
 	mu        sync.Mutex
 	active    []*taskState
 	nextIndex int
-	content   map[contentKey]int // live references to off-chain content
+	content   map[swarm.Digest]int // live references to off-chain content
 
 	// qmu guards the admission queue, the result queue and the counters, so
 	// SubmitTask and Poll never wait on mining. Lock order: mu before qmu.
@@ -237,41 +210,26 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Group == nil {
 		return nil, errors.New("service: no group backend")
 	}
-	execWorkers := chain.ResolveExecWorkers(cfg.ParallelExec, cfg.Parallelism)
-	shards := make([]*chain.Shard, cfg.shardCount())
-	for i := range shards {
-		shards[i] = chain.NewShard(i, cfg.Scheduler)
-		shards[i].Chain.SetParallelExecution(execWorkers)
-	}
-	s, err := newService(cfg, shards)
-	if err != nil {
-		return nil, err
-	}
-	// Each population member funds on its home shard — mod-S, like the
-	// sharded batch marketplace (trivially shard 0 when unsharded).
+	sh := chain.NewShard(0, cfg.Scheduler)
+	sh.Chain.SetParallelExecution(chain.ResolveExecWorkers(cfg.ParallelExec, cfg.Parallelism))
+	s := newService(cfg, sh)
 	if cfg.WorkerBalance > 0 {
-		for i, a := range s.popAddrs {
-			home := market.HomeShard(i, len(shards))
-			shards[home].Ledger.Mint(ledger.AccountID(a), cfg.WorkerBalance)
+		for _, a := range s.popAddrs {
+			sh.Ledger.Mint(ledger.AccountID(a), cfg.WorkerBalance)
 		}
 	}
 	s.start()
 	return s, nil
 }
 
-// newService wires a service shell over existing shard substrates (fresh in
-// New, restored in Restore). It does not mint or start the background loop.
-func newService(cfg Config, shards []*chain.Shard) (*Service, error) {
-	set, err := chain.WrapShards(shards)
-	if err != nil {
-		return nil, fmt.Errorf("service: %w", err)
-	}
-	set.SetMiners(cfg.Parallelism)
+// newService wires a service shell over an existing chain substrate (fresh
+// in New, restored in Restore). It does not mint or start the background
+// loop.
+func newService(cfg Config, sh *chain.Shard) *Service {
 	s := &Service{
 		cfg:     cfg,
-		shards:  shards,
-		set:     set,
-		content: make(map[contentKey]int),
+		sh:      sh,
+		content: make(map[swarm.Digest]int),
 		wake:    make(chan struct{}, 1),
 		done:    make(chan struct{}),
 	}
@@ -280,12 +238,9 @@ func newService(cfg Config, shards []*chain.Shard) (*Service, error) {
 		s.popAddrs[i] = market.WorkerAddr(i, m.Name)
 	}
 	if batch.Resolve(cfg.BatchVerify) {
-		s.auditors = make([]*market.Auditor, len(shards))
-		for i := range s.auditors {
-			s.auditors[i] = market.NewAuditor(cfg.Group)
-		}
+		s.auditor = market.NewAuditor(cfg.Group)
 	}
-	return s, nil
+	return s
 }
 
 func (s *Service) start() {
@@ -397,8 +352,8 @@ func (s *Service) Close() error {
 }
 
 // Step advances a manual-mode service one round: queued tasks are admitted,
-// every active task advances through one mined round on its shard (exactly
-// market.StepRound, at any shard count), settled tasks are reported and
+// every active task advances through one mined round (exactly
+// market.StepRound), settled tasks are reported and
 // pruned, and retention windows are enforced. A step with nothing queued and
 // nothing active is a no-op (the chain does not mine empty rounds on idle).
 func (s *Service) Step(ctx context.Context) error {
@@ -434,35 +389,13 @@ func (s *Service) step(ctx context.Context) error {
 	}
 
 	rts := make([]*market.Runtime, len(s.active))
-	taskShards := make([]int, len(s.active))
 	for i, st := range s.active {
 		rts[i] = st.rt
-		taskShards[i] = st.shard
 	}
-	if err := market.StepRound(ctx, s.set, rts, taskShards, s.cfg.Parallelism, s.auditors); err != nil {
+	if err := market.StepRound(ctx, s.sh.Chain, rts, s.cfg.Parallelism, s.auditor); err != nil {
 		return err
 	}
 	return s.settleLocked()
-}
-
-// placeLocked picks the shard for the next admitted task: round-robin by
-// admission index by default, or the shard whose active tasks enroll the
-// fewest workers under PlaceLeastLoaded (ties to the lowest index).
-func (s *Service) placeLocked(spec *market.TaskSpec) int {
-	if s.cfg.Placement == market.PlaceLeastLoaded {
-		load := make([]int, len(s.shards))
-		for _, st := range s.active {
-			load[st.shard] += market.EnrollSize(&st.spec, len(s.cfg.Population))
-		}
-		best := 0
-		for si := 1; si < len(load); si++ {
-			if load[si] < load[best] {
-				best = si
-			}
-		}
-		return best
-	}
-	return s.nextIndex % len(s.shards)
 }
 
 // admitLocked funds and launches one queued spec. Admission failures are
@@ -474,15 +407,13 @@ func (s *Service) admitLocked(spec market.TaskSpec) {
 	if seed == 0 {
 		seed = market.DerivedTaskSeed(s.cfg.Seed, s.nextIndex)
 	}
-	shard := s.placeLocked(&spec)
-	sh := s.shards[shard]
 	rt, err := market.NewRuntime(market.RuntimeConfig{
 		Spec:        spec,
 		Index:       s.nextIndex,
 		Seed:        seed,
 		Group:       s.cfg.Group,
-		Backend:     sh.Chain,
-		Store:       sh.Store,
+		Backend:     s.sh.Chain,
+		Store:       s.sh.Store,
 		Population:  s.cfg.Population,
 		PopAddrs:    s.popAddrs,
 		SharedKey:   s.cfg.SharedKey,
@@ -498,25 +429,23 @@ func (s *Service) admitLocked(spec market.TaskSpec) {
 			return
 		}
 	}
-	rt.Fund(sh.Ledger)
+	rt.Fund(s.sh.Ledger)
 	if err := rt.Launch(); err != nil {
 		s.reject(spec, err)
 		return
 	}
-	if s.auditors != nil {
-		s.auditors[shard].Register(rt.ID(), rt.RequesterKey().H)
+	if s.auditor != nil {
+		s.auditor.Register(rt.ID(), rt.RequesterKey().H)
 	}
 	st := &taskState{
 		rt:         rt,
-		spec:       spec,
 		index:      s.nextIndex,
 		seed:       seed,
-		shard:      shard,
-		admitted:   sh.Chain.Round(),
+		admitted:   s.sh.Chain.Round(),
 		admittedAt: time.Now(),
 		questions:  swarm.Address(spec.Instance.Task.MarshalQuestions()),
 	}
-	s.content[contentKey{shard, st.questions}]++
+	s.content[st.questions]++
 	s.active = append(s.active, st)
 	s.nextIndex++
 	s.qmu.Lock()
@@ -538,7 +467,7 @@ func (s *Service) reject(spec market.TaskSpec, err error) {
 // settleLocked reaps settled and expired tasks after a mined round, prunes
 // their state, and enforces the retention windows.
 func (s *Service) settleLocked() error {
-	round := s.shards[0].Chain.Round()
+	round := s.sh.Chain.Round()
 	budget := s.cfg.taskRoundBudget()
 	keep := s.active[:0]
 	var done []TaskStatus
@@ -548,8 +477,7 @@ func (s *Service) settleLocked() error {
 	for _, st := range s.active {
 		switch {
 		case st.rt.Finished():
-			sh := s.shards[st.shard]
-			res, err := st.rt.Result(sh.Chain, sh.Ledger)
+			res, err := st.rt.Result(s.sh.Chain, s.sh.Ledger)
 			if err != nil {
 				return err
 			}
@@ -610,19 +538,17 @@ func (s *Service) settleLocked() error {
 // contract storage, event log and unreferenced off-chain content only when
 // the task settled and pruning is on.
 func (s *Service) retireLocked(st *taskState, prune bool) error {
-	sh := s.shards[st.shard]
-	if s.auditors != nil {
-		s.auditors[st.shard].Unregister(st.rt.ID())
+	if s.auditor != nil {
+		s.auditor.Unregister(st.rt.ID())
 	}
-	key := contentKey{st.shard, st.questions}
-	if s.content[key]--; s.content[key] == 0 {
-		delete(s.content, key)
+	if s.content[st.questions]--; s.content[st.questions] == 0 {
+		delete(s.content, st.questions)
 		if prune && !s.cfg.KeepSettled {
-			sh.Store.Delete(st.questions)
+			s.sh.Store.Delete(st.questions)
 		}
 	}
 	if prune && !s.cfg.KeepSettled {
-		if err := sh.Chain.PruneContract(st.rt.ID()); err != nil {
+		if err := s.sh.Chain.PruneContract(st.rt.ID()); err != nil {
 			return fmt.Errorf("service: pruning settled task: %w", err)
 		}
 	}
@@ -635,20 +561,14 @@ func (s *Service) retireLocked(st *taskState, prune bool) error {
 // (copy-commit) need the history of every live task's lifetime.
 func (s *Service) trimLocked() {
 	if s.cfg.RetainRounds >= 0 {
-		// Shards mine in lockstep, so one floor serves them all; each
-		// shard's window is still pinned by ITS oldest active admission, so
-		// a long-lived task on shard A never forces shard B to hoard
-		// history (and trimming B never breaks A's replaying clients).
-		for si, sh := range s.shards {
-			floor := sh.Chain.Round() - s.cfg.retainRounds()
-			for _, st := range s.active {
-				if st.shard == si && st.admitted < floor {
-					floor = st.admitted
-				}
+		floor := s.sh.Chain.Round() - s.cfg.retainRounds()
+		for _, st := range s.active {
+			if st.admitted < floor {
+				floor = st.admitted
 			}
-			if floor > 0 {
-				sh.Chain.TrimBefore(floor)
-			}
+		}
+		if floor > 0 {
+			s.sh.Chain.TrimBefore(floor)
 		}
 	}
 	if s.cfg.RetainLedgerEvents >= 0 {
@@ -656,16 +576,14 @@ func (s *Service) trimLocked() {
 		if max == 0 {
 			max = DefaultRetainLedgerEvents
 		}
-		for _, sh := range s.shards {
-			sh.Ledger.TrimEvents(max)
-		}
+		s.sh.Ledger.TrimEvents(max)
 	}
 }
 
 // Stats reports a point-in-time summary of the stream.
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
-	round := s.shards[0].Chain.Round()
+	round := s.sh.Chain.Round()
 	active := len(s.active)
 	s.mu.Unlock()
 	s.qmu.Lock()
@@ -694,28 +612,18 @@ func (s *Service) Stats() Stats {
 // assertions (the adversary harness builds its invariant report from them).
 // Both have their own locking; reading them mid-round is safe but racy with
 // a background miner — quiesce (manual mode, or Close) for exact values.
-// On a sharded service they return shard 0's substrate; use Shards for the
-// rest.
-func (s *Service) Chain() *chain.Chain { return s.shards[0].Chain }
+func (s *Service) Chain() *chain.Chain { return s.sh.Chain }
 
-// Ledger returns the shared ledger (shard 0's when sharded).
-func (s *Service) Ledger() *ledger.Ledger { return s.shards[0].Ledger }
+// Ledger returns the shared ledger.
+func (s *Service) Ledger() *ledger.Ledger { return s.sh.Ledger }
 
-// Shards returns the per-shard substrate handles, in index order; length 1
-// on an unsharded service. Callers must not mutate the slice.
-func (s *Service) Shards() []*chain.Shard { return s.shards }
-
-// AuditedProofs counts the VPKE openings the round auditors re-verified
-// across every shard (0 unless batch verification is on).
+// AuditedProofs counts the VPKE openings the round auditor re-verified (0
+// unless batch verification is on).
 func (s *Service) AuditedProofs() int {
-	if s.auditors == nil {
+	if s.auditor == nil {
 		return 0
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	total := 0
-	for _, a := range s.auditors {
-		total += a.Count()
-	}
-	return total
+	return s.auditor.Count()
 }

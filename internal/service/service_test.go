@@ -2,6 +2,7 @@ package service_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dragoon/internal/chain"
 	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
@@ -18,6 +20,7 @@ import (
 	"dragoon/internal/protocol"
 	"dragoon/internal/service"
 	"dragoon/internal/task"
+	"dragoon/internal/wire"
 	"dragoon/internal/worker"
 )
 
@@ -531,5 +534,98 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if err := s.SubmitTask(specs[2]); err != service.ErrClosed {
 		t.Fatalf("submit after close: %v", err)
+	}
+}
+
+// TestPruneOnSettle: settling a task prunes its contract log, so an event
+// cursor opened before settlement, which held a real position in that log,
+// reports chain.ErrPruned afterwards.
+func TestPruneOnSettle(t *testing.T) {
+	cfg, specs := rngFreeStream(t, 1)
+	s, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := s.Chain().Cursor(ledger.ContractID(specs[0].Instance.Task.ID))
+	if err := s.SubmitTask(specs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var observed, settled int
+	for r := 0; r < 30 && settled == 0; r++ {
+		if err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if evs, err := cur.Poll(); err == nil {
+			observed += len(evs)
+		}
+		for _, st := range s.Poll() {
+			if st.Err != nil || st.Expired || st.Result == nil {
+				t.Fatalf("task did not settle cleanly: %+v", st)
+			}
+			settled++
+		}
+	}
+	if settled != 1 || observed == 0 {
+		t.Fatalf("settled %d times, cursor saw %d events", settled, observed)
+	}
+	if _, err := cur.Poll(); !errors.Is(err, chain.ErrPruned) {
+		t.Fatalf("cursor over the pruned log: err = %v, want ErrPruned", err)
+	}
+	if err := s.Ledger().CheckConservation(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRestoreRejectsBadSnapshots: a snapshot of any version but 1 fails with
+// ErrSnapshotVersion, and every strict prefix of a valid snapshot fails with
+// wire.ErrTruncated, never a panic. The snapshot is cut mid-stream, with
+// active tasks and unpolled reports, so the prefixes reach every field.
+func TestRestoreRejectsBadSnapshots(t *testing.T) {
+	cfg, specs := rngFreeStream(t, 1)
+	s, err := service.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range specs[:2] {
+		if err := s.SubmitTask(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < 3; r++ {
+		if err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, spec := range specs[2:] {
+		if err := s.SubmitTask(spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r := 0; r < 60 && s.Stats().Settled == 0; r++ {
+		if err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Settled == 0 || st.Active == 0 {
+		t.Fatalf("snapshot point has %d settled and %d active tasks, want both", st.Settled, st.Active)
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := service.Restore(cfg, snap, rehydrator(specs)); err != nil {
+		t.Fatalf("valid snapshot: %v", err)
+	}
+
+	for _, v := range []byte{0, 2, 3} {
+		bad := append([]byte{v}, snap[1:]...)
+		if _, err := service.Restore(cfg, bad, rehydrator(specs)); !errors.Is(err, service.ErrSnapshotVersion) {
+			t.Errorf("version %d: err = %v, want ErrSnapshotVersion", v, err)
+		}
+	}
+	for n := 0; n < len(snap); n++ {
+		if _, err := service.Restore(cfg, snap[:n], rehydrator(specs)); !errors.Is(err, wire.ErrTruncated) {
+			t.Fatalf("prefix of %d of %d bytes: err = %v, want wire.ErrTruncated", n, len(snap), err)
+		}
 	}
 }

@@ -31,14 +31,9 @@ import (
 	"dragoon/internal/wire"
 )
 
-// snapshotVersion guards the service snapshot encoding. An unsharded
-// service writes version 1 (the historical layout, one chain/ledger/store
-// triple); a sharded one writes version 2, which carries a shard count, one
-// substrate triple per shard, and each active task's shard index.
-const (
-	snapshotVersion        = 1
-	snapshotVersionSharded = 2
-)
+// snapshotVersion guards the service snapshot encoding: one chain, ledger
+// and store triple, then the stream state. Restore reads no other version.
+const snapshotVersion = 1
 
 // Rehydrate maps an active task's ID back to its spec on restore. The spec
 // must be semantically identical to the one originally submitted (same
@@ -58,23 +53,15 @@ func (s *Service) Snapshot() ([]byte, error) {
 	if len(s.queue) > 0 {
 		return nil, errors.New("service: snapshot with queued submissions (admit them first: they carry code, not data)")
 	}
-	sharded := len(s.shards) > 1
 	w := wire.NewWriter()
-	if sharded {
-		w.WriteUint(snapshotVersionSharded)
-		w.WriteUint(uint64(len(s.shards)))
-	} else {
-		w.WriteUint(snapshotVersion)
+	w.WriteUint(snapshotVersion)
+	chainBytes, err := s.sh.Chain.Snapshot()
+	if err != nil {
+		return nil, err
 	}
-	for _, sh := range s.shards {
-		chainBytes, err := sh.Chain.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		w.WriteBytes(chainBytes)
-		w.WriteBytes(sh.Ledger.Snapshot())
-		w.WriteBytes(sh.Store.Snapshot())
-	}
+	w.WriteBytes(chainBytes)
+	w.WriteBytes(s.sh.Ledger.Snapshot())
+	w.WriteBytes(s.sh.Store.Snapshot())
 	w.WriteUint(uint64(s.nextIndex))
 	w.WriteUint(s.admitted)
 	w.WriteUint(s.settled)
@@ -87,9 +74,6 @@ func (s *Service) Snapshot() ([]byte, error) {
 		w.WriteString(string(st.rt.ID()))
 		w.WriteUint(uint64(st.index))
 		w.WriteInt(st.seed)
-		if sharded {
-			w.WriteUint(uint64(st.shard))
-		}
 		w.WriteUint(uint64(st.admitted))
 		answers := st.rt.RecordedAnswers()
 		w.WriteUint(uint64(len(answers)))
@@ -118,57 +102,35 @@ func Restore(cfg Config, data []byte, rehydrate Rehydrate) (*Service, error) {
 	if err != nil {
 		return nil, fmt.Errorf("service: restore: %w", err)
 	}
-	if v != snapshotVersion && v != snapshotVersionSharded {
-		return nil, fmt.Errorf("service: restore: snapshot version %d, want %d or %d",
-			v, snapshotVersion, snapshotVersionSharded)
+	if v != snapshotVersion {
+		return nil, fmt.Errorf("%w %d (this build reads %d)", ErrSnapshotVersion, v, snapshotVersion)
 	}
-	sharded := v == snapshotVersionSharded
-	count := uint64(1)
-	if sharded {
-		if count, err = r.ReadUint(); err != nil {
-			return nil, fmt.Errorf("service: restore: shard count: %w", err)
-		}
-		if count < 2 {
-			return nil, fmt.Errorf("service: restore: sharded snapshot with %d shards", count)
-		}
+	chainBytes, err := r.ReadBytes()
+	if err != nil {
+		return nil, fmt.Errorf("service: restore: chain: %w", err)
 	}
-	if int(count) != cfg.shardCount() {
-		return nil, fmt.Errorf("service: restore: snapshot has %d shards, config asks for %d", count, cfg.shardCount())
+	ledgerBytes, err := r.ReadBytes()
+	if err != nil {
+		return nil, fmt.Errorf("service: restore: ledger: %w", err)
 	}
-	execWorkers := chain.ResolveExecWorkers(cfg.ParallelExec, cfg.Parallelism)
-	shards := make([]*chain.Shard, count)
-	for i := range shards {
-		chainBytes, err := r.ReadBytes()
-		if err != nil {
-			return nil, fmt.Errorf("service: restore: shard %d chain: %w", i, err)
-		}
-		ledgerBytes, err := r.ReadBytes()
-		if err != nil {
-			return nil, fmt.Errorf("service: restore: shard %d ledger: %w", i, err)
-		}
-		storeBytes, err := r.ReadBytes()
-		if err != nil {
-			return nil, fmt.Errorf("service: restore: shard %d store: %w", i, err)
-		}
-		led, err := ledger.Restore(ledgerBytes)
-		if err != nil {
-			return nil, err
-		}
-		store, err := swarm.Restore(storeBytes)
-		if err != nil {
-			return nil, err
-		}
-		ch, err := chain.RestoreChain(led, cfg.Scheduler, chainBytes)
-		if err != nil {
-			return nil, err
-		}
-		ch.SetParallelExecution(execWorkers)
-		shards[i] = &chain.Shard{Index: i, Ledger: led, Chain: ch, Store: store}
+	storeBytes, err := r.ReadBytes()
+	if err != nil {
+		return nil, fmt.Errorf("service: restore: store: %w", err)
 	}
-	s, err := newService(cfg, shards)
+	led, err := ledger.Restore(ledgerBytes)
 	if err != nil {
 		return nil, err
 	}
+	store, err := swarm.Restore(storeBytes)
+	if err != nil {
+		return nil, err
+	}
+	ch, err := chain.RestoreChain(led, cfg.Scheduler, chainBytes)
+	if err != nil {
+		return nil, err
+	}
+	ch.SetParallelExecution(chain.ResolveExecWorkers(cfg.ParallelExec, cfg.Parallelism))
+	s := newService(cfg, &chain.Shard{Ledger: led, Chain: ch, Store: store})
 
 	next, err := r.ReadUint()
 	if err != nil {
@@ -186,7 +148,7 @@ func Restore(cfg Config, data []byte, rehydrate Rehydrate) (*Service, error) {
 		return nil, fmt.Errorf("service: restore: active tasks: %w", err)
 	}
 	for i := uint64(0); i < n; i++ {
-		if err := s.restoreTask(r, rehydrate, sharded); err != nil {
+		if err := s.restoreTask(r, rehydrate); err != nil {
 			return nil, err
 		}
 	}
@@ -208,8 +170,8 @@ func Restore(cfg Config, data []byte, rehydrate Rehydrate) (*Service, error) {
 }
 
 // restoreTask rebuilds one active task's clients by replaying its lifetime
-// against its restored shard's chain.
-func (s *Service) restoreTask(r *wire.Reader, rehydrate Rehydrate, sharded bool) error {
+// against the restored chain.
+func (s *Service) restoreTask(r *wire.Reader, rehydrate Rehydrate) error {
 	id, err := r.ReadString()
 	if err != nil {
 		return fmt.Errorf("service: restore: task id: %w", err)
@@ -221,15 +183,6 @@ func (s *Service) restoreTask(r *wire.Reader, rehydrate Rehydrate, sharded bool)
 	seed, err := r.ReadInt()
 	if err != nil {
 		return fmt.Errorf("service: restore: task %q: %w", id, err)
-	}
-	shard := uint64(0)
-	if sharded {
-		if shard, err = r.ReadUint(); err != nil {
-			return fmt.Errorf("service: restore: task %q shard: %w", id, err)
-		}
-		if int(shard) >= len(s.shards) {
-			return fmt.Errorf("service: restore: task %q on shard %d of %d", id, shard, len(s.shards))
-		}
 	}
 	admittedRound, err := r.ReadUint()
 	if err != nil {
@@ -259,18 +212,16 @@ func (s *Service) restoreTask(r *wire.Reader, rehydrate Rehydrate, sharded bool)
 
 	// Rebuild the clients over a replay view capped at the admission round,
 	// re-install the contract program (snapshots carry state, not code), and
-	// re-step every lived round — all against the task's own shard.
-	// Submissions are discarded — they are already mined into the restored
-	// chain.
-	sh := s.shards[shard]
-	rb := chain.NewReplayBackend(sh.Chain, int(admittedRound))
+	// re-step every lived round. Submissions are discarded — they are
+	// already mined into the restored chain.
+	rb := chain.NewReplayBackend(s.sh.Chain, int(admittedRound))
 	rt, err := market.NewRuntime(market.RuntimeConfig{
 		Spec:        spec,
 		Index:       int(index),
 		Seed:        seed,
 		Group:       s.cfg.Group,
 		Backend:     rb,
-		Store:       sh.Store,
+		Store:       s.sh.Store,
 		Population:  s.cfg.Population,
 		PopAddrs:    s.popAddrs,
 		SharedKey:   s.cfg.SharedKey,
@@ -280,13 +231,13 @@ func (s *Service) restoreTask(r *wire.Reader, rehydrate Rehydrate, sharded bool)
 	if err != nil {
 		return fmt.Errorf("service: restore: task %q: %w", id, err)
 	}
-	if err := sh.Chain.RegisterContract(rt.ID(), contract.New(s.cfg.Group)); err != nil {
+	if err := s.sh.Chain.RegisterContract(rt.ID(), contract.New(s.cfg.Group)); err != nil {
 		return fmt.Errorf("service: restore: task %q: %w", id, err)
 	}
 	if err := rt.Launch(); err != nil {
 		return fmt.Errorf("service: restore: task %q: %w", id, err)
 	}
-	for round := int(admittedRound); round < sh.Chain.Round(); round++ {
+	for round := int(admittedRound); round < s.sh.Chain.Round(); round++ {
 		rb.SetRound(round)
 		if err := rt.StepRequester(); err != nil {
 			return fmt.Errorf("service: replaying task %q round %d: %w", id, round, err)
@@ -302,19 +253,17 @@ func (s *Service) restoreTask(r *wire.Reader, rehydrate Rehydrate, sharded bool)
 	}
 	rb.GoLive()
 
-	if s.auditors != nil {
-		s.auditors[shard].Register(rt.ID(), rt.RequesterKey().H)
+	if s.auditor != nil {
+		s.auditor.Register(rt.ID(), rt.RequesterKey().H)
 	}
 	st := &taskState{
 		rt:        rt,
-		spec:      spec,
 		index:     int(index),
 		seed:      seed,
-		shard:     int(shard),
 		admitted:  int(admittedRound),
 		questions: swarm.Address(spec.Instance.Task.MarshalQuestions()),
 	}
-	s.content[contentKey{st.shard, st.questions}]++
+	s.content[st.questions]++
 	s.active = append(s.active, st)
 	return nil
 }

@@ -10,35 +10,8 @@ import (
 // HIT contracts on a shared simulated chain, with a shared worker
 // population whose members may enroll in several tasks, optionally one
 // ElGamal key pair across all requesters (§VI), and a single network
-// adversary scheduling every task's transactions together. Setting Shards
-// splits the run across that many independent chains mined in lockstep:
-// tasks are placed per the Placement policy, every population member is
-// homed on shard (index mod Shards), and workers paid away from home move
-// their reward back through an HTLC escrow in a dedicated settlement epoch
-// (tunable via the Settle field) — per-task transcripts stay byte-identical
-// to the unsharded run.
+// adversary scheduling every task's transactions together.
 type MarketplaceConfig = market.Config
-
-// Placement is the task→shard assignment policy of a sharded marketplace:
-// PlaceRoundRobin (the default) or PlaceLeastLoaded.
-type Placement = market.Placement
-
-// The placement policies: round-robin assigns task i to shard i mod S;
-// least-loaded assigns each task to the shard with the fewest enrolled
-// workers so far.
-const (
-	PlaceRoundRobin  = market.PlaceRoundRobin
-	PlaceLeastLoaded = market.PlaceLeastLoaded
-)
-
-// SettleConfig tunes (and fault-injects) the HTLC settlement epoch of a
-// sharded marketplace run: lock timeouts, preimage-withholding workers, a
-// silent bridge.
-type SettleConfig = market.SettleConfig
-
-// Settlement records one cross-shard HTLC transfer's outcome — the worker,
-// amount and shards involved, and whether it claimed or refunded.
-type Settlement = market.Settlement
 
 // MarketplaceTask describes one HIT instance inside a marketplace run: its
 // task instance, enrolled population members (by index, in arrival order),

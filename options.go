@@ -10,11 +10,11 @@ import (
 // which harness executes it:
 //
 //   - Parallelism bounds the run's own fan-outs — the per-round worker
-//     computation, concurrent shard mining and the optimistic executor's
-//     default: 0 follows runtime.GOMAXPROCS(0), n > 0 bounds each at n.
-//     The crypto kernels inside a round (decryption, PoQoEA proving and
-//     verification, the MSMs) run on a GOMAXPROCS-sized pool whatever the
-//     setting, so Parallelism 1 is not fully sequential.
+//     computation and the optimistic executor's default: 0 follows
+//     runtime.GOMAXPROCS(0), n > 0 bounds each at n. The crypto kernels
+//     inside a round (decryption, PoQoEA proving and verification, the
+//     MSMs) run on a GOMAXPROCS-sized pool whatever the setting, so
+//     Parallelism 1 is not fully sequential.
 //   - BatchVerify selects batched proof verification: > 0 turns folded
 //     verification on; 0 and < 0 keep per-proof verification.
 //   - ParallelExec selects optimistic parallel block execution on the run's

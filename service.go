@@ -17,10 +17,7 @@ type Service = service.Service
 
 // ServiceConfig configures a streaming marketplace service: the shared
 // population and crypto backend, the retention knobs bounding on-chain
-// history, the per-task round budget, and the consolidated Options. Setting
-// Shards runs the stream over that many independent chains mined in
-// lockstep — admissions route to shards by Placement, and retention,
-// pruning and snapshots operate per shard.
+// history, the per-task round budget, and the consolidated Options.
 type ServiceConfig = service.Config
 
 // ServiceTaskStatus is the settlement report delivered by Service.Poll for
@@ -38,6 +35,10 @@ type ServiceRehydrate = service.Rehydrate
 
 // ErrServiceClosed is returned by submissions to a closed Service.
 var ErrServiceClosed = service.ErrClosed
+
+// ErrServiceSnapshotVersion is wrapped by RestoreService when a snapshot's
+// version is not one this build can read.
+var ErrServiceSnapshotVersion = service.ErrSnapshotVersion
 
 // NewService starts a streaming marketplace service. Unless cfg.Manual is
 // set, a background goroutine mines rounds whenever tasks are queued or
