@@ -1,12 +1,13 @@
 # Dragoon build/test/bench entry points. CI (.github/workflows/ci.yml) runs
-# fmt-check, vet, build, test, examples and race; bench-json tracks the
-# parallel layer's performance trajectory in BENCH_parallel.json.
+# fmt-check, vet, build, test, examples, race and the servicebench checks;
+# bench-json tracks the parallel layer's performance trajectory in
+# BENCH_parallel.json.
 
 GO ?= go
 
 .PHONY: build test race bench bench-smoke bench-json bench-kernels fmt \
 	fmt-check vet all golden cover fuzz-smoke fuzz-econ docs-check soak-smoke \
-	servicebench-check examples
+	servicebench-check servicebench-smoke examples
 
 all: build test
 
@@ -132,6 +133,22 @@ soak-smoke:
 # its short tests from inside, against this checkout (replace dragoon => ../).
 servicebench-check:
 	cd servicebench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test -short ./...
+
+# Run the service benchmark itself for 2 s on every workload BENCHMARK.json
+# lists (end-to-end metrics, --trace 0), then once traced (--trace 1), whose
+# replay-against-service check catches a drift between service.step and
+# servicebench's replay of it. A failed check exits non-zero and fails the
+# target. run.sh writes only under servicebench/.build (gitignored).
+servicebench-smoke:
+	@ws="$$(sed -n 's/.*{"name": "\([^"]*\)", "why".*/\1/p' BENCHMARK.json)"; \
+	[ -n "$$ws" ] || { echo "no workloads found in BENCHMARK.json"; exit 1; }; \
+	for w in $$ws; do \
+		echo "servicebench --workload $$w --trace 0"; \
+		bash servicebench/run.sh --workload "$$w" --seed 1 --seconds 2 --trace 0 || exit 1; \
+	done; \
+	w="$${ws%%[[:space:]]*}"; \
+	echo "servicebench --workload $$w --trace 1"; \
+	bash servicebench/run.sh --workload "$$w" --seed 1 --seconds 2 --trace 1
 
 # Documentation lint (cmd/docscheck): requires a godoc comment on every
 # exported facade symbol and checks every relative markdown link in

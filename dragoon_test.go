@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dragoon/internal/benchwork"
+	"dragoon/internal/drbg"
 	"dragoon/internal/gas"
 )
 
@@ -12,7 +13,8 @@ import (
 // as a downstream user would, over the production BN254 backend.
 func TestPublicAPICryptoRoundtrip(t *testing.T) {
 	g := BN254()
-	sk, err := KeyGen(g, nil)
+	rnd := drbg.New(1, "TestPublicAPICryptoRoundtrip")
+	sk, err := KeyGen(g, rnd)
 	if err != nil {
 		t.Fatalf("KeyGen: %v", err)
 	}
@@ -25,11 +27,11 @@ func TestPublicAPICryptoRoundtrip(t *testing.T) {
 	if got := Quality(answers, st); got != 2 {
 		t.Fatalf("Quality = %d, want 2", got)
 	}
-	cts, err := EncryptAnswers(&sk.PublicKey, answers, nil)
+	cts, err := EncryptAnswers(&sk.PublicKey, answers, rnd)
 	if err != nil {
 		t.Fatalf("EncryptAnswers: %v", err)
 	}
-	chi, proof, err := ProveQuality(sk, cts, st, nil)
+	chi, proof, err := ProveQuality(sk, cts, st, rnd)
 	if err != nil {
 		t.Fatalf("ProveQuality: %v", err)
 	}
@@ -43,7 +45,7 @@ func TestPublicAPICryptoRoundtrip(t *testing.T) {
 		t.Fatal("underclaimed quality accepted")
 	}
 
-	plain, dp, err := ProveDecryption(sk, cts[0], 2, nil)
+	plain, dp, err := ProveDecryption(sk, cts[0], 2, rnd)
 	if err != nil {
 		t.Fatalf("ProveDecryption: %v", err)
 	}

@@ -1,7 +1,6 @@
 package adversary
 
 import (
-	"bytes"
 	"fmt"
 
 	"dragoon/internal/chain"
@@ -150,7 +149,9 @@ func (r *Report) checkHonestPaid() error {
 }
 
 // checkPhaseStory validates one contract's event log against the protocol
-// phase machine and its timing windows.
+// phase machine and its timing windows. It walks the whole log itself, not
+// through contract.View, so it stays an independent check of the outcomes
+// the harness read from that view.
 func (r *Report) checkPhaseStory(t *TaskReport) error {
 	events := r.Chain.EventsFor(ledger.ContractID(t.ID))
 	if len(events) == 0 {
@@ -172,11 +173,11 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 		revealEnd      = -1
 		evalEnd        = -1
 		workerFromData = func(data []byte) (chain.Address, error) {
-			i := bytes.IndexByte(data, 0)
-			if i <= 0 {
+			w, _, ok := contract.EventWorker(data)
+			if !ok {
 				return "", fmt.Errorf("event data lacks worker prefix")
 			}
-			return chain.Address(data[:i]), nil
+			return w, nil
 		}
 	)
 	for k, ev := range events {
@@ -190,7 +191,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 				ev.Name, ev.Round, settledRound)
 		}
 		switch ev.Name {
-		case "published":
+		case contract.EventPublished:
 			if params != nil {
 				return fmt.Errorf("published twice")
 			}
@@ -199,7 +200,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 				return fmt.Errorf("undecodable publish event: %w", err)
 			}
 			pubRound = ev.Round
-		case "committed":
+		case contract.EventCommitted:
 			if params == nil {
 				return fmt.Errorf("committed before published")
 			}
@@ -214,7 +215,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 			revealStart = commitRound
 			revealEnd = commitRound + contract.RevealRounds
 			evalEnd = revealEnd + contract.EvalRounds
-		case "revealed":
+		case contract.EventRevealed:
 			if commitRound < 0 {
 				return fmt.Errorf("revealed before commit phase closed")
 			}
@@ -230,7 +231,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 				return fmt.Errorf("worker %s revealed twice", w)
 			}
 			revealed[w] = true
-		case "goldenrevealed":
+		case contract.EventGoldenRevealed:
 			if commitRound < 0 {
 				return fmt.Errorf("golden opening before commit phase closed")
 			}
@@ -242,7 +243,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 					ev.Round, revealEnd, evalEnd)
 			}
 			goldenRound = ev.Round
-		case "paid":
+		case contract.EventPaid:
 			w := chain.Address(ev.Data)
 			if !revealed[w] {
 				return fmt.Errorf("worker %s paid without revealing", w)
@@ -258,7 +259,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 					ev.Round, revealEnd)
 			}
 			paid[w] = true
-		case "rejected":
+		case contract.EventRejected:
 			w, err := workerFromData(ev.Data)
 			if err != nil {
 				return fmt.Errorf("rejected: %w", err)
@@ -277,7 +278,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 					ev.Round, evalEnd)
 			}
 			rejected[w] = true
-		case "finalized":
+		case contract.EventFinalized:
 			if commitRound < 0 {
 				return fmt.Errorf("finalized without a filled commit phase")
 			}
@@ -287,7 +288,7 @@ func (r *Report) checkPhaseStory(t *TaskReport) error {
 			}
 			sawFinalized = true
 			settledRound = ev.Round
-		case "cancelled":
+		case contract.EventCancelled:
 			if commitRound >= 0 {
 				return fmt.Errorf("cancelled after the commit phase filled")
 			}

@@ -5,21 +5,12 @@ package chain
 // actually consume. Clients written against Backend instead of *Chain can be
 // replayed against historical chain state — the mechanism a restoring
 // service uses to reconstruct off-chain client state (consumed randomness,
-// pending reveals, phase cursors) deterministically from a snapshot: rebuild
+// pending reveals, event cursors) deterministically from a snapshot: rebuild
 // each client from its seed, re-step it round by round against a Backend
 // that caps the visible round and discards its submissions, then flip the
 // Backend live.
 
 import "dragoon/internal/ledger"
-
-// EventCursor is a stateful per-contract event feed: each Poll returns the
-// events emitted since the previous Poll. The concrete live implementation
-// is *Cursor; replay backends serve round-capped views through the same
-// interface. Poll returns ErrPruned (wrapped) if the log was truncated
-// beneath the cursor's position.
-type EventCursor interface {
-	Poll() ([]Event, error)
-}
 
 // Backend is the chain surface an off-chain protocol client needs: the
 // clock, transaction submission, contract deployment, the receipt log and
@@ -34,10 +25,9 @@ type Backend interface {
 	Deploy(id ledger.ContractID, contract Contract, codeSize int, from Address) (*Receipt, error)
 	// Receipts returns the retained receipts, in execution order.
 	Receipts() []*Receipt
-	// EventCursor returns a new event cursor over one contract's log,
+	// Cursor returns a new event cursor over one contract's log,
 	// positioned at the start of the retained log.
-	EventCursor(id ledger.ContractID) EventCursor
+	Cursor(id ledger.ContractID) *Cursor
 }
 
 var _ Backend = (*Chain)(nil)
-var _ EventCursor = (*Cursor)(nil)

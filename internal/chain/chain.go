@@ -384,24 +384,21 @@ var ErrPruned = errors.New("chain: event log pruned beneath cursor")
 // Cursor is a stateful per-contract event cursor: each Poll returns only the
 // events the contract emitted since the previous Poll, so a client polling
 // every round pays O(new events) instead of rescanning the whole log. A
-// Cursor is not safe for concurrent use by multiple goroutines, but distinct
-// cursors over one chain are independent.
+// cursor handed out by a ReplayBackend sees only events of rounds below the
+// backend's cap until the backend goes live, then drains normally from
+// wherever it stands. A Cursor is not safe for concurrent use by multiple
+// goroutines, but distinct cursors over one chain are independent.
 type Cursor struct {
-	chain *Chain
-	id    ledger.ContractID
-	next  int
+	chain  *Chain
+	id     ledger.ContractID
+	replay *ReplayBackend // nil for a live cursor
+	next   int
 }
 
 // Cursor returns a new event cursor for one contract, positioned at the
 // start of its log.
 func (c *Chain) Cursor(id ledger.ContractID) *Cursor {
 	return &Cursor{chain: c, id: id}
-}
-
-// EventCursor returns a new event cursor for one contract as the Backend
-// interface type.
-func (c *Chain) EventCursor(id ledger.ContractID) EventCursor {
-	return c.Cursor(id)
 }
 
 // Poll returns the contract's events emitted since the last Poll (nil if
@@ -413,15 +410,22 @@ func (cur *Cursor) Poll() ([]Event, error) {
 	cur.chain.mu.Lock()
 	defer cur.chain.mu.Unlock()
 	evs := cur.chain.eventsFor[cur.id]
-	if cur.next > len(evs) {
+	limit := len(evs)
+	if b := cur.replay; b != nil && !b.live {
+		limit = 0
+		for limit < len(evs) && evs[limit].Round < b.cap {
+			limit++
+		}
+	}
+	if cur.next > limit {
 		return nil, fmt.Errorf("chain: contract %q: %w", cur.id, ErrPruned)
 	}
-	if cur.next == len(evs) {
+	if cur.next == limit {
 		return nil, nil
 	}
-	out := make([]Event, len(evs)-cur.next)
-	copy(out, evs[cur.next:])
-	cur.next = len(evs)
+	out := make([]Event, limit-cur.next)
+	copy(out, evs[cur.next:limit])
+	cur.next = limit
 	return out, nil
 }
 

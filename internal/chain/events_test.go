@@ -78,7 +78,7 @@ func TestStorageIsolation(t *testing.T) {
 }
 
 // poll drains a cursor, failing the test on a pruning error.
-func poll(t *testing.T, cur chain.EventCursor) []chain.Event {
+func poll(t *testing.T, cur *chain.Cursor) []chain.Event {
 	t.Helper()
 	evs, err := cur.Poll()
 	if err != nil {

@@ -17,11 +17,7 @@ package chain
 // receipts back to the oldest replayed admission round (the service's
 // retention floor guarantees it).
 
-import (
-	"fmt"
-
-	"dragoon/internal/ledger"
-)
+import "dragoon/internal/ledger"
 
 // ReplayBackend implements Backend over a historical prefix of a chain.
 type ReplayBackend struct {
@@ -86,44 +82,11 @@ func (b *ReplayBackend) Receipts() []*Receipt {
 	return out
 }
 
-// EventCursor returns a cursor whose visibility follows the backend's cap:
-// it delivers only events of rounds below the cap until GoLive, then drains
+// Cursor returns a cursor whose visibility follows the backend's cap: it
+// delivers only events of rounds below the cap until GoLive, then drains
 // normally from wherever it stands.
-func (b *ReplayBackend) EventCursor(id ledger.ContractID) EventCursor {
-	return &replayCursor{b: b, id: id}
+func (b *ReplayBackend) Cursor(id ledger.ContractID) *Cursor {
+	return &Cursor{chain: b.ch, id: id, replay: b}
 }
 
 var _ Backend = (*ReplayBackend)(nil)
-
-// replayCursor is an event cursor capped by its backend's replay round.
-type replayCursor struct {
-	b    *ReplayBackend
-	id   ledger.ContractID
-	next int
-}
-
-// Poll returns the events emitted since the previous Poll, bounded by the
-// backend's visible round.
-func (cur *replayCursor) Poll() ([]Event, error) {
-	ch := cur.b.ch
-	ch.mu.Lock()
-	defer ch.mu.Unlock()
-	evs := ch.eventsFor[cur.id]
-	limit := len(evs)
-	if !cur.b.live {
-		limit = 0
-		for limit < len(evs) && evs[limit].Round < cur.b.cap {
-			limit++
-		}
-	}
-	if cur.next > limit {
-		return nil, fmt.Errorf("chain: contract %q: %w", cur.id, ErrPruned)
-	}
-	if cur.next == limit {
-		return nil, nil
-	}
-	out := make([]Event, limit-cur.next)
-	copy(out, evs[cur.next:limit])
-	cur.next = limit
-	return out, nil
-}

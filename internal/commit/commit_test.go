@@ -6,10 +6,11 @@ import (
 	"testing/quick"
 
 	"dragoon/internal/commit"
+	"dragoon/internal/drbg"
 )
 
 func TestCommitOpen(t *testing.T) {
-	key, err := commit.NewKey(nil)
+	key, err := commit.NewKey(drbg.New(1, "TestCommitOpen"))
 	if err != nil {
 		t.Fatalf("NewKey: %v", err)
 	}
@@ -44,11 +45,12 @@ func TestCommitOpenQuick(t *testing.T) {
 }
 
 func TestKeysAreFresh(t *testing.T) {
-	a, err := commit.NewKey(nil)
+	rnd := drbg.New(2, "TestKeysAreFresh")
+	a, err := commit.NewKey(rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := commit.NewKey(nil)
+	b, err := commit.NewKey(rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +63,9 @@ func TestKeysAreFresh(t *testing.T) {
 // fresh keys must differ from each other and from commitments to the raw
 // messages (no structure leaks without the key).
 func TestCommitmentsLookIndependent(t *testing.T) {
-	k1, _ := commit.NewKey(nil)
-	k2, _ := commit.NewKey(nil)
+	rnd := drbg.New(3, "TestCommitmentsLookIndependent")
+	k1, _ := commit.NewKey(rnd)
+	k2, _ := commit.NewKey(rnd)
 	c1 := commit.Commit([]byte{0}, k1)
 	c2 := commit.Commit([]byte{0}, k2)
 	if c1 == c2 {
@@ -71,7 +74,7 @@ func TestCommitmentsLookIndependent(t *testing.T) {
 }
 
 func TestBytesCopy(t *testing.T) {
-	key, _ := commit.NewKey(nil)
+	key, _ := commit.NewKey(drbg.New(4, "TestBytesCopy"))
 	c := commit.Commit([]byte("x"), key)
 	b := c.Bytes()
 	b[0] ^= 0xff

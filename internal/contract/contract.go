@@ -199,7 +199,7 @@ func (h *HIT) publish(env *chain.Env, from chain.Address, data []byte) error {
 	if msg.Threshold < 0 {
 		return errors.New("contract: negative threshold")
 	}
-	if msg.Budget == 0 || msg.Budget/ledger.Amount(msg.Workers) == 0 {
+	if RewardOf(msg) == 0 {
 		return errors.New("contract: budget does not cover one reward")
 	}
 	if msg.CommitRounds <= 0 {
@@ -217,7 +217,7 @@ func (h *HIT) publish(env *chain.Env, from chain.Address, data []byte) error {
 	env.StoreSet("requester", []byte(from))
 	storeUint(env, "publishRound", uint64(env.Round()))
 	storeUint(env, "ncommits", 0)
-	env.Emit("published", 1, data)
+	env.Emit(EventPublished, 1, data)
 	return nil
 }
 
@@ -258,7 +258,7 @@ func (h *HIT) commit(env *chain.Env, from chain.Address, data []byte) error {
 	storeUint(env, "ncommits", n+1)
 	if int(n+1) == params.Workers {
 		storeUint(env, "commitDone", uint64(env.Round()))
-		env.Emit("committed", 1, nil)
+		env.Emit(EventCommitted, 1, nil)
 	}
 	return nil
 }
@@ -321,7 +321,7 @@ func (h *HIT) reveal(env *chain.Env, from chain.Address, data []byte) error {
 	env.StoreSet("revealed:"+string(from), []byte{1})
 	// The ciphertexts themselves are only event data, never contract
 	// storage — clients (the requester, auditors) read them from the log.
-	env.Emit("revealed", 2, append([]byte(from+"\x00"), data...))
+	env.Emit(EventRevealed, 2, append([]byte(from+"\x00"), data...))
 	return nil
 }
 
@@ -380,25 +380,24 @@ func (h *HIT) golden(env *chain.Env, from chain.Address, data []byte) error {
 	env.StoreSet("golden", msg.Golden)
 	// The opening becomes public — the audit property ("the golden
 	// standards become public auditable once the HIT is done").
-	env.Emit("goldenrevealed", 1, msg.Golden)
+	env.Emit(EventGoldenRevealed, 1, msg.Golden)
 	return nil
 }
 
 // payWorker pays the per-answer reward and records the decision.
 func (h *HIT) payWorker(env *chain.Env, params *PublishMsg, worker chain.Address) error {
-	reward := params.Budget / ledger.Amount(params.Workers)
-	if err := env.Pay(ledger.AccountID(worker), reward); err != nil {
+	if err := env.Pay(ledger.AccountID(worker), RewardOf(params)); err != nil {
 		return err
 	}
 	env.StoreSet("decided:"+string(worker), []byte{decisionPaid})
-	env.Emit("paid", 2, []byte(worker))
+	env.Emit(EventPaid, 2, []byte(worker))
 	return nil
 }
 
 // rejectWorker records a cryptographically justified rejection.
 func (h *HIT) rejectWorker(env *chain.Env, worker chain.Address, reason string) {
 	env.StoreSet("decided:"+string(worker), []byte{decisionRejected})
-	env.Emit("rejected", 2, append([]byte(worker+"\x00"), reason...))
+	env.Emit(EventRejected, 2, append([]byte(worker+"\x00"), reason...))
 }
 
 // checkEvaluable verifies the shared preconditions of outrange/evaluate:
@@ -609,7 +608,7 @@ func (h *HIT) finalize(env *chain.Env) error {
 		return errors.New("contract: already finalized")
 	}
 	requester := h.requester(env)
-	reward := params.Budget / ledger.Amount(params.Workers)
+	reward := RewardOf(params)
 
 	if _, committed := loadUint(env, "commitDone"); !committed {
 		// Defense-in-depth: publish writes "params" and "publishRound" in
@@ -629,7 +628,7 @@ func (h *HIT) finalize(env *chain.Env) error {
 			return err
 		}
 		env.StoreSet("finalized", []byte{byte(PhaseCancelled)})
-		env.Emit("cancelled", 1, nil)
+		env.Emit(EventCancelled, 1, nil)
 		return nil
 	}
 
@@ -666,74 +665,11 @@ func (h *HIT) finalize(env *chain.Env) error {
 		}
 	}
 	env.StoreSet("finalized", []byte{byte(PhaseDone)})
-	env.Emit("finalized", 1, nil)
+	env.Emit(EventFinalized, 1, nil)
 	return nil
 }
 
-// PhaseObserver incrementally derives the contract phase from the contract's
-// own event log. Observers read events instead of storage (storage is
-// contract-internal); each Phase call folds only the events emitted since
-// the previous call, so polling every round costs O(new events) — not a
-// rescan of the log, and never a scan of other contracts' events.
-type PhaseObserver struct {
-	cursor chain.EventCursor
-
-	published, committed, finalized, cancelled bool
-	commitRound                                int
-}
-
-// NewPhaseObserver returns a phase observer for one contract, positioned at
-// the start of its event log.
-func NewPhaseObserver(b chain.Backend, id ledger.ContractID) *PhaseObserver {
-	return &PhaseObserver{cursor: b.EventCursor(id)}
-}
-
-// Phase drains the cursor and derives the phase as of the given round. It
-// returns chain.ErrPruned (wrapped) if the contract's event log was pruned
-// beneath the observer's cursor — the phase can no longer be derived and the
-// observer must be considered dead.
-func (o *PhaseObserver) Phase(round int) (Phase, error) {
-	evs, err := o.cursor.Poll()
-	if err != nil {
-		return 0, err
-	}
-	for _, ev := range evs {
-		switch ev.Name {
-		case "published":
-			o.published = true
-		case "committed":
-			o.committed = true
-			o.commitRound = ev.Round
-		case "finalized":
-			o.finalized = true
-		case "cancelled":
-			o.cancelled = true
-		}
-	}
-	switch {
-	case o.cancelled:
-		return PhaseCancelled, nil
-	case o.finalized:
-		return PhaseDone, nil
-	case !o.published:
-		return 0, nil
-	case !o.committed:
-		return PhaseCommit, nil
-	case round <= o.commitRound+RevealRounds:
-		return PhaseReveal, nil
-	default:
-		return PhaseEvaluate, nil
-	}
-}
-
-// CurrentPhase derives the contract phase for observers (free function used
-// by clients and tests). It is the one-shot form of PhaseObserver: callers
-// polling repeatedly should hold a PhaseObserver instead.
-func CurrentPhase(b chain.Backend, id ledger.ContractID, round int) (Phase, error) {
-	return NewPhaseObserver(b, id).Phase(round)
-}
-
-// RewardOf returns B/K for published params (helper for clients).
+// RewardOf returns B/K, the reward one worker earns under published params.
 func RewardOf(params *PublishMsg) ledger.Amount {
 	return params.Budget / ledger.Amount(params.Workers)
 }

@@ -9,18 +9,18 @@ import (
 )
 
 // TestPhaseObserverReportsPruned is the regression test for observers over a
-// pruned contract: a PhaseObserver that already folded part of the log must
-// surface chain.ErrPruned from Phase — not silently derive a phase from a
+// pruned contract: an Observer that already folded part of the log must
+// surface chain.ErrPruned from Refresh — not silently derive a phase from a
 // truncated view.
 func TestPhaseObserverReportsPruned(t *testing.T) {
 	h := newHarness(t, 2)
-	obs := contract.NewPhaseObserver(h.chain, "h")
+	obs := contract.NewObserver(h.chain, "h")
 	h.publish()
-	ph, err := obs.Phase(h.chain.Round())
+	view, err := obs.Refresh()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ph != contract.PhaseCommit {
+	if ph := view.Phase(h.chain.Round()); ph != contract.PhaseCommit {
 		t.Fatalf("phase after publish = %v, want PhaseCommit", ph)
 	}
 	// Settle the escrow out of the way (commit phase expires unfilled, the
@@ -34,14 +34,16 @@ func TestPhaseObserverReportsPruned(t *testing.T) {
 	if err := h.chain.PruneContract("h"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := obs.Phase(h.chain.Round()); !errors.Is(err, chain.ErrPruned) {
+	if _, err := obs.Refresh(); !errors.Is(err, chain.ErrPruned) {
 		t.Fatalf("phase over pruned log: err = %v, want ErrPruned", err)
 	}
-	// A client-style view observer (protocol package) rides the same cursor
-	// contract; CurrentPhase over a fresh backend view of the pruned
-	// contract sees an empty log and reports the pre-publish phase — the
-	// documented limitation for cursors created after the prune.
-	if ph, err := contract.CurrentPhase(h.chain, "h", h.chain.Round()); err != nil || ph != 0 {
-		t.Fatalf("fresh observer on pruned contract: phase %v err %v", ph, err)
+	// A fresh observer of the pruned contract sees an empty log and reports
+	// the pre-publish phase — the documented limitation for cursors created
+	// after the prune.
+	if view, err = contract.NewObserver(h.chain, "h").Refresh(); err != nil {
+		t.Fatalf("fresh observer on pruned contract: err %v", err)
+	}
+	if ph := view.Phase(h.chain.Round()); ph != 0 {
+		t.Fatalf("fresh observer on pruned contract: phase %v", ph)
 	}
 }

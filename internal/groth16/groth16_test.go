@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dragoon/internal/bn254"
+	"dragoon/internal/drbg"
 	"dragoon/internal/gadget"
 	"dragoon/internal/groth16"
 	"dragoon/internal/r1cs"
@@ -30,12 +31,13 @@ func TestProveVerifyRoundtrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("groth16 end-to-end is slow")
 	}
+	rnd := drbg.New(1, "TestProveVerifyRoundtrip")
 	cs, w := vpkeSetup(t, 30, 12345, 1)
-	pk, vk, err := groth16.Setup(cs, nil)
+	pk, vk, err := groth16.Setup(cs, rnd)
 	if err != nil {
 		t.Fatalf("Setup: %v", err)
 	}
-	proof, err := groth16.Prove(cs, pk, w, nil)
+	proof, err := groth16.Prove(cs, pk, w, rnd)
 	if err != nil {
 		t.Fatalf("Prove: %v", err)
 	}
@@ -52,12 +54,13 @@ func TestVerifyRejectsWrongPublicInput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("groth16 end-to-end is slow")
 	}
+	rnd := drbg.New(2, "TestVerifyRejectsWrongPublicInput")
 	cs, w := vpkeSetup(t, 30, 999, 0)
-	pk, vk, err := groth16.Setup(cs, nil)
+	pk, vk, err := groth16.Setup(cs, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := groth16.Prove(cs, pk, w, nil)
+	proof, err := groth16.Prove(cs, pk, w, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,12 +79,13 @@ func TestVerifyRejectsMangledProof(t *testing.T) {
 	if testing.Short() {
 		t.Skip("groth16 end-to-end is slow")
 	}
+	rnd := drbg.New(3, "TestVerifyRejectsMangledProof")
 	cs, w := vpkeSetup(t, 20, 7, 1)
-	pk, vk, err := groth16.Setup(cs, nil)
+	pk, vk, err := groth16.Setup(cs, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := groth16.Prove(cs, pk, w, nil)
+	proof, err := groth16.Prove(cs, pk, w, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,13 +103,14 @@ func TestVerifyRejectsMangledProof(t *testing.T) {
 }
 
 func TestProveRejectsBadWitness(t *testing.T) {
+	rnd := drbg.New(4, "TestProveRejectsBadWitness")
 	cs, w := vpkeSetup(t, 10, 42, 1)
-	pk, _, err := groth16.Setup(cs, nil)
+	pk, _, err := groth16.Setup(cs, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
 	w[len(w)-1] = big.NewInt(123456) // corrupt the chain tail
-	if _, err := groth16.Prove(cs, pk, w, nil); err == nil {
+	if _, err := groth16.Prove(cs, pk, w, rnd); err == nil {
 		t.Fatal("unsatisfying witness proved")
 	}
 }
@@ -114,12 +119,13 @@ func TestProofMarshalRoundtrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("groth16 end-to-end is slow")
 	}
+	rnd := drbg.New(5, "TestProofMarshalRoundtrip")
 	cs, w := vpkeSetup(t, 10, 5, 1)
-	pk, vk, err := groth16.Setup(cs, nil)
+	pk, vk, err := groth16.Setup(cs, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := groth16.Prove(cs, pk, w, nil)
+	proof, err := groth16.Prove(cs, pk, w, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}

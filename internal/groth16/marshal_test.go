@@ -4,6 +4,7 @@ import (
 	"math/big"
 	"testing"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/gadget"
 	"dragoon/internal/groth16"
 	"dragoon/internal/r1cs"
@@ -13,6 +14,7 @@ func TestVerifyingKeyRoundtrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("groth16 setup is slow")
 	}
+	rnd := drbg.New(6, "TestVerifyingKeyRoundtrip")
 	cs := r1cs.NewSystem(groth16.FieldOf())
 	c, err := gadget.BuildVPKE(cs, 8)
 	if err != nil {
@@ -20,11 +22,11 @@ func TestVerifyingKeyRoundtrip(t *testing.T) {
 	}
 	w := cs.NewWitness()
 	c.AssignVPKE(w, bigInt(3), bigInt(1), 8)
-	pk, vk, err := groth16.Setup(cs, nil)
+	pk, vk, err := groth16.Setup(cs, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof, err := groth16.Prove(cs, pk, w, nil)
+	proof, err := groth16.Prove(cs, pk, w, rnd)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/group"
 )
 
@@ -101,8 +102,9 @@ func TestUnmarshalRejectsNonMembers(t *testing.T) {
 
 func TestRandomScalarRange(t *testing.T) {
 	g := group.TestSchnorr()
+	rnd := drbg.New(1, "TestRandomScalarRange")
 	for i := 0; i < 64; i++ {
-		k, err := group.RandomScalar(g, nil)
+		k, err := group.RandomScalar(g, rnd)
 		if err != nil {
 			t.Fatalf("RandomScalar: %v", err)
 		}

@@ -68,7 +68,7 @@ func (a *Auditor) Audit(round int, rcpts []*chain.Receipt) error {
 		// leave nothing to audit.
 		rejected := false
 		for _, ev := range rcpt.Events {
-			if ev.Name == "rejected" {
+			if ev.Name == contract.EventRejected {
 				rejected = true
 				break
 			}

@@ -26,7 +26,6 @@
 package market
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -309,7 +308,7 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 // pool, the resulting transactions enter the mempool in (task, worker)
 // order, the chain mines its round, the optional auditor re-verifies the
 // round's accepted rejection proofs, and each task folds the round's events
-// into its phase observer.
+// into its requester's view of the contract.
 //
 // Finished tasks are skipped; auditor may be nil when auditing is off.
 // Exported so the streaming service (internal/service) drives exactly the
@@ -378,27 +377,4 @@ func StepRound(ctx context.Context, ch *chain.Chain, tasks []*Runtime, paralleli
 		}
 	}
 	return nil
-}
-
-// outcomesFromEvents extracts per-worker verdicts from one contract's event
-// log.
-func outcomesFromEvents(ch *chain.Chain, id ledger.ContractID) (paid, rejected, revealed map[chain.Address]bool) {
-	paid = make(map[chain.Address]bool)
-	rejected = make(map[chain.Address]bool)
-	revealed = make(map[chain.Address]bool)
-	for _, ev := range ch.EventsFor(id) {
-		switch ev.Name {
-		case "paid":
-			paid[chain.Address(ev.Data)] = true
-		case "rejected":
-			if i := bytes.IndexByte(ev.Data, 0); i > 0 {
-				rejected[chain.Address(ev.Data[:i])] = true
-			}
-		case "revealed":
-			if i := bytes.IndexByte(ev.Data, 0); i > 0 {
-				revealed[chain.Address(ev.Data[:i])] = true
-			}
-		}
-	}
-	return paid, rejected, revealed
 }

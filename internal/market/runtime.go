@@ -1,12 +1,13 @@
 package market
 
 // Runtime is the per-task driving state of the marketplace: one requester
-// client, the enrolled worker clients, and the phase observer that watches
-// the task's contract settle. It is extracted from the batch Run loop so the
-// streaming service (internal/service) drives exactly the same code path —
-// task by task, round by round — that a batch Run does: a task admitted to a
-// long-lived chain produces byte-for-byte the transcript it would produce in
-// a fixed-duration Run with the same seed and neighbours.
+// client, whose view of the contract's event log also tells the harness
+// when the task settled, and the enrolled worker clients. It is extracted
+// from the batch Run loop so the streaming service (internal/service)
+// drives exactly the same code path — task by task, round by round — that a
+// batch Run does: a task admitted to a long-lived chain produces
+// byte-for-byte the transcript it would produce in a fixed-duration Run
+// with the same seed and neighbours.
 
 import (
 	"fmt"
@@ -59,14 +60,12 @@ type RuntimeConfig struct {
 type Runtime struct {
 	spec    TaskSpec
 	id      ledger.ContractID
-	backend chain.Backend
 	reqAddr chain.Address
 	req     *protocol.Requester
 	clients []*protocol.Worker
 	addrs   []chain.Address
 	models  []worker.Model
 	answers [][]int64
-	phase   *contract.PhaseObserver
 
 	finished   bool
 	finalized  bool
@@ -82,7 +81,7 @@ func NewRuntime(cfg RuntimeConfig) (*Runtime, error) {
 		return nil, fmt.Errorf("market: task %d has no instance", cfg.Index)
 	}
 	id := ledger.ContractID(spec.Instance.Task.ID)
-	t := &Runtime{spec: spec, id: id, backend: cfg.Backend, reqAddr: spec.Requester}
+	t := &Runtime{spec: spec, id: id, reqAddr: spec.Requester}
 	if t.reqAddr == "" {
 		t.reqAddr = chain.Address(fmt.Sprintf("requester-%d", cfg.Index))
 	}
@@ -204,13 +203,11 @@ func (t *Runtime) Fund(led *ledger.Ledger) {
 	led.Mint(ledger.AccountID(t.reqAddr), t.spec.Instance.Task.Budget*2)
 }
 
-// Launch deploys the task's contract, publishes it, and attaches the phase
-// observer.
+// Launch deploys the task's contract and publishes it.
 func (t *Runtime) Launch() error {
 	if err := t.req.Launch(); err != nil {
 		return fmt.Errorf("market: launching task %q: %w", t.id, err)
 	}
-	t.phase = contract.NewPhaseObserver(t.backend, t.id)
 	return nil
 }
 
@@ -229,14 +226,14 @@ func (t *Runtime) Prepare(i int) error { return t.clients[i].Prepare() }
 // (safe to fan out across workers).
 func (t *Runtime) WorkerTxs(i int) ([]*chain.Tx, error) { return t.clients[i].StepTxs() }
 
-// CheckPhase folds the newly mined events into the task's phase observer and
-// marks the task finished once its contract settled.
+// CheckPhase folds the newly mined events into the requester's view of the
+// contract and marks the task finished once its contract settled.
 func (t *Runtime) CheckPhase(round int) error {
-	ph, err := t.phase.Phase(round)
+	view, err := t.req.View()
 	if err != nil {
 		return fmt.Errorf("market: task %q phase: %w", t.id, err)
 	}
-	switch ph {
+	switch view.Phase(round) {
 	case contract.PhaseDone:
 		t.finished, t.finalized, t.finalRound = true, true, round
 	case contract.PhaseCancelled:
@@ -276,9 +273,12 @@ func (t *Runtime) Result(ch *chain.Chain, led *ledger.Ledger) (TaskResult, error
 		tr.GasTotal += g
 	}
 
-	// Worker outcomes from the contract's own event log and the true
-	// answers.
-	paid, rejected, revealed := outcomesFromEvents(ch, t.id)
+	// Worker outcomes from the contract's own event log, folded up to the
+	// last mined event, and the true answers.
+	view, err := t.req.View()
+	if err != nil {
+		return TaskResult{}, fmt.Errorf("market: task %q outcomes: %w", t.id, err)
+	}
 	st := t.spec.Instance.Golden.Statement(t.spec.Instance.Task.RangeSize)
 	for i, m := range t.models {
 		o := WorkerOutcome{
@@ -286,9 +286,9 @@ func (t *Runtime) Result(ch *chain.Chain, led *ledger.Ledger) (TaskResult, error
 			Addr:     t.addrs[i],
 			Answers:  t.answers[i],
 			Quality:  -1,
-			Revealed: revealed[t.addrs[i]],
-			Paid:     paid[t.addrs[i]],
-			Rejected: rejected[t.addrs[i]],
+			Revealed: view.Revealed[t.addrs[i]],
+			Paid:     view.Paid[t.addrs[i]],
+			Rejected: view.Rejected[t.addrs[i]],
 		}
 		if t.answers[i] != nil {
 			o.Quality = poqoea.Quality(t.answers[i], st)

@@ -99,7 +99,7 @@ type Requester struct {
 
 	// obs is the requester's incrementally-updated view of its contract's
 	// event log (each round folds only the new events).
-	obs *viewObserver
+	obs *contract.Observer
 
 	// logTable amortizes short-range decryption across the K·N
 	// ciphertexts of a task (lazily built; logTableOnce guards the build so
@@ -179,7 +179,7 @@ func NewRequester(cfg RequesterConfig) (*Requester, error) {
 		policy:       cfg.Policy,
 		commitRounds: cfg.CommitRounds,
 		batchVerify:  batch.Resolve(cfg.BatchVerify),
-		obs:          newViewObserver(cfg.Chain, id),
+		obs:          contract.NewObserver(cfg.Chain, id),
 	}, nil
 }
 
@@ -197,6 +197,11 @@ func (r *Requester) ContractID() ledger.ContractID { return r.contractID }
 
 // PublicKey exposes the requester's encryption key (h).
 func (r *Requester) PublicKey() *elgamal.PublicKey { return &r.sk.PublicKey }
+
+// View folds the contract events mined since the previous read into the
+// requester's view of its task and returns it. The view is the client's
+// own: callers must not modify it, nor read it from another goroutine.
+func (r *Requester) View() (*contract.View, error) { return r.obs.Refresh() }
 
 // Launch deploys the HIT contract and publishes the task: question content
 // goes to off-chain storage, only its digest plus the protocol parameters
@@ -257,12 +262,12 @@ func (r *Requester) Step() error {
 	if !r.published {
 		return nil
 	}
-	view, err := r.obs.refresh()
+	view, err := r.View()
 	if err != nil {
 		return err
 	}
 	round := r.chain.Round()
-	if view.publishedParams == nil || view.finalized || view.cancelled {
+	if view.Published == nil || view.Finalized || view.Cancelled {
 		return nil
 	}
 
@@ -280,8 +285,8 @@ func (r *Requester) Step() error {
 
 	// If the commit phase never filled, cancel after its deadline to
 	// recover the deposit.
-	if view.committedRound < 0 {
-		if !r.finalizeSent && round > view.publishedRound+r.commitRounds {
+	if view.CommittedRound < 0 {
+		if !r.finalizeSent && round > view.PublishedRound+r.commitRounds {
 			r.finalizeSent = true
 			return r.chain.Submit(&chain.Tx{
 				From:     r.Addr,
@@ -293,7 +298,7 @@ func (r *Requester) Step() error {
 	}
 
 	// Enter evaluation once the reveal window is over.
-	if round <= view.committedRound+contract.RevealRounds {
+	if round <= view.CommittedRound+contract.RevealRounds {
 		return nil
 	}
 
@@ -314,7 +319,7 @@ func (r *Requester) Step() error {
 	// Send evaluations only after the golden opening is confirmed on-chain
 	// (ordering within a round is adversarial, so the client sequences
 	// across rounds).
-	if !r.evaluationsSent && view.goldenRevealed {
+	if !r.evaluationsSent && view.GoldenRevealed {
 		r.evaluationsSent = true
 		if r.policy != PolicySilent && r.policy != PolicyNoGolden {
 			if err := r.evaluateAll(view); err != nil {
@@ -325,8 +330,8 @@ func (r *Requester) Step() error {
 	}
 
 	// Finalize after the evaluation window closes.
-	evalEnd := view.committedRound + contract.RevealRounds + contract.EvalRounds
-	if !r.finalizeSent && round > evalEnd && !view.finalized {
+	evalEnd := view.CommittedRound + contract.RevealRounds + contract.EvalRounds
+	if !r.finalizeSent && round > evalEnd {
 		r.finalizeSent = true
 		return r.chain.Submit(&chain.Tx{
 			From:     r.Addr,
@@ -339,17 +344,17 @@ func (r *Requester) Step() error {
 
 // evaluateAll opens every revealed submission and sends the rejection
 // transactions the policy calls for.
-func (r *Requester) evaluateAll(view *chainView) error {
+func (r *Requester) evaluateAll(view *contract.View) error {
 	st := r.inst.Golden.Statement(r.inst.Task.RangeSize)
-	for i, sub := range view.submissions {
+	for i, sub := range view.Submissions {
 		if r.policy == PolicyFalseReport {
 			// Underclaim χ=0 with no proof: the contract must treat this
 			// as an invalid rejection and pay the worker. Nothing needs
 			// decrypting.
-			if _, err := r.decode(sub.data); err != nil {
-				return fmt.Errorf("protocol: decoding submission of %s: %w", sub.worker, err)
+			if _, err := r.decode(sub.Data); err != nil {
+				return fmt.Errorf("protocol: decoding submission of %s: %w", sub.Worker, err)
 			}
-			msg := &contract.EvaluateMsg{Worker: sub.worker, Chi: 0}
+			msg := &contract.EvaluateMsg{Worker: sub.Worker, Chi: 0}
 			if err := r.submitEval(contract.MethodEvaluate, msg.Marshal()); err != nil {
 				return err
 			}
@@ -357,14 +362,14 @@ func (r *Requester) evaluateAll(view *chainView) error {
 		}
 		cts, plains, err := r.open(i, sub)
 		if err != nil {
-			return fmt.Errorf("protocol: decoding submission of %s: %w", sub.worker, err)
+			return fmt.Errorf("protocol: decoding submission of %s: %w", sub.Worker, err)
 		}
 		switch r.policy {
 		case PolicyGarbledProof:
 			// Underclaim χ=0 backed by honestly-generated but garbled
 			// VPKE proofs: on-chain verification must fail and pay the
 			// worker.
-			if err := r.garbledEvaluate(sub.worker, cts, plains, st); err != nil {
+			if err := r.garbledEvaluate(sub.Worker, cts, plains, st); err != nil {
 				return err
 			}
 			continue
@@ -377,7 +382,7 @@ func (r *Requester) evaluateAll(view *chainView) error {
 			return err
 		} else if found {
 			msg := &contract.OutrangeMsg{
-				Worker:  sub.worker,
+				Worker:  sub.Worker,
 				QIdx:    idx,
 				Ct:      elgamal.MarshalCiphertext(r.sk.Group, cts[idx]),
 				Element: r.sk.Group.Marshal(plains[idx].Element),
@@ -391,12 +396,12 @@ func (r *Requester) evaluateAll(view *chainView) error {
 
 		quality, pf, err := poqoea.ProveOpened(r.sk, cts, plains, st, r.rand)
 		if err != nil {
-			return fmt.Errorf("protocol: proving quality of %s: %w", sub.worker, err)
+			return fmt.Errorf("protocol: proving quality of %s: %w", sub.Worker, err)
 		}
 		if quality >= r.inst.Task.Threshold {
 			continue // qualified: stay silent, the default pays the worker
 		}
-		msg := r.evaluateMsg(sub.worker, quality, cts, pf)
+		msg := r.evaluateMsg(sub.Worker, quality, cts, pf)
 		if err := r.submitEval(contract.MethodEvaluate, msg.Marshal()); err != nil {
 			return err
 		}
@@ -457,8 +462,8 @@ func (r *Requester) decryptTable() *elgamal.ShortLogTable {
 // pool worker; each span writes only its own slots), each span in one
 // DecryptMany call. It records the submission's answer vector for Answers
 // and returns the ciphertexts and plaintexts for evaluation to prove from.
-func (r *Requester) open(i int, sub submission) ([]elgamal.Ciphertext, []elgamal.Plaintext, error) {
-	cts, err := r.decode(sub.data)
+func (r *Requester) open(i int, sub contract.Submission) ([]elgamal.Ciphertext, []elgamal.Plaintext, error) {
+	cts, err := r.decode(sub.Data)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -513,18 +518,66 @@ func (r *Requester) submitEval(method string, data []byte) error {
 // already opened are not decrypted again; the caller owns the returned
 // slices.
 func (r *Requester) Answers() (map[chain.Address][]int64, error) {
-	view, err := r.obs.refresh()
+	view, err := r.View()
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[chain.Address][]int64, len(view.submissions))
-	for i, sub := range view.submissions {
+	out := make(map[chain.Address][]int64, len(view.Submissions))
+	for i, sub := range view.Submissions {
 		if i >= len(r.harvest) || r.harvest[i] == nil {
 			if _, _, err := r.open(i, sub); err != nil {
 				return nil, err
 			}
 		}
-		out[sub.worker] = slices.Clone(r.harvest[i])
+		out[sub.Worker] = slices.Clone(r.harvest[i])
 	}
 	return out, nil
+}
+
+// decodeSubmission decodes a revealed event payload into ciphertexts,
+// validating the well-formedness (group membership) of every element one by
+// one.
+func decodeSubmission(g group.Group, data []byte, n int) ([]elgamal.Ciphertext, error) {
+	msg, err := parseSubmission(data, n)
+	if err != nil {
+		return nil, err
+	}
+	cts := make([]elgamal.Ciphertext, n)
+	for i, raw := range msg.Cts {
+		if cts[i], err = elgamal.UnmarshalCiphertext(g, raw); err != nil {
+			return nil, fmt.Errorf("protocol: ciphertext %d: %w", i, err)
+		}
+	}
+	return cts, nil
+}
+
+// decodeSubmissionBatched is decodeSubmission with the element
+// well-formedness checks fanned out over the work pool in one batched call
+// (batch.DecodeCiphertexts) — the requester's round verification of a
+// revealed submission when batching is enabled. The decoded vector is
+// identical to the sequential path; on failure the lowest offending index's
+// error is returned, as a sequential scan would.
+func decodeSubmissionBatched(g group.Group, data []byte, n int) ([]elgamal.Ciphertext, error) {
+	msg, err := parseSubmission(data, n)
+	if err != nil {
+		return nil, err
+	}
+	cts, err := batch.DecodeCiphertexts(g, msg.Cts)
+	if err != nil {
+		return nil, fmt.Errorf("protocol: %w", err)
+	}
+	return cts, nil
+}
+
+// parseSubmission unwraps a revealed event payload and checks the vector
+// length.
+func parseSubmission(data []byte, n int) (*contract.RevealMsg, error) {
+	msg, err := contract.UnmarshalReveal(data)
+	if err != nil {
+		return nil, err
+	}
+	if len(msg.Cts) != n {
+		return nil, fmt.Errorf("protocol: submission has %d ciphertexts, want %d", len(msg.Cts), n)
+	}
+	return msg, nil
 }

@@ -157,7 +157,7 @@ type Worker struct {
 	// event log. It is refreshed from Prepare and StepTxs only; harnesses
 	// running many workers' StepTxs concurrently give each worker its own
 	// observer, so no cursor is ever shared across goroutines.
-	obs *viewObserver
+	obs *contract.Observer
 
 	// preparedAnswers holds the answer vector resolved by Prepare, consumed
 	// by the next commit attempt.
@@ -206,7 +206,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		strategy:   cfg.Strategy,
 		answerFn:   cfg.AnswerFn,
 		rational:   cfg.Rational,
-		obs:        newViewObserver(cfg.Chain, cfg.ContractID),
+		obs:        contract.NewObserver(cfg.Chain, cfg.ContractID),
 	}, nil
 }
 
@@ -240,20 +240,20 @@ func (w *Worker) Prepare() error {
 	if w.strategy != StrategyRational && w.answerFn == nil {
 		return nil
 	}
-	view, err := w.obs.refresh()
+	view, err := w.obs.Refresh()
 	if err != nil {
 		return err
 	}
-	if view.publishedParams == nil {
+	if view.Published == nil {
 		return nil
 	}
 	fn := w.answerFn
 	if w.strategy == StrategyRational {
-		if fn = w.rationalAnswerFn(view.publishedParams); fn == nil {
+		if fn = w.rationalAnswerFn(view.Published); fn == nil {
 			return nil // the utility calculus says abstain
 		}
 	}
-	questions, err := w.fetchQuestions(view.publishedParams)
+	questions, err := w.fetchQuestions(view.Published)
 	if err != nil {
 		// The content is not (yet) in off-chain storage, or fails its
 		// integrity check against the on-chain digest — e.g. a requester
@@ -261,7 +261,7 @@ func (w *Worker) Prepare() error {
 		// never commits to questions it could not verify.
 		return nil
 	}
-	w.preparedAnswers = fn(questions, view.publishedParams.RangeSize)
+	w.preparedAnswers = fn(questions, view.Published.RangeSize)
 	return nil
 }
 
@@ -295,27 +295,27 @@ func (w *Worker) rationalAnswerFn(params *contract.PublishMsg) AnswerFn {
 // (receipts and events), never the mempool, so workers observe identical
 // views regardless of execution order within a round.
 func (w *Worker) StepTxs() ([]*chain.Tx, error) {
-	view, err := w.obs.refresh()
+	view, err := w.obs.Refresh()
 	if err != nil {
 		return nil, err
 	}
-	if view.publishedParams == nil {
+	if view.Published == nil {
 		return nil, nil
 	}
 	if !w.committed {
 		return w.commitTxs(view)
 	}
-	if !w.revealed && view.committedRound >= 0 {
+	if !w.revealed && view.CommittedRound >= 0 {
 		round := w.chain.Round()
-		if round > view.committedRound+contract.RevealRounds {
+		if round > view.CommittedRound+contract.RevealRounds {
 			return nil, nil // window missed
 		}
 		if w.strategy == StrategyReplayReveal {
 			// Replay the first reveal transcript another worker landed
 			// on-chain, byte for byte. It cannot open this worker's own
 			// commitment, so the contract must revert it.
-			for _, sub := range view.submissions {
-				if sub.worker == w.Addr {
+			for _, sub := range view.Submissions {
+				if sub.Worker == w.Addr {
 					continue
 				}
 				w.revealed = true
@@ -323,7 +323,7 @@ func (w *Worker) StepTxs() ([]*chain.Tx, error) {
 					From:     w.Addr,
 					Contract: w.contractID,
 					Method:   contract.MethodReveal,
-					Data:     sub.data,
+					Data:     sub.Data,
 				}}, nil
 			}
 			return nil, nil // nothing to replay yet; keep watching
@@ -343,8 +343,8 @@ func (w *Worker) StepTxs() ([]*chain.Tx, error) {
 
 // commitTxs runs phase 2-a: fetch the task content, verify it against the
 // on-chain digest, answer, encrypt, and commit.
-func (w *Worker) commitTxs(view *chainView) ([]*chain.Tx, error) {
-	params := view.publishedParams
+func (w *Worker) commitTxs(view *contract.View) ([]*chain.Tx, error) {
+	params := view.Published
 
 	if w.strategy == StrategyCopyCommit {
 		// Copy the first commitment observed in any earlier transaction.
@@ -367,7 +367,7 @@ func (w *Worker) commitTxs(view *chainView) ([]*chain.Tx, error) {
 	}
 
 	if w.strategy == StrategyLateCommit &&
-		w.chain.Round() < view.publishedRound+params.CommitRounds {
+		w.chain.Round() < view.PublishedRound+params.CommitRounds {
 		// Wait for the last admissible round: the commit lands exactly on
 		// the phase boundary (any one-round delay pushes it past the
 		// deadline and it reverts).

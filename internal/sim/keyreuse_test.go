@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dragoon/internal/drbg"
 	"dragoon/internal/elgamal"
 	"dragoon/internal/group"
 	"dragoon/internal/sim"
@@ -17,7 +18,7 @@ import (
 // payments and harvested answers.
 func TestOneKeyPairAcrossTasks(t *testing.T) {
 	g := group.TestSchnorr()
-	key, err := elgamal.KeyGen(g, nil)
+	key, err := elgamal.KeyGen(g, drbg.New(60, "TestOneKeyPairAcrossTasks"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestOneKeyPairAcrossTasks(t *testing.T) {
 // TestKeyGroupMismatchRejected guards the key-reuse path against mixing
 // group backends.
 func TestKeyGroupMismatchRejected(t *testing.T) {
-	key, err := elgamal.KeyGen(group.TestSchnorr(), nil)
+	key, err := elgamal.KeyGen(group.TestSchnorr(), drbg.New(70, "TestKeyGroupMismatchRejected"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,22 +83,10 @@ func VerifyValue(pk *elgamal.PublicKey, m int64, ct elgamal.Ciphertext, pi *Proo
 // element gm = g^m. This is the second branch of the paper's VerifyPKE; the
 // first branch (VerifyValue) reduces to it by lifting m to g^m.
 func VerifyElement(pk *elgamal.PublicKey, gm group.Element, ct elgamal.Ciphertext, pi *Proof) bool {
-	g := pk.Group
-	if !ValidShape(g, pi) {
+	if !ValidShape(pk.Group, pi) {
 		return false
 	}
-	c := challenge(g, pi.A, pi.B, pk.H, ct, gm)
-
-	// Equation 1: gm^C · c1^Z ≟ A · c2^C.
-	lhs1 := g.Add(g.ScalarMul(gm, c), g.ScalarMul(ct.C1, pi.Z))
-	rhs1 := g.Add(pi.A, g.ScalarMul(ct.C2, c))
-	if !g.Equal(lhs1, rhs1) {
-		return false
-	}
-	// Equation 2: g^Z ≟ B · h^C.
-	lhs2 := g.ScalarBaseMul(pi.Z)
-	rhs2 := g.Add(pi.B, pk.MulH(c))
-	return g.Equal(lhs2, rhs2)
+	return VerifyWithChallenge(pk, gm, ct, pi, challenge(pk.Group, pi.A, pi.B, pk.H, ct, gm))
 }
 
 // ChallengeFor recomputes the Fiat–Shamir challenge of a proof transcript —
@@ -114,7 +102,7 @@ func ChallengeFor(g group.Group, h group.Element, gm group.Element, ct elgamal.C
 
 // ValidShape reports whether a proof is structurally well-formed: all fields
 // present and the response Z a canonical scalar in [0, order). It is the
-// exact structural precondition VerifyElement enforces before its two
+// exact structural precondition VerifyWithChallenge enforces before its two
 // verification equations, exported so batch verifiers reject malformed
 // proofs identically to the per-proof path.
 func ValidShape(g group.Group, pi *Proof) bool {
@@ -194,16 +182,23 @@ func SimulateProof(pk *elgamal.PublicKey, gm group.Element, ct elgamal.Ciphertex
 	return &Proof{A: a, B: b, Z: z}, c, nil
 }
 
-// VerifyWithChallenge runs the verification equations against an explicit
-// challenge instead of the Fiat–Shamir hash. It is used by tests of the
-// zero-knowledge property (interactive-verifier form).
+// VerifyWithChallenge runs the two verification equations against an
+// explicit challenge c instead of the Fiat–Shamir hash: VerifyElement calls
+// it with the hash, and the zero-knowledge simulator (package poqoea's
+// VerifySimulated) with the challenge it programmed. A proof that is not
+// ValidShape, or a nil challenge, fails.
 func VerifyWithChallenge(pk *elgamal.PublicKey, gm group.Element, ct elgamal.Ciphertext, pi *Proof, c *big.Int) bool {
 	g := pk.Group
+	if c == nil || !ValidShape(g, pi) {
+		return false
+	}
+	// Equation 1: gm^C · c1^Z ≟ A · c2^C.
 	lhs1 := g.Add(g.ScalarMul(gm, c), g.ScalarMul(ct.C1, pi.Z))
 	rhs1 := g.Add(pi.A, g.ScalarMul(ct.C2, c))
 	if !g.Equal(lhs1, rhs1) {
 		return false
 	}
+	// Equation 2: g^Z ≟ B · h^C.
 	lhs2 := g.ScalarBaseMul(pi.Z)
 	rhs2 := g.Add(pi.B, pk.MulH(c))
 	return g.Equal(lhs2, rhs2)

@@ -201,6 +201,24 @@ func TestZeroKnowledgeSimulation(t *testing.T) {
 	if vpke.VerifyElement(&sk.PublicKey, gm, ct, pi) {
 		t.Error("simulated transcript passed the Fiat–Shamir verifier")
 	}
+	// A caller-supplied transcript that is not ValidShape, or comes with no
+	// challenge, fails instead of panicking.
+	malformed := map[string]*vpke.Proof{
+		"nil proof": nil,
+		"empty":     {},
+		"nil A":     {B: pi.B, Z: pi.Z},
+		"nil B":     {A: pi.A, Z: pi.Z},
+		"nil Z":     {A: pi.A, B: pi.B},
+		"Z + order": {A: pi.A, B: pi.B, Z: new(big.Int).Add(pi.Z, g.Order())},
+	}
+	for name, bad := range malformed {
+		if vpke.VerifyWithChallenge(&sk.PublicKey, gm, ct, bad, c) {
+			t.Errorf("%s: malformed transcript accepted", name)
+		}
+	}
+	if vpke.VerifyWithChallenge(&sk.PublicKey, gm, ct, pi, nil) {
+		t.Error("nil challenge accepted")
+	}
 }
 
 func TestProofMarshalRoundtrip(t *testing.T) {
