@@ -1,13 +1,13 @@
 # Dragoon build/test/bench entry points. CI (.github/workflows/ci.yml) runs
-# fmt-check, vet, build, test, examples, race and the servicebench checks;
-# bench-json tracks the parallel layer's performance trajectory in
-# BENCH_parallel.json.
+# fmt-check, vet, build, test, test-purego, examples, race and the
+# servicebench checks; bench-json tracks the parallel layer's performance
+# trajectory in BENCH_parallel.json.
 
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-json bench-kernels fmt \
-	fmt-check vet all golden cover fuzz-smoke fuzz-econ docs-check soak-smoke \
-	servicebench-check servicebench-smoke examples
+.PHONY: build test test-purego race bench bench-smoke bench-json bench-kernels \
+	fmt fmt-check vet all golden cover fuzz-smoke fuzz-econ docs-check \
+	soak-smoke servicebench-check servicebench-smoke examples
 
 all: build test
 
@@ -19,6 +19,15 @@ build:
 # reproduce with -shuffle=<seed>.
 test:
 	$(GO) test -shuffle=on ./...
+
+# The packages whose results reach a golden transcript through the BN254
+# span kernel, built with -tags purego: no assembly, so every span runs
+# the scalar GLV ladder. With `make test` on a CPU with AVX-512 IFMA this
+# checks every golden on both paths; elsewhere both targets test the
+# scalar path only.
+test-purego:
+	$(GO) test -tags purego ./internal/bn254 ./internal/elgamal \
+		./internal/protocol ./internal/market ./internal/adversary
 
 # Build every example program (examples/*) into a scratch directory and run
 # each one; the first non-zero exit fails the target. Their stdout is
@@ -68,9 +77,10 @@ cover:
 
 # Short fuzz pass over the codec fuzz targets (wire reader/round-trip,
 # commitment open, contract message decoders, the G1 and G2 point
-# decoders), seeded from the checked-in corpus under each package's
-# testdata/fuzz. CI runs this as a smoke job; run with a larger FUZZTIME
-# locally for a real hunt.
+# decoders) and the kernel ones (the GLV split, the lane ladder against
+# the scalar one, the limb field), seeded from the checked-in corpus
+# under each package's testdata/fuzz. CI runs this as a smoke job; run
+# with a larger FUZZTIME locally for a real hunt.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzReaderOps -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wire
@@ -80,6 +90,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzGLVDecompose -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzUnmarshalG1 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzUnmarshalG2 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
+	$(GO) test -fuzz=FuzzLaneLadder -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzFpMont -fuzztime=$(FUZZTIME) -run='^$$' ./internal/limb
 
 # Economic fuzz pass: the incentive solver's parameter space (MinimalReward

@@ -33,6 +33,7 @@ import (
 	"dragoon/internal/benchwork"
 	"dragoon/internal/bn254"
 	"dragoon/internal/contract"
+	"dragoon/internal/elgamal"
 	"dragoon/internal/gas"
 	"dragoon/internal/groth16"
 	"dragoon/internal/group"
@@ -201,6 +202,7 @@ func writeParallelJSON(path string, parWorkers int) error {
 	scalarMulBase := bn254.G1Generator().ScalarMul(big.NewInt(987654321))
 	scalarMulK := new(big.Int).Rsh(bn254.Order(), 1)
 	marketQuestions := benchwork.MarketTasks * benchwork.MarketQuestions
+	decryptTable := elgamal.NewShortLogTable(f.Key.Group, f.Statement.RangeSize)
 
 	ops := []benchOp{
 		{"poqoea_prove", len(f.Cts), func() {
@@ -208,6 +210,10 @@ func writeParallelJSON(path string, parWorkers int) error {
 				panic(err)
 			}
 		}},
+		// decrypt_many is the requester's unit of decryption: one
+		// DecryptMany span, every ciphertext under one key, which runs in
+		// lane groups of eight where the CPU has the lane kernel.
+		{"decrypt_many", len(f.Cts), func() { f.Key.DecryptMany(decryptTable, f.Cts) }},
 		{"poqoea_verify", len(f.Cts), func() {
 			if !poqoea.Verify(&f.Key.PublicKey, f.Cts, f.Chi, f.Proof, f.Statement) {
 				panic("verify failed")

@@ -243,13 +243,23 @@ func TestJacMixedAddZeroAllocs(t *testing.T) {
 }
 
 // TestG1Allocs pins the allocations of the exported G1 operations: one, for
-// the result, per group-law or codec call, and at most four per scalar
-// multiplication, whose split, recoding and scratch stay on the stack.
+// the result, per group-law or codec call, at most four per scalar
+// multiplication, whose split, recoding and scratch stay on the stack,
+// and for a 53-entry same-key span with addends (a decryption span) no
+// more than before the lane path: the result, the span and five scratch
+// slices, the lane scratch taking the place of a separate normalization
+// slice, and nothing per lane group.
 func TestG1Allocs(t *testing.T) {
 	a := G1Generator().ScalarMul(big.NewInt(7))
 	b := G1Generator().ScalarMul(big.NewInt(11))
 	enc := a.Marshal()
 	k := randScalars(1, 5)[0]
+	rng := rand.New(rand.NewSource(53))
+	points, addends := spanPoints(rng, 53), spanPoints(rng, 53)
+	ks := make([]*big.Int, len(points))
+	for i := range ks {
+		ks[i] = k
+	}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -264,6 +274,7 @@ func TestG1Allocs(t *testing.T) {
 			}
 		}},
 		{"ScalarMul", 4, func() { a.ScalarMul(k) }},
+		{"G1ScalarMulManyAdd same-key span of 53", 7, func() { G1ScalarMulManyAdd(points, ks, addends) }},
 	} {
 		if got := testing.AllocsPerRun(50, tc.fn); got > tc.max {
 			t.Errorf("%s: %v allocs/op, want at most %v", tc.name, got, tc.max)

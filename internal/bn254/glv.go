@@ -34,7 +34,9 @@ import (
 // the span's odd-multiple tables are normalized to affine with one field
 // inversion, all its results with one more, and a table or a recoding is
 // reused when consecutive entries share a point or a scalar (by pointer).
-// ScalarMul is the span of one, on buffers on its own stack.
+// ScalarMul is the span of one, on buffers on its own stack. Eight
+// consecutive entries with finite points and one scalar pointer run their
+// ladders in lockstep on CPUs with the lane kernel (lanes.go).
 //
 // Every constant — β, λ, the reduced lattice basis and the split's
 // rounding constants — is derived at first use from the curve parameters
@@ -404,6 +406,16 @@ func addDigit(acc *g1JacL, row *[glvTableLen]xy, d int8) {
 	jacLAddAffine(acc, &e.x, &ny)
 }
 
+// build sets t to the odd multiples of the finite point p, normalized on
+// their own, for a lane group that reruns on the scalar ladder.
+func (t *glvTable) build(p *G1) {
+	var row [glvTableLen]g1JacL
+	var zs, scratch [glvTableLen]fpElem
+	oddMultiples(&row, p)
+	normalize(row[:], zs[:], scratch[:])
+	t.set(&row)
+}
+
 // ladder returns k1·P + k2·φ(P) for sc's halves over t's tables.
 func (t *glvTable) ladder(sc *glvScalar) g1JacL {
 	var acc g1JacL
@@ -422,43 +434,65 @@ func (t *glvTable) ladder(sc *glvScalar) g1JacL {
 // glvSpan is the scratch of one span of the kernel: the tables of its
 // distinct bases, the recodings of its distinct scalars, and Jacobian
 // points with the field scratch to normalize them. jac, zs and scratch
-// hold max(glvTableLen·len(tables), span length) elements each.
+// hold max(glvTableLen·len(tables), span length) elements each. lanes is
+// the lane path's scratch (lanes.go), set when the span has a lane group;
+// a lane group builds its own tables there, so tables serves only the
+// entries on the scalar path.
 type glvSpan struct {
 	tables  []glvTable
 	scalars []glvScalar
 	jac     []g1JacL
 	zs      []fpElem
 	scratch []fpElem
+	lanes   *laneScratch
 }
 
 // newGLVSpan sizes the scratch for a span over points and ks.
 func newGLVSpan(points []*G1, ks []*big.Int) *glvSpan {
+	sp := &glvSpan{}
+	if hasLaneRun(points, ks) {
+		sp.lanes = newLaneScratch()
+	}
 	nt, ns := 0, 0
 	for i := range points {
-		if startsTable(points, i) {
-			nt++
-		}
 		if startsRecoding(ks, i) {
 			ns++
 		}
 	}
-	n := max(glvTableLen*nt, len(points))
-	return &glvSpan{
-		tables:  make([]glvTable, nt),
-		scalars: make([]glvScalar, ns),
-		jac:     make([]g1JacL, n),
-		zs:      make([]fpElem, n),
-		scratch: make([]fpElem, n),
+	for i, afterLanes := 0, false; i < len(points); {
+		n := sp.segment(points, ks, i)
+		if n == 1 && startsTable(points, i, afterLanes) {
+			nt++
+		}
+		i, afterLanes = i+n, n > 1
 	}
+	n := max(glvTableLen*nt, len(points))
+	fe := make([]fpElem, 2*n)
+	sp.tables = make([]glvTable, nt)
+	sp.scalars = make([]glvScalar, ns)
+	sp.jac = make([]g1JacL, n)
+	sp.zs, sp.scratch = fe[:n], fe[n:]
+	return sp
+}
+
+// segment returns the number of entries, from entry i on, that the
+// ladder pass takes in one step: laneWidth when they form a lane group
+// (laneRunAt), 1 for an entry of the scalar path.
+func (sp *glvSpan) segment(points []*G1, ks []*big.Int, i int) int {
+	if sp.lanes != nil && laneRunAt(points, ks, i) {
+		return laneWidth
+	}
+	return 1
 }
 
 // isIdentity reports whether a span entry's point contributes nothing.
 func isIdentity(p *G1) bool { return p == nil || p.Inf }
 
-// startsTable reports whether entry i of a span needs a table of its own:
-// its point contributes and is not the previous entry's pointer.
-func startsTable(points []*G1, i int) bool {
-	return !isIdentity(points[i]) && (i == 0 || points[i] != points[i-1])
+// startsTable reports whether scalar-path entry i of a span needs a table
+// of its own: its point contributes and is not the pointer of entry i−1,
+// or entry i−1 ran in a lane group, which kept no table.
+func startsTable(points []*G1, i int, afterLanes bool) bool {
+	return !isIdentity(points[i]) && (i == 0 || afterLanes || points[i] != points[i-1])
 }
 
 // startsRecoding reports whether entry i of a span needs a recoding of its
@@ -467,61 +501,87 @@ func startsRecoding(ks []*big.Int, i int) bool {
 	return ks[i] != nil && (i == 0 || ks[i] != ks[i-1])
 }
 
+// oddMultiples sets row to P, 3P, …, 15P in Jacobian: one doubling and
+// seven additions.
+func oddMultiples(row *[glvTableLen]g1JacL, p *G1) {
+	row[0].setAffine(p)
+	two := row[0]
+	jacLDouble(&two)
+	for j := 1; j < glvTableLen; j++ {
+		row[j] = row[j-1]
+		jacLAdd(&row[j], &two)
+	}
+}
+
+// set fills t from odd multiples normalized to Z = 1, adding their images
+// under φ.
+func (t *glvTable) set(row *[glvTableLen]g1JacL) {
+	f := params().fp
+	beta := &glv().beta
+	for j := range t.p {
+		src := &row[j]
+		t.p[j] = xy{x: src.X, y: src.Y}
+		t.phi[j].y = src.Y
+		f.Mul(&t.phi[j].x, beta, &src.X)
+	}
+}
+
+// fallbackMul returns k·p on the generic ladder, for a scalar whose split
+// failed its soundness check.
+func fallbackMul(p *G1, k *big.Int) g1JacL {
+	var acc g1JacL
+	acc.setAffine(genericScalarMul(p, new(big.Int).Mod(k, params().R)))
+	return acc
+}
+
 // run sets out[i] = ks[i]·points[i] + addends[i] for every i. A nil or
 // identity point and a nil scalar contribute the identity, and addends
 // may be nil, or hold nil entries, for no addend.
 func (sp *glvSpan) run(out []G1, points []*G1, ks []*big.Int, addends []*G1) {
-	f := params().fp
-	g := glv()
 	nt := 0
-	for i, p := range points {
-		if !startsTable(points, i) {
-			continue
+	for i, afterLanes := 0, false; i < len(points); {
+		n := sp.segment(points, ks, i)
+		if n == 1 && startsTable(points, i, afterLanes) {
+			oddMultiples((*[glvTableLen]g1JacL)(sp.jac[glvTableLen*nt:]), points[i])
+			nt++
 		}
-		// The odd multiples in Jacobian: one doubling, seven additions.
-		row := sp.jac[glvTableLen*nt : glvTableLen*(nt+1)]
-		row[0].setAffine(p)
-		two := row[0]
-		jacLDouble(&two)
-		for j := 1; j < glvTableLen; j++ {
-			row[j] = row[j-1]
-			jacLAdd(&row[j], &two)
-		}
-		nt++
+		i, afterLanes = i+n, n > 1
 	}
 	normalize(sp.jac[:glvTableLen*nt], sp.zs, sp.scratch)
 	for t := 0; t < nt; t++ {
-		tab := &sp.tables[t]
-		for j := range tab.p {
-			src := &sp.jac[glvTableLen*t+j]
-			tab.p[j] = xy{x: src.X, y: src.Y}
-			tab.phi[j].y = src.Y
-			f.Mul(&tab.phi[j].x, &g.beta, &src.X)
-		}
+		sp.tables[t].set((*[glvTableLen]g1JacL)(sp.jac[glvTableLen*t:]))
 	}
 
 	ti, si := -1, -1
-	for i, p := range points {
-		if startsTable(points, i) {
-			ti++
-		}
+	for i, afterLanes := 0, false; i < len(points); {
 		if startsRecoding(ks, i) {
 			si++
 			s := scalarLimbs(ks[i])
 			sp.scalars[si].recode(&s)
 		}
-		acc := &sp.jac[i]
-		*acc = g1JacL{}
-		switch {
-		case isIdentity(p) || ks[i] == nil:
-		case sp.scalars[si].fallback:
-			acc.setAffine(genericScalarMul(p, new(big.Int).Mod(ks[i], params().R)))
-		default:
-			*acc = sp.tables[ti].ladder(&sp.scalars[si])
+		n := sp.segment(points, ks, i)
+		if n > 1 {
+			sp.lanes.run(sp.jac[i:i+n], points[i:i+n], ks[i], &sp.scalars[si])
+		} else {
+			if startsTable(points, i, afterLanes) {
+				ti++
+			}
+			acc := &sp.jac[i]
+			*acc = g1JacL{}
+			switch p := points[i]; {
+			case isIdentity(p) || ks[i] == nil:
+			case sp.scalars[si].fallback:
+				*acc = fallbackMul(p, ks[i])
+			default:
+				*acc = sp.tables[ti].ladder(&sp.scalars[si])
+			}
 		}
-		if i < len(addends) && addends[i] != nil {
-			jacLAddMixed(acc, addends[i])
+		for end := i + n; i < end; i++ {
+			if i < len(addends) && addends[i] != nil {
+				jacLAddMixed(&sp.jac[i], addends[i])
+			}
 		}
+		afterLanes = n > 1
 	}
 	normalize(sp.jac[:len(points)], sp.zs, sp.scratch)
 	for i := range points {

@@ -156,7 +156,11 @@ func (m *RevealMsg) CommitmentPayload() []byte {
 
 // Marshal encodes the message for calldata.
 func (m *RevealMsg) Marshal() []byte {
-	w := wire.NewWriter()
+	n := wire.UintLen(uint64(len(m.Cts))) + len(m.Key)
+	for _, ct := range m.Cts {
+		n += wire.BytesLen(ct)
+	}
+	w := wire.NewWriterSize(n)
 	w.WriteUint(uint64(len(m.Cts)))
 	for _, ct := range m.Cts {
 		w.WriteBytes(ct)

@@ -47,7 +47,11 @@ func TestPublishMsgRoundtripQuick(t *testing.T) {
 func TestRevealMsgRoundtripQuick(t *testing.T) {
 	f := func(cts [][]byte, key [32]byte) bool {
 		msg := &contract.RevealMsg{Cts: cts, Key: commit.Key(key)}
-		dec, err := contract.UnmarshalReveal(msg.Marshal())
+		enc := msg.Marshal()
+		if cap(enc) != len(enc) {
+			return false
+		}
+		dec, err := contract.UnmarshalReveal(enc)
 		if err != nil {
 			return false
 		}
@@ -63,6 +67,23 @@ func TestRevealMsgRoundtripQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestRevealMsgMarshalExactCap: a marshalled reveal, which a receipt keeps
+// for the service's whole retention window, carries no growth slack. The
+// sizes are the 8- and 106-question tasks' reveals of 128-byte
+// ciphertexts, and counts and lengths around the uvarint boundaries.
+func TestRevealMsgMarshalExactCap(t *testing.T) {
+	for _, tc := range []struct{ n, size int }{{0, 0}, {1, 0}, {8, 128}, {106, 128}, {127, 127}, {128, 128}, {3, 16384}} {
+		cts := make([][]byte, tc.n)
+		for i := range cts {
+			cts[i] = bytes.Repeat([]byte{byte(i)}, tc.size)
+		}
+		enc := (&contract.RevealMsg{Cts: cts, Key: commit.Key{1}}).Marshal()
+		if cap(enc) != len(enc) {
+			t.Errorf("%d ciphertexts of %d bytes: len %d, cap %d", tc.n, tc.size, len(enc), cap(enc))
+		}
 	}
 }
 

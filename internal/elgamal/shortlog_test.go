@@ -1,7 +1,9 @@
 package elgamal_test
 
 import (
+	"fmt"
 	"math/big"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -107,6 +109,50 @@ func TestDecryptManyMatchesDecrypt(t *testing.T) {
 				t.Fatalf("empty span: %d results", len(got))
 			}
 		})
+	}
+}
+
+// TestDecryptManyConcurrent: goroutines decrypting same-key BN254 spans at
+// once (each long enough for the curve's lane groups, with no identity
+// c1 to break them) get Decrypt's results; under -race this covers the
+// kernel's shared state: its constants, built once, and its counter.
+func TestDecryptManyConcurrent(t *testing.T) {
+	g := group.BN254G1()
+	rnd := drbg.New(15, "decrypt-many-concurrent")
+	sk, err := elgamal.KeyGen(g, rnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bound, goroutines, n = 4, 4, 24
+	table := elgamal.NewShortLogTable(g, bound)
+	spans := make([][]elgamal.Ciphertext, goroutines)
+	for w := range spans {
+		spans[w] = make([]elgamal.Ciphertext, n)
+		for i := range spans[w] {
+			if spans[w][i], _, err = sk.Encrypt(int64((i+w)%(bound+2)), rnd); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, goroutines)
+	for _, span := range spans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, got := range sk.DecryptMany(table, span) {
+				want := sk.Decrypt(span[i], bound)
+				if got.InRange != want.InRange || got.Value != want.Value || !g.Equal(got.Element, want.Element) {
+					errs <- fmt.Sprintf("[%d]: DecryptMany = %+v, Decrypt = %+v", i, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -141,3 +141,57 @@ func TestProveOpenedMatchesProve(t *testing.T) {
 		t.Fatal("ProveOpened accepted a plaintext vector of the wrong length")
 	}
 }
+
+// TestProveOpenedDrawsOneNoncePerGolden: ProveOpened consumes exactly one
+// RandomScalar draw per golden standard, whether it proves all of them
+// (every answer wrong), some or none (every answer right), so the
+// requester's randomness stream, and every transcript after the proof,
+// are those of a prover that proves every golden answer.
+func TestProveOpenedDrawsOneNoncePerGolden(t *testing.T) {
+	g := group.TestSchnorr()
+	sk, err := elgamal.KeyGen(g, stream(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := poqoea.Statement{
+		GoldenIndices: []int{0, 3, 5, 8},
+		GoldenAnswers: []int64{1, 0, 2, 1},
+		RangeSize:     4,
+	}
+	table := elgamal.NewShortLogTable(g, st.RangeSize)
+	for _, tc := range []struct {
+		answers []int64
+		wrong   int
+	}{
+		{[]int64{1, 0, 0, 0, 0, 2, 0, 0, 1, 0}, 0},
+		{[]int64{1, 0, 0, 2, 0, 9, 0, 0, 3, 0}, 3},
+		{[]int64{0, 0, 0, 1, 0, 1, 0, 0, 0, 0}, 4},
+	} {
+		cts, err := poqoea.EncryptAnswers(&sk.PublicKey, tc.answers, stream(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rnd := stream(3)
+		chi, pf, err := poqoea.ProveOpened(sk, cts, sk.DecryptMany(table, cts), st, rnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chi != len(st.GoldenIndices)-tc.wrong || len(pf.Wrong) != tc.wrong {
+			t.Fatalf("%v: χ = %d with %d revelations, want %d wrong", tc.answers, chi, len(pf.Wrong), tc.wrong)
+		}
+		if !poqoea.Verify(&sk.PublicKey, cts, chi, pf, st) {
+			t.Fatalf("%v: proof rejected", tc.answers)
+		}
+		ref := stream(3)
+		for range st.GoldenIndices {
+			if _, err := group.RandomScalar(g, ref); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, _ := group.RandomScalar(g, rnd)
+		want, _ := group.RandomScalar(g, ref)
+		if got.Cmp(want) != 0 {
+			t.Fatalf("%v: the draw after ProveOpened is not the draw after %d nonces", tc.answers, len(st.GoldenIndices))
+		}
+	}
+}

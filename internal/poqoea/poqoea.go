@@ -123,9 +123,10 @@ func Prove(sk *elgamal.PrivateKey, cts []elgamal.Ciphertext, st Statement, rnd i
 // that decrypts every submission once for its own evaluation and harvest
 // proves quality without decrypting a golden answer a second time.
 // ProveOpened draws one Schnorr nonce per golden standard sequentially from
-// rnd (so seeded runs stay reproducible) and then computes the VPKE
-// transcripts concurrently; the resulting proof is byte-for-byte the
-// sequential one.
+// rnd (so seeded runs stay reproducible), then computes VPKE transcripts,
+// concurrently, only for the wrong answers, the only ones the proof
+// carries: the nonces of right answers are drawn and dropped, so rnd's
+// stream, and the proof, are byte-for-byte the sequential prover's.
 func ProveOpened(sk *elgamal.PrivateKey, cts []elgamal.Ciphertext, plains []elgamal.Plaintext, st Statement, rnd io.Reader) (int, *Proof, error) {
 	if err := st.Validate(len(cts)); err != nil {
 		return 0, nil, err
@@ -141,19 +142,24 @@ func ProveOpened(sk *elgamal.PrivateKey, cts []elgamal.Ciphertext, plains []elga
 		}
 		nonces[j] = x
 	}
-	proofs, _ := parallel.Map(context.Background(), len(st.GoldenIndices), 0, func(j int) (*vpke.Proof, error) {
-		idx := st.GoldenIndices[j]
-		return vpke.ProveOpened(sk, cts[idx], plains[idx], nonces[j]), nil
-	})
 	quality := 0
-	pf := &Proof{}
+	var wrong []int // positions in st.GoldenIndices of the wrong answers
 	for j, idx := range st.GoldenIndices {
-		plain := plains[idx]
-		if plain.InRange && plain.Value == st.GoldenAnswers[j] {
+		if plain := plains[idx]; plain.InRange && plain.Value == st.GoldenAnswers[j] {
 			quality++
 			continue
 		}
-		pf.Wrong = append(pf.Wrong, WrongAnswer{Index: idx, Plain: plain, Proof: proofs[j]})
+		wrong = append(wrong, j)
+	}
+	proofs, _ := parallel.Map(context.Background(), len(wrong), 0, func(w int) (*vpke.Proof, error) {
+		j := wrong[w]
+		idx := st.GoldenIndices[j]
+		return vpke.ProveOpened(sk, cts[idx], plains[idx], nonces[j]), nil
+	})
+	pf := &Proof{}
+	for w, j := range wrong {
+		idx := st.GoldenIndices[j]
+		pf.Wrong = append(pf.Wrong, WrongAnswer{Index: idx, Plain: plains[idx], Proof: proofs[w]})
 	}
 	return quality, pf, nil
 }

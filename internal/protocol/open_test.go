@@ -155,35 +155,51 @@ func mixedAnswers(inst *task.Instance) [][]int64 {
 func direct(f func() error) error { return f() }
 
 // TestRequesterDecryptsEachCiphertextOnce: over evaluation plus harvest of
-// an honest task with K revealed workers, N questions and |G| golden
-// standards, the requester performs exactly one variable-base mul per
-// ciphertext (its decryption) plus one per golden VPKE proof (c1^x) —
-// K·N + K·|G|, where deciding, proving and harvesting separately cost
-// 2·K·N + 2·K·|G|.
+// a task with K revealed workers and N questions, the requester performs
+// exactly one variable-base mul per ciphertext (its decryption) plus one
+// per wrong golden answer (c1^x of the VPKE proof that reveals it). An
+// honest task costs K·N, where deciding, proving and harvesting
+// separately cost 2·K·N + 2·K·|G|; with wrong golden answers it costs
+// K·N + #wrong, whether the worker still qualifies (one wrong) or is
+// rejected (every golden answer wrong).
 func TestRequesterDecryptsEachCiphertextOnce(t *testing.T) {
 	const k = 3
-	c := &mulCounter{Group: group.TestSchnorr()}
 	inst := newHITInstance(t, k)
-	answers := make([][]int64, k)
-	for i := range answers {
-		answers[i] = slices.Clone(inst.GroundTruth)
-	}
-	counted := func(f func() error) error {
-		c.on.Store(true)
-		defer c.on.Store(false)
-		return f()
-	}
-	h := runHIT(t, c, inst, protocol.PolicyHonest, answers, counted)
-	var got map[chain.Address][]int64
-	if err := counted(func() (err error) { got, err = h.req.Answers(); return err }); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, h.want(inst.Task.RangeSize)) {
-		t.Fatalf("harvest %v, want %v", got, h.want(inst.Task.RangeSize))
-	}
-	n, golden := inst.Task.N(), len(inst.Golden.Indices)
-	if want := int64(k*n + k*golden); c.muls.Load() != want {
-		t.Fatalf("requester ran %d variable-base muls, want K·N + K·|G| = %d", c.muls.Load(), want)
+	for _, tc := range []struct {
+		name  string
+		wrong [k]int // golden answers each worker gets wrong
+	}{
+		{"honest", [k]int{0, 0, 0}},
+		{"wrong golden answers", [k]int{0, 1, len(inst.Golden.Indices)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &mulCounter{Group: group.TestSchnorr()}
+			answers := make([][]int64, k)
+			wrong := 0
+			for i := range answers {
+				answers[i] = slices.Clone(inst.GroundTruth)
+				for _, gi := range inst.Golden.Indices[:tc.wrong[i]] {
+					answers[i][gi] = (answers[i][gi] + 1) % inst.Task.RangeSize
+				}
+				wrong += tc.wrong[i]
+			}
+			counted := func(f func() error) error {
+				c.on.Store(true)
+				defer c.on.Store(false)
+				return f()
+			}
+			h := runHIT(t, c, inst, protocol.PolicyHonest, answers, counted)
+			var got map[chain.Address][]int64
+			if err := counted(func() (err error) { got, err = h.req.Answers(); return err }); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, h.want(inst.Task.RangeSize)) {
+				t.Fatalf("harvest %v, want %v", got, h.want(inst.Task.RangeSize))
+			}
+			if want := int64(k*inst.Task.N() + wrong); c.muls.Load() != want {
+				t.Fatalf("requester ran %d variable-base muls, want K·N + #wrong = %d", c.muls.Load(), want)
+			}
+		})
 	}
 }
 

@@ -329,12 +329,16 @@ func (w *Worker) StepTxs() ([]*chain.Tx, error) {
 			return nil, nil // nothing to replay yet; keep watching
 		}
 		if w.reveal != nil {
-			w.revealed = true
+			// The opening is sent once and never read again: drop it, so
+			// the worker holds no second copy of its ciphertexts for the
+			// rest of the task.
+			data := w.reveal.Marshal()
+			w.reveal, w.revealed = nil, true
 			return []*chain.Tx{{
 				From:     w.Addr,
 				Contract: w.contractID,
 				Method:   contract.MethodReveal,
-				Data:     w.reveal.Marshal(),
+				Data:     data,
 			}}, nil
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // ErrTruncated is returned when a reader runs out of input mid-field.
@@ -24,6 +25,17 @@ type Writer struct {
 
 // NewWriter returns an empty Writer.
 func NewWriter() *Writer { return &Writer{} }
+
+// NewWriterSize returns an empty Writer with room for n bytes, for a
+// message whose encoded length is known up front: Bytes then returns a
+// buffer without growth slack.
+func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
+
+// UintLen returns the encoded length of v as written by WriteUint.
+func UintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// BytesLen returns the encoded length of b as written by WriteBytes.
+func BytesLen(b []byte) int { return UintLen(uint64(len(b))) + len(b) }
 
 // Bytes returns the encoded message.
 func (w *Writer) Bytes() []byte { return w.buf }

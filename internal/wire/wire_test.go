@@ -105,3 +105,26 @@ func TestInvalidBool(t *testing.T) {
 		t.Error("invalid bool byte accepted")
 	}
 }
+
+// TestEncodedLengths: UintLen and BytesLen give the lengths WriteUint and
+// WriteBytes write, at every uvarint boundary, and NewWriterSize's buffer
+// holds such a message without growing.
+func TestEncodedLengths(t *testing.T) {
+	for shift := 0; shift < 64; shift++ {
+		for _, v := range []uint64{1<<shift - 1, 1 << shift, 1<<shift + 1} {
+			w := wire.NewWriter()
+			w.WriteUint(v)
+			if got := wire.UintLen(v); got != w.Len() {
+				t.Fatalf("UintLen(%d) = %d, WriteUint wrote %d", v, got, w.Len())
+			}
+		}
+	}
+	for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+		b := make([]byte, n)
+		w := wire.NewWriterSize(wire.BytesLen(b))
+		w.WriteBytes(b)
+		if out := w.Bytes(); len(out) != wire.BytesLen(b) || cap(out) != len(out) {
+			t.Fatalf("%d bytes: BytesLen %d, wrote %d into cap %d", n, wire.BytesLen(b), len(out), cap(out))
+		}
+	}
+}
