@@ -76,8 +76,8 @@ cover:
 	$(GO) tool cover -func=cover.out | tail -n 25
 
 # Short fuzz pass over the codec fuzz targets (wire reader/round-trip,
-# commitment open, contract message decoders, the G1 and G2 point
-# decoders) and the kernel ones (the GLV split, the lane ladder against
+# commitment open, contract message decoders, chain snapshot restore, the
+# G1 and G2 point decoders) and the kernel ones (the GLV split, the lane ladder against
 # the scalar one, the limb field), seeded from the checked-in corpus
 # under each package's testdata/fuzz. CI runs this as a smoke job; run
 # with a larger FUZZTIME locally for a real hunt.
@@ -87,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/wire
 	$(GO) test -fuzz=FuzzCommitOpen -fuzztime=$(FUZZTIME) -run='^$$' ./internal/commit
 	$(GO) test -fuzz=FuzzUnmarshalMessages -fuzztime=$(FUZZTIME) -run='^$$' ./internal/contract
+	$(GO) test -fuzz=FuzzRestoreChain -fuzztime=$(FUZZTIME) -run='^$$' ./internal/chain
 	$(GO) test -fuzz=FuzzGLVDecompose -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzUnmarshalG1 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254
 	$(GO) test -fuzz=FuzzUnmarshalG2 -fuzztime=$(FUZZTIME) -run='^$$' ./internal/bn254

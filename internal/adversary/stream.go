@@ -82,8 +82,6 @@ func (c *colocation) runStream(name string, sched chain.Scheduler, opts Options,
 	}
 	if !prune {
 		cfg.KeepSettled = true
-		cfg.RetainRounds = -1
-		cfg.RetainLedgerEvents = -1
 	}
 	results, svc, err := streamSpecs(cfg, c.specs, maxRounds)
 	if err != nil {

@@ -94,11 +94,11 @@ type Chain struct {
 	contracts map[ledger.ContractID]Contract
 	storage   map[ledger.ContractID]map[string][]byte
 	mempool   []*Tx
+	// receipts is the retained history: each receipt owns the events its
+	// transaction emitted, and Events concatenates them.
 	receipts  []*Receipt
-	events    []Event
 	eventsFor map[ledger.ContractID][]Event
 	scheduler Scheduler
-	gasByAddr map[Address]uint64
 	// gasByContract indexes gas per (contract, method) incrementally, so
 	// per-task gas reports survive receipt retention trimming (a long-lived
 	// service cannot afford an end-of-run scan over all receipts, and may
@@ -126,7 +126,6 @@ func New(l *ledger.Ledger, s Scheduler) *Chain {
 		storage:       make(map[ledger.ContractID]map[string][]byte),
 		eventsFor:     make(map[ledger.ContractID][]Event),
 		scheduler:     s,
-		gasByAddr:     make(map[Address]uint64),
 		gasByContract: make(map[ledger.ContractID]map[string]uint64),
 	}
 }
@@ -152,7 +151,6 @@ func (c *Chain) Deploy(id ledger.ContractID, contract Contract, codeSize int, fr
 	c.contracts[id] = contract
 	c.storage[id] = make(map[string][]byte)
 	used := uint64(gas.TxBase + gas.TxCreate + gas.CodeDepositPerByte*codeSize)
-	c.gasByAddr[from] += used
 	c.chargeContract(id, "deploy", used)
 	rcpt := &Receipt{
 		Tx:      &Tx{From: from, Contract: id, Method: "deploy"},
@@ -319,7 +317,6 @@ func (c *Chain) commitTx(rcpt *Receipt, env *Env) {
 			rcpt.Err = applyErr
 		} else {
 			rcpt.Events = env.events
-			c.events = append(c.events, env.events...)
 			// Every event of this call carries the env's contract ID (Emit
 			// stamps it), so the whole batch indexes there.
 			c.eventsFor[env.contractID] = append(c.eventsFor[env.contractID], env.events...)
@@ -328,7 +325,6 @@ func (c *Chain) commitTx(rcpt *Receipt, env *Env) {
 			}
 		}
 	}
-	c.gasByAddr[rcpt.Tx.From] += rcpt.GasUsed
 	c.chargeContract(rcpt.Tx.Contract, rcpt.Tx.Method, rcpt.GasUsed)
 	c.receipts = append(c.receipts, rcpt)
 }
@@ -343,7 +339,8 @@ func (c *Chain) execute(tx *Tx) (*Receipt, *Env) {
 	return rcpt, env
 }
 
-// Receipts returns all receipts so far, in execution order.
+// Receipts returns the retained receipts (see TrimBefore), in execution
+// order.
 func (c *Chain) Receipts() []*Receipt {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -352,19 +349,26 @@ func (c *Chain) Receipts() []*Receipt {
 	return out
 }
 
-// Events returns all events emitted so far, in emission order.
+// Events returns the retained receipts' events, in emission order. An
+// event's Round is its receipt's, so TrimBefore trims both alike.
 func (c *Chain) Events() []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
+	n := 0
+	for _, rcpt := range c.receipts {
+		n += len(rcpt.Events)
+	}
+	out := make([]Event, 0, n)
+	for _, rcpt := range c.receipts {
+		out = append(out, rcpt.Events...)
+	}
 	return out
 }
 
 // EventsFor returns all events emitted by one contract, in emission order.
 // Observers polling a single contract should prefer this (or a Cursor) over
-// Events: the cost is proportional to that contract's own log, not the
-// global one, which matters when many contracts share the chain.
+// Events: the cost is proportional to that contract's own log, not to the
+// whole retained history, which matters when many contracts share the chain.
 func (c *Chain) EventsFor(id ledger.ContractID) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -448,11 +452,13 @@ func (c *Chain) PruneContract(id ledger.ContractID) error {
 	return nil
 }
 
-// TrimBefore drops global receipts and events older than the given round —
-// the retention hook a long-lived service calls between rounds to bound the
-// chain's memory (keep the last N rounds, in the spirit of a light client
-// that retains only recent history). Both logs are append-only in
-// nondecreasing round order, so the trim is a prefix cut. Per-contract event
+// TrimBefore drops the receipts, and with them their events, older than the
+// given round — the retention hook a long-lived service calls between rounds
+// to bound the chain's memory (keep the last N rounds, in the spirit of a
+// light client that retains only recent history). Receipts are appended in
+// nondecreasing round order, so the trim is a prefix cut, made in place: the
+// dropped prefix is cleared and the log resliced, and the next append that
+// outgrows the backing array leaves the prefix behind. Per-contract event
 // logs are NOT trimmed here: a live contract's observers replay from its own
 // log, which is bounded by the task's lifetime and released wholesale by
 // PruneContract at settlement. Callers must not trim past the oldest round
@@ -465,32 +471,6 @@ func (c *Chain) TrimBefore(round int) {
 	for cut < len(c.receipts) && c.receipts[cut].Round < round {
 		cut++
 	}
-	if cut > 0 {
-		c.receipts = append([]*Receipt{}, c.receipts[cut:]...)
-	}
-	cut = 0
-	for cut < len(c.events) && c.events[cut].Round < round {
-		cut++
-	}
-	if cut > 0 {
-		c.events = append([]Event{}, c.events[cut:]...)
-	}
-}
-
-// GasUsedBy returns the cumulative gas paid by an address.
-func (c *Chain) GasUsedBy(a Address) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gasByAddr[a]
-}
-
-// TotalGas returns the cumulative gas used by all transactions.
-func (c *Chain) TotalGas() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t uint64
-	for _, g := range c.gasByAddr {
-		t += g
-	}
-	return t
+	clear(c.receipts[:cut])
+	c.receipts = c.receipts[cut:]
 }

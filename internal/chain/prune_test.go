@@ -68,8 +68,9 @@ func TestPruneContractRefusesEscrow(t *testing.T) {
 	}
 }
 
-// TestTrimBefore: the global receipt/event logs are prefix-cut by round;
-// per-contract logs are untouched (they are released by PruneContract).
+// TestTrimBefore: the receipt log, and with it Events, is prefix-cut by
+// round; per-contract logs are untouched (they are released by
+// PruneContract).
 func TestTrimBefore(t *testing.T) {
 	c := newTwoContractChain(t)
 	for round := 0; round < 4; round++ {

@@ -1,13 +1,14 @@
 package chain
 
 // Chain snapshot/restore: a deterministic wire encoding of the chain's
-// dynamic state — clock, contract storage, per-contract event logs, retained
-// receipts and global events, the delayed mempool and the gas indexes — so a
-// long-lived service can persist its world between rounds and resume it
-// byte-identically (internal/service). Programs (Contract implementations)
-// and the Scheduler are code, not data: a restorer re-registers each live
-// contract via RegisterContract and supplies the scheduler anew. Executor
-// telemetry (ExecStats) restarts from zero.
+// dynamic state — clock, contract storage, per-contract event logs, the
+// retained receipts with their events, the delayed mempool and the
+// per-contract gas index — so a long-lived service can persist its world
+// between rounds and resume it byte-identically (internal/service).
+// Programs (Contract implementations) and the Scheduler are code, not data:
+// a restorer re-registers each live contract via RegisterContract and
+// supplies the scheduler anew. Executor telemetry (ExecStats) restarts from
+// zero.
 
 import (
 	"errors"
@@ -20,7 +21,7 @@ import (
 
 // snapshotVersion guards the chain snapshot encoding; bump on any layout
 // change so stale snapshots fail loudly instead of decoding garbage.
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // Snapshot encodes the chain's dynamic state. It must be taken at a round
 // boundary: the mempool may hold only transactions already delayed into the
@@ -79,11 +80,7 @@ func (c *Chain) Snapshot() ([]byte, error) {
 		}
 	}
 
-	// Retained global events and receipts, in log order.
-	w.WriteUint(uint64(len(c.events)))
-	for _, ev := range c.events {
-		writeEvent(w, ev)
-	}
+	// Retained receipts with their events, in log order.
 	w.WriteUint(uint64(len(c.receipts)))
 	for _, rcpt := range c.receipts {
 		writeTx(w, rcpt.Tx)
@@ -106,17 +103,7 @@ func (c *Chain) Snapshot() ([]byte, error) {
 		writeTx(w, tx)
 	}
 
-	// Gas indexes, sorted.
-	addrs := make([]Address, 0, len(c.gasByAddr))
-	for a := range c.gasByAddr {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	w.WriteUint(uint64(len(addrs)))
-	for _, a := range addrs {
-		w.WriteString(string(a))
-		w.WriteUint(c.gasByAddr[a])
-	}
+	// The per-contract gas index, sorted.
 	ids = ids[:0]
 	for id := range c.gasByContract {
 		ids = append(ids, id)
@@ -163,21 +150,21 @@ func RestoreChain(l *ledger.Ledger, s Scheduler, data []byte) (*Chain, error) {
 		return nil, fmt.Errorf("chain: restore: version: %w", err)
 	}
 
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("chain: restore: storage: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id, err := r.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: storage id: %w", err)
 		}
-		nk, err := r.ReadUint()
+		nk, err := r.ReadCount()
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: storage %q: %w", id, err)
 		}
 		slots := make(map[string][]byte, nk)
-		for j := uint64(0); j < nk; j++ {
+		for j := 0; j < nk; j++ {
 			k, err := r.ReadString()
 			if err != nil {
 				return nil, fmt.Errorf("chain: restore: storage %q key: %w", id, err)
@@ -189,15 +176,15 @@ func RestoreChain(l *ledger.Ledger, s Scheduler, data []byte) (*Chain, error) {
 		c.storage[ledger.ContractID(id)] = slots
 	}
 
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, fmt.Errorf("chain: restore: event logs: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id, err := r.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: event log id: %w", err)
 		}
-		ne, err := r.ReadUint()
+		ne, err := r.ReadCount()
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: event log %q: %w", id, err)
 		}
@@ -210,17 +197,7 @@ func RestoreChain(l *ledger.Ledger, s Scheduler, data []byte) (*Chain, error) {
 		c.eventsFor[ledger.ContractID(id)] = evs
 	}
 
-	if n, err = r.ReadUint(); err != nil {
-		return nil, fmt.Errorf("chain: restore: events: %w", err)
-	}
-	c.events = make([]Event, n)
-	for i := range c.events {
-		if c.events[i], err = readEvent(r); err != nil {
-			return nil, fmt.Errorf("chain: restore: events: %w", err)
-		}
-	}
-
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, fmt.Errorf("chain: restore: receipts: %w", err)
 	}
 	c.receipts = make([]*Receipt, n)
@@ -245,7 +222,7 @@ func RestoreChain(l *ledger.Ledger, s Scheduler, data []byte) (*Chain, error) {
 		if errStr != "" {
 			rcpt.Err = errors.New(errStr)
 		}
-		ne, err := r.ReadUint()
+		ne, err := r.ReadCount()
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: receipt events: %w", err)
 		}
@@ -258,7 +235,7 @@ func RestoreChain(l *ledger.Ledger, s Scheduler, data []byte) (*Chain, error) {
 		c.receipts[i] = rcpt
 	}
 
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, fmt.Errorf("chain: restore: mempool: %w", err)
 	}
 	c.mempool = make([]*Tx, n)
@@ -266,34 +243,26 @@ func RestoreChain(l *ledger.Ledger, s Scheduler, data []byte) (*Chain, error) {
 		if c.mempool[i], err = readTx(r); err != nil {
 			return nil, fmt.Errorf("chain: restore: mempool: %w", err)
 		}
+		// Snapshot refuses a fresh transaction, so none can be restored.
+		if !c.mempool[i].delayed {
+			return nil, errors.New("chain: restore: mempool holds a fresh transaction")
+		}
 	}
 
-	if n, err = r.ReadUint(); err != nil {
-		return nil, fmt.Errorf("chain: restore: gas by addr: %w", err)
-	}
-	for i := uint64(0); i < n; i++ {
-		a, err := r.ReadString()
-		if err != nil {
-			return nil, fmt.Errorf("chain: restore: gas addr: %w", err)
-		}
-		if c.gasByAddr[Address(a)], err = r.ReadUint(); err != nil {
-			return nil, fmt.Errorf("chain: restore: gas of %q: %w", a, err)
-		}
-	}
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, fmt.Errorf("chain: restore: gas by contract: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		id, err := r.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: gas contract: %w", err)
 		}
-		nm, err := r.ReadUint()
+		nm, err := r.ReadCount()
 		if err != nil {
 			return nil, fmt.Errorf("chain: restore: gas of %q: %w", id, err)
 		}
 		methods := make(map[string]uint64, nm)
-		for j := uint64(0); j < nm; j++ {
+		for j := 0; j < nm; j++ {
 			m, err := r.ReadString()
 			if err != nil {
 				return nil, fmt.Errorf("chain: restore: gas method of %q: %w", id, err)

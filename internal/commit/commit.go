@@ -41,7 +41,18 @@ func NewKey(r io.Reader) (Key, error) {
 
 // Commit commits to msg under key.
 func Commit(msg []byte, key Key) Commitment {
-	return Commitment(keccak.Sum256Concat(msg, key[:]))
+	return CommitParts([][]byte{msg}, key)
+}
+
+// CommitParts commits to the concatenation of parts under key, hashing the
+// parts as a stream so that the concatenation is never built.
+func CommitParts(parts [][]byte, key Key) Commitment {
+	var h keccak.Hasher
+	for _, p := range parts {
+		_, _ = h.Write(p)
+	}
+	_, _ = h.Write(key[:])
+	return Commitment(h.Sum256())
 }
 
 // Open verifies that comm opens to (msg, key).

@@ -16,6 +16,11 @@ func FuzzCommitOpen(f *testing.F) {
 		if !Open(c, msg, key) {
 			t.Fatal("commitment does not open to its own (msg, key)")
 		}
+		// Streamed in two parts, the message commits to the same digest.
+		k := int(flip) % (len(msg) + 1)
+		if CommitParts([][]byte{msg[:k], msg[k:]}, key) != c {
+			t.Fatalf("CommitParts split at %d differs from Commit", k)
+		}
 		// Mutate one bit of the message: must no longer open.
 		if len(msg) > 0 {
 			mutated := append([]byte{}, msg...)

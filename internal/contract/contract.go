@@ -303,11 +303,15 @@ func (h *HIT) reveal(env *chain.Env, from chain.Address, data []byte) error {
 	}
 	var comm commit.Commitment
 	copy(comm[:], commRaw)
-	payload := msg.CommitmentPayload()
-	env.ChargeMemory(len(payload))
-	// Open(comm_cj, cj, keyj) = 1, charged as an on-chain keccak.
-	digest := env.Keccak(append(append([]byte{}, payload...), msg.Key[:]...))
-	if commit.Commitment(digest) != comm {
+	payload := 0
+	for _, ct := range msg.Cts {
+		payload += len(ct)
+	}
+	env.ChargeMemory(payload)
+	// Open(comm_cj, cj, keyj) = 1, charged as an on-chain keccak over
+	// cj ‖ keyj.
+	env.UseGas(gas.KeccakCost(payload + commit.KeySize))
+	if msg.Commitment(msg.Key) != comm {
 		return errors.New("contract: commitment opening failed")
 	}
 	// Store one hash per ciphertext — evaluation transactions later
@@ -321,7 +325,9 @@ func (h *HIT) reveal(env *chain.Env, from chain.Address, data []byte) error {
 	env.StoreSet("revealed:"+string(from), []byte{1})
 	// The ciphertexts themselves are only event data, never contract
 	// storage — clients (the requester, auditors) read them from the log.
-	env.Emit(EventRevealed, 2, append([]byte(from+"\x00"), data...))
+	event := make([]byte, 0, len(from)+1+len(data))
+	event = append(append(append(event, from...), 0), data...)
+	env.Emit(EventRevealed, 2, event)
 	return nil
 }
 
@@ -365,8 +371,10 @@ func (h *HIT) golden(env *chain.Env, from chain.Address, data []byte) error {
 	if err != nil {
 		return err
 	}
-	digest := env.Keccak(append(append([]byte{}, msg.Golden...), msg.Key[:]...))
-	if commit.Commitment(digest) != params.CommGolden {
+	// Open(comm_gs, gs, key) = 1, charged as an on-chain keccak over
+	// gs ‖ key.
+	env.UseGas(gas.KeccakCost(len(msg.Golden) + commit.KeySize))
+	if !commit.Open(params.CommGolden, msg.Golden, msg.Key) {
 		return errors.New("contract: golden commitment opening failed")
 	}
 	// Structural validation so later evaluations can trust the statement.

@@ -150,7 +150,7 @@ func (h *harness) workerSubmission(answers []int64) (*contract.CommitMsg, *contr
 		h.t.Fatal(err)
 	}
 	reveal := &contract.RevealMsg{Cts: cts, Key: key}
-	return &contract.CommitMsg{Comm: commit.Commit(reveal.CommitmentPayload(), key)}, reveal
+	return &contract.CommitMsg{Comm: reveal.Commitment(key)}, reveal
 }
 
 func TestPublishValidation(t *testing.T) {

@@ -143,15 +143,11 @@ type RevealMsg struct {
 	Key commit.Key
 }
 
-// CommitmentPayload returns the bytes that the worker committed to: the
-// concatenation of all ciphertexts. (The blinding key is passed separately
-// to Open.)
-func (m *RevealMsg) CommitmentPayload() []byte {
-	var out []byte
-	for _, ct := range m.Cts {
-		out = append(out, ct...)
-	}
-	return out
+// Commitment returns the worker's commitment to the ciphertexts under key:
+// commit.Commit over their concatenation, which is never built. The reveal
+// opens comm when Commitment(Key) == comm.
+func (m *RevealMsg) Commitment(key commit.Key) commit.Commitment {
+	return commit.CommitParts(m.Cts, key)
 }
 
 // Marshal encodes the message for calldata.
@@ -172,12 +168,9 @@ func (m *RevealMsg) Marshal() []byte {
 // UnmarshalReveal decodes a RevealMsg.
 func UnmarshalReveal(data []byte) (*RevealMsg, error) {
 	r := wire.NewReader(data)
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("contract: reveal count: %w", err)
-	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("contract: absurd ciphertext count %d", n)
 	}
 	m := &RevealMsg{Cts: make([][]byte, n)}
 	for i := range m.Cts {
@@ -340,12 +333,9 @@ func UnmarshalEvaluate(data []byte) (*EvaluateMsg, error) {
 		return nil, fmt.Errorf("contract: evaluate chi: %w", err)
 	}
 	m.Chi = int(u)
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("contract: evaluate count: %w", err)
-	}
-	if n > 1<<16 {
-		return nil, fmt.Errorf("contract: absurd wrong-entry count %d", n)
 	}
 	m.Wrong = make([]WrongEntry, n)
 	for i := range m.Wrong {

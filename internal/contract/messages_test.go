@@ -144,14 +144,31 @@ func TestDecodersRejectGarbage(t *testing.T) {
 	}
 }
 
-func TestCommitmentPayloadDeterministic(t *testing.T) {
-	msg := &contract.RevealMsg{Cts: [][]byte{{1, 2}, {3}}, Key: commit.Key{7}}
-	a := msg.CommitmentPayload()
-	b := msg.CommitmentPayload()
-	if !bytes.Equal(a, b) {
-		t.Error("commitment payload not deterministic")
+// TestRevealCommitmentMatchesCommit: the streamed commitment equals
+// commit.Commit over the concatenated ciphertexts, for empty, short and
+// rate-straddling (136-byte keccak blocks) payloads, and a reveal opens
+// only under its own key.
+func TestRevealCommitmentMatchesCommit(t *testing.T) {
+	long := make([]byte, 300)
+	for i := range long {
+		long[i] = byte(i)
 	}
-	if !bytes.Equal(a, []byte{1, 2, 3}) {
-		t.Errorf("payload = %v", a)
+	for _, cts := range [][][]byte{
+		nil,
+		{{}},
+		{{1, 2}, {3}},
+		{long[:135], long[135:137], {}, long[137:]},
+	} {
+		msg := &contract.RevealMsg{Cts: cts, Key: commit.Key{7}}
+		var payload []byte
+		for _, ct := range cts {
+			payload = append(payload, ct...)
+		}
+		if got, want := msg.Commitment(msg.Key), commit.Commit(payload, msg.Key); got != want {
+			t.Errorf("%d-byte payload in %d ciphertexts: streamed %x, Commit %x", len(payload), len(cts), got, want)
+		}
+		if msg.Commitment(commit.Key{8}) == msg.Commitment(msg.Key) {
+			t.Errorf("%d-byte payload: the commitment ignores the key", len(payload))
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package groth16
 
 import (
+	"errors"
 	"fmt"
 
 	"dragoon/internal/bn254"
@@ -66,12 +67,12 @@ func UnmarshalVerifyingKey(data []byte) (*VerifyingKey, error) {
 	if vk.Delta2, err = readG2("delta"); err != nil {
 		return nil, err
 	}
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("groth16: vk.IC count: %w", err)
 	}
-	if n == 0 || n > 1<<20 {
-		return nil, fmt.Errorf("groth16: absurd vk.IC count %d", n)
+	if n == 0 {
+		return nil, errors.New("groth16: vk.IC is empty")
 	}
 	vk.IC = make([]*bn254.G1, n)
 	for i := range vk.IC {

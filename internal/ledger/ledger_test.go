@@ -117,3 +117,36 @@ func TestConservationQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestTrimEventsInPlace: TrimEvents keeps the newest entries in order and
+// cuts in place, so a trim that drops entries allocates nothing.
+func TestTrimEventsInPlace(t *testing.T) {
+	l := ledger.New()
+	l.Mint("r", 1000)
+	if err := l.FreezeCoins("hit", "r", 1000); err != nil {
+		t.Fatal(err)
+	}
+	const pays = 30
+	for i := 1; i <= pays; i++ {
+		if err := l.PayCoins("hit", "w", ledger.Amount(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	keep := pays + 1
+	allocs := testing.AllocsPerRun(20, func() {
+		keep--
+		l.TrimEvents(keep)
+	})
+	if allocs != 0 {
+		t.Errorf("TrimEvents allocates %.1f times per cut, want 0", allocs)
+	}
+	evs := l.Events()
+	if len(evs) != keep {
+		t.Fatalf("%d events after TrimEvents(%d)", len(evs), keep)
+	}
+	for i, ev := range evs {
+		if want := ledger.Amount(pays - keep + 1 + i); ev.Kind != ledger.EventPaid || ev.Amount != want {
+			t.Fatalf("event %d = %+v, want the payment of %d", i, ev, want)
+		}
+	}
+}

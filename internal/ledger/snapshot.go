@@ -59,11 +59,11 @@ func Restore(data []byte) (*Ledger, error) {
 		return nil, fmt.Errorf("ledger: restore: snapshot version %d, want %d", v, snapshotVersion)
 	}
 	l := New()
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("ledger: restore: balances: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		a, err := r.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("ledger: restore: account: %w", err)
@@ -74,10 +74,10 @@ func Restore(data []byte) (*Ledger, error) {
 		}
 		l.balances[AccountID(a)] = Amount(b)
 	}
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, fmt.Errorf("ledger: restore: escrows: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		f, err := r.ReadString()
 		if err != nil {
 			return nil, fmt.Errorf("ledger: restore: contract: %w", err)
@@ -104,7 +104,8 @@ func Restore(data []byte) (*Ledger, error) {
 
 // TrimEvents bounds the broadcast event trace to its newest max entries —
 // the retention hook of a long-lived service (the trace otherwise grows with
-// every freeze/pay forever). Trimming never touches the monetary state.
+// every freeze/pay forever). The cut is made in place: the dropped prefix is
+// cleared and the trace resliced. Trimming never touches the monetary state.
 func (l *Ledger) TrimEvents(max int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -114,5 +115,7 @@ func (l *Ledger) TrimEvents(max int) {
 	if len(l.events) <= max {
 		return
 	}
-	l.events = append([]Event{}, l.events[len(l.events)-max:]...)
+	cut := len(l.events) - max
+	clear(l.events[:cut])
+	l.events = l.events[cut:]
 }

@@ -422,7 +422,7 @@ func (w *Worker) commitTxs(view *contract.View) ([]*chain.Tx, error) {
 		return nil, fmt.Errorf("protocol: commitment key: %w", err)
 	}
 	reveal := &contract.RevealMsg{Cts: cts, Key: key}
-	comm := commit.Commit(reveal.CommitmentPayload(), key)
+	comm := reveal.Commitment(key)
 
 	w.committed = true
 	switch w.strategy {
@@ -459,7 +459,7 @@ func (w *Worker) commitTxs(view *contract.View) ([]*chain.Tx, error) {
 		if err != nil {
 			return nil, fmt.Errorf("protocol: second commitment key: %w", err)
 		}
-		msg2 := &contract.CommitMsg{Comm: commit.Commit(reveal.CommitmentPayload(), key2)}
+		msg2 := &contract.CommitMsg{Comm: reveal.Commitment(key2)}
 		txs = append(txs, &chain.Tx{
 			From:     w.Addr,
 			Contract: w.contractID,

@@ -65,7 +65,7 @@ func readResult(r *wire.Reader) (*market.TaskResult, error) {
 		return nil, err
 	}
 	tr.Requester = chain.Address(req)
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, err
 	}
@@ -98,11 +98,11 @@ func readResult(r *wire.Reader) (*market.TaskResult, error) {
 			return nil, err
 		}
 	}
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, err
 	}
 	tr.GasByMethod = make(map[string]uint64, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		m, err := r.ReadString()
 		if err != nil {
 			return nil, err
@@ -130,11 +130,11 @@ func readResult(r *wire.Reader) (*market.TaskResult, error) {
 		return nil, err
 	}
 	tr.RequesterBalance = ledger.Amount(bal)
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, err
 	}
 	tr.HarvestedAnswers = make(map[chain.Address][]int64, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		a, err := r.ReadString()
 		if err != nil {
 			return nil, err

@@ -9,12 +9,13 @@
 //
 // The service keeps its state bounded: a settled task's contract storage and
 // event log are pruned (PruneContract) and its off-chain questions deleted
-// once no live task references them; retained receipts and global events are
-// trimmed to a sliding window that never cuts beneath the oldest active
-// task's admission round (so replaying clients and copy-commit adversaries
-// keep the history they need); the ledger's diagnostic event trace is capped.
-// Under those defaults the heap stays flat however many tasks stream through
-// (cmd/soak measures it).
+// once no live task references them; retained receipts, with their events,
+// are trimmed to a sliding window of DefaultRetainRounds that never cuts
+// beneath the oldest active task's admission round (so replaying clients and
+// copy-commit adversaries keep the history they need); the ledger's
+// diagnostic event trace is capped at DefaultRetainLedgerEvents. So the heap
+// stays flat however many tasks stream through (cmd/soak measures it), unless
+// Config.KeepSettled keeps everything.
 //
 // Snapshot/Restore persists the whole world between rounds — chain, ledger,
 // off-chain store, and per-task progress (admission round, seed, the answers
@@ -47,7 +48,8 @@ import (
 	"dragoon/internal/worker"
 )
 
-// Defaults for the retention and scheduling knobs (see Config).
+// The retention windows of a bounded service (Config.KeepSettled off) and
+// the default task round budget (see Config).
 const (
 	DefaultRetainRounds       = 64
 	DefaultRetainLedgerEvents = 4096
@@ -81,15 +83,9 @@ type Config struct {
 	Seed int64
 	// WorkerBalance funds each population member's ledger account once.
 	WorkerBalance ledger.Amount
-	// RetainRounds is the sliding window of retained receipts and global
-	// events, in rounds (default 64). The window never cuts beneath the
-	// oldest active task's admission round. Negative retains everything.
-	RetainRounds int
-	// RetainLedgerEvents caps the ledger's diagnostic event trace (default
-	// 4096 newest entries). Negative retains everything.
-	RetainLedgerEvents int
-	// KeepSettled retains settled contracts' storage, event logs and
-	// off-chain content instead of pruning them — the diagnostic mode the
+	// KeepSettled keeps everything: settled contracts' storage, event logs
+	// and off-chain content, every receipt and the whole ledger event trace,
+	// with no pruning, trimming or trace cap — the diagnostic mode the
 	// equivalence and invariant tests run in. Bounded state needs it off.
 	KeepSettled bool
 	// TaskRoundBudget is how many rounds an admitted task may stay unsettled
@@ -104,13 +100,6 @@ type Config struct {
 	// Options consolidates the execution knobs — Parallelism, BatchVerify,
 	// ParallelExec — shared with every other run mode.
 	opts.Options
-}
-
-func (c *Config) retainRounds() int {
-	if c.RetainRounds == 0 {
-		return DefaultRetainRounds
-	}
-	return c.RetainRounds
 }
 
 func (c *Config) taskRoundBudget() int {
@@ -555,29 +544,24 @@ func (s *Service) retireLocked(st *taskState, prune bool) error {
 	return nil
 }
 
-// trimLocked enforces the retention windows: retained receipts and global
-// events slide forward, but never past the oldest active task's admission
-// round — replaying clients (restore) and receipt-scanning strategies
-// (copy-commit) need the history of every live task's lifetime.
+// trimLocked enforces the retention windows unless KeepSettled is set: the
+// retained receipts slide forward, but never past the oldest active task's
+// admission round — replaying clients (restore) and receipt-scanning
+// strategies (copy-commit) need the history of every live task's lifetime.
 func (s *Service) trimLocked() {
-	if s.cfg.RetainRounds >= 0 {
-		floor := s.sh.Chain.Round() - s.cfg.retainRounds()
-		for _, st := range s.active {
-			if st.admitted < floor {
-				floor = st.admitted
-			}
-		}
-		if floor > 0 {
-			s.sh.Chain.TrimBefore(floor)
+	if s.cfg.KeepSettled {
+		return
+	}
+	floor := s.sh.Chain.Round() - DefaultRetainRounds
+	for _, st := range s.active {
+		if st.admitted < floor {
+			floor = st.admitted
 		}
 	}
-	if s.cfg.RetainLedgerEvents >= 0 {
-		max := s.cfg.RetainLedgerEvents
-		if max == 0 {
-			max = DefaultRetainLedgerEvents
-		}
-		s.sh.Ledger.TrimEvents(max)
+	if floor > 0 {
+		s.sh.Chain.TrimBefore(floor)
 	}
+	s.sh.Ledger.TrimEvents(DefaultRetainLedgerEvents)
 }
 
 // Stats reports a point-in-time summary of the stream.

@@ -2,9 +2,11 @@ package service_test
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -55,9 +57,9 @@ func outranger(name string) worker.Model {
 }
 
 // buildStream constructs the same marketplace the batch harness tests use —
-// population, instances, policies — as a (service config, spec list) pair.
-// Every call returns identical instances and rng states.
-func buildStream(t *testing.T) (service.Config, []market.TaskSpec) {
+// population, instances, policies — as a (service config, spec list) pair
+// of n ≥ 8 tasks. Every call returns identical instances and rng states.
+func buildStream(t *testing.T, n int) (service.Config, []market.TaskSpec) {
 	t.Helper()
 	key, err := elgamal.KeyGen(group.TestSchnorr(), drbg.New(77, "stream-shared-key"))
 	if err != nil {
@@ -71,8 +73,8 @@ func buildStream(t *testing.T) (service.Config, []market.TaskSpec) {
 	}
 	population[1].Strategy = protocol.StrategyNoReveal
 
-	specs := make([]market.TaskSpec, streamTasks)
-	for ti := 0; ti < streamTasks; ti++ {
+	specs := make([]market.TaskSpec, n)
+	for ti := 0; ti < n; ti++ {
 		inst, err := task.Generate(task.GenerateParams{
 			ID: fmt.Sprintf("stream-%d", ti), N: 20, RangeSize: 4, NumGolden: 5,
 			Workers: 5, Threshold: 3,
@@ -132,8 +134,8 @@ func drain(t *testing.T, s *service.Service, want, maxRounds int) map[string]ser
 // retention trimming ON — settle with end-state reports identical to a batch
 // market.Run of the same specs.
 func TestStreamMatchesBatch(t *testing.T) {
-	cfg, specs := buildStream(t)
-	batchCfg, batchSpecs := buildStream(t)
+	cfg, specs := buildStream(t, streamTasks)
+	batchCfg, batchSpecs := buildStream(t, streamTasks)
 	bres, err := market.Run(market.Config{
 		Tasks:         batchSpecs,
 		Group:         batchCfg.Group,
@@ -185,34 +187,55 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamPruningEquivalence runs the same stream with aggressive pruning
-// and with full retention: settlement reports must be identical — compaction
-// is invisible to outcomes.
+// TestStreamPruningEquivalence runs the same stream bounded (settled tasks
+// pruned, receipts trimmed to the last DefaultRetainRounds rounds) and with
+// KeepSettled: settlement reports must be identical — compaction is
+// invisible to outcomes. A task is admitted every five rounds and lives
+// about nine, so the stream outlives the retention window and the bounded
+// run trims history while tasks are live.
 func TestStreamPruningEquivalence(t *testing.T) {
-	run := func(mutate func(*service.Config)) map[string]service.TaskStatus {
-		cfg, specs := buildStream(t)
-		mutate(&cfg)
+	const tasks, gap = 2 * streamTasks, 5
+	run := func(keep bool) (reports map[string]service.TaskStatus, trimmedLive bool) {
+		cfg, specs := buildStream(t, tasks)
+		cfg.KeepSettled = keep
 		s, err := service.New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range specs {
-			if err := s.SubmitTask(spec); err != nil {
+		reports = make(map[string]service.TaskStatus, len(specs))
+		for next, steps := 0, 0; len(reports) < len(specs); steps++ {
+			if steps == 200 {
+				t.Fatalf("%d of %d tasks settled in %d steps", len(reports), len(specs), steps)
+			}
+			if next < len(specs) && (s.Chain().Round() >= next*gap || s.Stats().Active == 0) {
+				if err := s.SubmitTask(specs[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			if err := s.Step(context.Background()); err != nil {
 				t.Fatal(err)
 			}
+			for _, st := range s.Poll() {
+				if _, dup := reports[st.ID]; dup {
+					t.Fatalf("task %q reported twice", st.ID)
+				}
+				reports[st.ID] = st
+			}
+			if s.Stats().Active > 0 && s.Chain().Receipts()[0].Round > 0 {
+				trimmedLive = true
+			}
 		}
-		got := drain(t, s, len(specs), 60)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		return got
+		return reports, trimmedLive
 	}
-	pruned := run(func(c *service.Config) { c.RetainRounds = 4 })
-	kept := run(func(c *service.Config) {
-		c.KeepSettled = true
-		c.RetainRounds = -1
-		c.RetainLedgerEvents = -1
-	})
+	pruned, trimmed := run(false)
+	kept, keptTrimmed := run(true)
+	if !trimmed || keptTrimmed {
+		t.Fatalf("receipts trimmed under live tasks: bounded %v, KeepSettled %v; want true, false", trimmed, keptTrimmed)
+	}
 	if len(pruned) != len(kept) {
 		t.Fatalf("%d pruned reports vs %d kept", len(pruned), len(kept))
 	}
@@ -306,8 +329,6 @@ func TestSnapshotRestoreMidStream(t *testing.T) {
 			// comparable end-to-end (trim timing is identical anyway, but
 			// the full log makes divergence diagnosable).
 			cfg.KeepSettled = true
-			cfg.RetainRounds = -1
-			cfg.RetainLedgerEvents = -1
 
 			s, err := service.New(cfg)
 			if err != nil {
@@ -421,7 +442,7 @@ func TestSnapshotCarriesUnpolledResults(t *testing.T) {
 // TestBackgroundStream exercises the non-manual mode: a goroutine mines
 // whenever work exists, SubmitTask and Poll never block on mining.
 func TestBackgroundStream(t *testing.T) {
-	cfg, specs := buildStream(t)
+	cfg, specs := buildStream(t, streamTasks)
 	cfg.Manual = false
 	s, err := service.New(cfg)
 	if err != nil {
@@ -576,11 +597,11 @@ func TestPruneOnSettle(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadSnapshots: a snapshot of any version but 1 fails with
-// ErrSnapshotVersion, and every strict prefix of a valid snapshot fails with
-// wire.ErrTruncated, never a panic. The snapshot is cut mid-stream, with
-// active tasks and unpolled reports, so the prefixes reach every field.
-func TestRestoreRejectsBadSnapshots(t *testing.T) {
+// midStreamSnapshot cuts a snapshot of an rngFreeStream service with active
+// tasks and unpolled reports, so that its prefixes and counts reach every
+// field of the layout.
+func midStreamSnapshot(t *testing.T) (service.Config, []market.TaskSpec, []byte) {
+	t.Helper()
 	cfg, specs := rngFreeStream(t, 1)
 	s, err := service.New(cfg)
 	if err != nil {
@@ -613,11 +634,22 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return cfg, specs, snap
+}
+
+// TestRestoreRejectsBadSnapshots: a snapshot of any version but 3 fails with
+// ErrSnapshotVersion, and every strict prefix of a valid snapshot fails with
+// wire.ErrTruncated, never a panic.
+func TestRestoreRejectsBadSnapshots(t *testing.T) {
+	cfg, specs, snap := midStreamSnapshot(t)
+	if snap[0] != 3 {
+		t.Fatalf("snapshot version %d, want 3", snap[0])
+	}
 	if _, err := service.Restore(cfg, snap, rehydrator(specs)); err != nil {
 		t.Fatalf("valid snapshot: %v", err)
 	}
 
-	for _, v := range []byte{0, 2, 3} {
+	for _, v := range []byte{0, 1, 2, 4} {
 		bad := append([]byte{v}, snap[1:]...)
 		if _, err := service.Restore(cfg, bad, rehydrator(specs)); !errors.Is(err, service.ErrSnapshotVersion) {
 			t.Errorf("version %d: err = %v, want ErrSnapshotVersion", v, err)
@@ -626,6 +658,186 @@ func TestRestoreRejectsBadSnapshots(t *testing.T) {
 	for n := 0; n < len(snap); n++ {
 		if _, err := service.Restore(cfg, snap[:n], rehydrator(specs)); !errors.Is(err, wire.ErrTruncated) {
 			t.Fatalf("prefix of %d of %d bytes: err = %v, want wire.ErrTruncated", n, len(snap), err)
+		}
+	}
+}
+
+// TestRestoreRejectsVersion1Snapshot: a version-1 snapshot, whose chain
+// snapshot still carried a global event log and a per-address gas
+// index, fails with ErrSnapshotVersion. testdata/snapshot-v1.bin is such a
+// snapshot of rngFreeStream's first task, two rounds after its admission.
+func TestRestoreRejectsVersion1Snapshot(t *testing.T) {
+	cfg, specs := rngFreeStream(t, 1)
+	snap, err := os.ReadFile("testdata/snapshot-v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := service.Restore(cfg, snap, rehydrator(specs)); !errors.Is(err, service.ErrSnapshotVersion) {
+		t.Fatalf("version-1 snapshot: err = %v, want ErrSnapshotVersion", err)
+	}
+}
+
+// snapshotParts splits a service snapshot into its version, its chain,
+// ledger and store snapshots, and the stream state that follows them.
+func snapshotParts(t *testing.T, snap []byte) (uint64, [4][]byte) {
+	t.Helper()
+	var parts [4][]byte
+	r := wire.NewReader(snap)
+	version, err := r.ReadUint()
+	for i := 0; i < 3 && err == nil; i++ {
+		parts[i], err = r.ReadBytes()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts[3] = snap[len(snap)-r.Remaining():]
+	return version, parts
+}
+
+// joinParts is the inverse of snapshotParts.
+func joinParts(version uint64, parts [4][]byte) []byte {
+	w := wire.NewWriter()
+	w.WriteUint(version)
+	for _, p := range parts[:3] {
+		w.WriteBytes(p)
+	}
+	w.WriteFixed(parts[3])
+	return w.Bytes()
+}
+
+// layoutWalker reads a snapshot field by field and records where each
+// element count sits.
+type layoutWalker struct {
+	r      *wire.Reader
+	size   int
+	counts []int
+	err    error
+}
+
+func (w *layoutWalker) count() int {
+	w.counts = append(w.counts, w.size-w.r.Remaining())
+	n, err := w.r.ReadUint()
+	w.fail(err)
+	return int(n)
+}
+
+func (w *layoutWalker) flag() bool {
+	b, err := w.r.ReadBool()
+	w.fail(err)
+	return b
+}
+
+// skip reads one field per letter: u a uint, i an int, b a byte string, o
+// a bool.
+func (w *layoutWalker) skip(fields string) {
+	for _, f := range fields {
+		var err error
+		switch f {
+		case 'u':
+			_, err = w.r.ReadUint()
+		case 'i':
+			_, err = w.r.ReadInt()
+		case 'b':
+			_, err = w.r.ReadBytes()
+		case 'o':
+			_, err = w.r.ReadBool()
+		}
+		w.fail(err)
+	}
+}
+
+func (w *layoutWalker) fail(err error) {
+	if w.err == nil {
+		w.err = err
+	}
+}
+
+// answers walks one writeAnswers vector.
+func (w *layoutWalker) answers() {
+	if w.flag() {
+		for i, n := 0, w.count(); i < n && w.err == nil; i++ {
+			w.skip("i")
+		}
+	}
+}
+
+// streamCounts returns the offset of every element count in a service
+// snapshot's stream state: its active tasks and their answers, and its
+// unpolled reports with their results.
+func streamCounts(t *testing.T, state []byte) []int {
+	t.Helper()
+	w := &layoutWalker{r: wire.NewReader(state), size: len(state)}
+	w.skip("uuuuuu") // admission index and lifetime counters
+	for i, n := 0, w.count(); i < n && w.err == nil; i++ {
+		w.skip("buiu")
+		for j, m := 0, w.count(); j < m && w.err == nil; j++ {
+			w.answers()
+		}
+	}
+	for i, n := 0, w.count(); i < n && w.err == nil; i++ {
+		w.skip("buuob")
+		if !w.flag() {
+			continue
+		}
+		w.skip("bb")
+		for j, m := 0, w.count(); j < m && w.err == nil; j++ {
+			w.skip("bb")
+			w.answers()
+			w.skip("iooo")
+		}
+		for j, m := 0, w.count(); j < m && w.err == nil; j++ {
+			w.skip("bu")
+		}
+		w.skip("uuoou")
+		for j, m := 0, w.count(); j < m && w.err == nil; j++ {
+			w.skip("b")
+			w.answers()
+		}
+	}
+	if w.err == nil {
+		w.err = w.r.Done()
+	}
+	if w.err != nil {
+		t.Fatalf("walking the stream state: %v", w.err)
+	}
+	return w.counts
+}
+
+// TestRestoreRejectsInflatedCounts: every element count of a mid-stream
+// snapshot's stream state, and the first count of its chain, ledger and
+// store snapshots, set to 2⁶² or to one more than the bytes that follow it
+// fails with wire.ErrTruncated, never a panic or an allocation of that size.
+func TestRestoreRejectsInflatedCounts(t *testing.T) {
+	cfg, specs, snap := midStreamSnapshot(t)
+	version, parts := snapshotParts(t, snap)
+	type site struct{ part, off int }
+	var sites []site
+	// The chain's first count follows its version, round and state version;
+	// the ledger's and the store's follow their versions.
+	for part, skip := range []int{3, 1, 1} {
+		r := wire.NewReader(parts[part])
+		for i := 0; i < skip; i++ {
+			if _, err := r.ReadUint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sites = append(sites, site{part, len(parts[part]) - r.Remaining()})
+	}
+	for _, off := range streamCounts(t, parts[3]) {
+		sites = append(sites, site{3, off})
+	}
+	if len(sites) < 12 {
+		t.Fatalf("walked %d counts, want every section's", len(sites))
+	}
+	for _, s := range sites {
+		p := parts[s.part]
+		_, n := binary.Uvarint(p[s.off:])
+		for _, v := range []uint64{1 << 62, uint64(len(p)-s.off-n) + 1} {
+			bad := parts
+			bad[s.part] = append(binary.AppendUvarint(append([]byte{}, p[:s.off]...), v), p[s.off+n:]...)
+			if _, err := service.Restore(cfg, joinParts(version, bad), rehydrator(specs)); !errors.Is(err, wire.ErrTruncated) {
+				t.Errorf("part %d, count at byte %d set to %d: err = %v, want wire.ErrTruncated", s.part, s.off, v, err)
+			}
 		}
 	}
 }

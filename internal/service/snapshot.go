@@ -33,7 +33,9 @@ import (
 
 // snapshotVersion guards the service snapshot encoding: one chain, ledger
 // and store triple, then the stream state. Restore reads no other version.
-const snapshotVersion = 1
+// Version 1 held a version-1 chain snapshot; version 2 was the sharded
+// layout, retired with sharding, so the next layout is 3.
+const snapshotVersion = 3
 
 // Rehydrate maps an active task's ID back to its spec on restore. The spec
 // must be semantically identical to the one originally submitted (same
@@ -143,17 +145,17 @@ func Restore(cfg Config, data []byte, rehydrate Rehydrate) (*Service, error) {
 		}
 	}
 
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("service: restore: active tasks: %w", err)
 	}
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		if err := s.restoreTask(r, rehydrate); err != nil {
 			return nil, err
 		}
 	}
 
-	if n, err = r.ReadUint(); err != nil {
+	if n, err = r.ReadCount(); err != nil {
 		return nil, fmt.Errorf("service: restore: results: %w", err)
 	}
 	s.results = make([]TaskStatus, n)
@@ -188,7 +190,7 @@ func (s *Service) restoreTask(r *wire.Reader, rehydrate Rehydrate) error {
 	if err != nil {
 		return fmt.Errorf("service: restore: task %q: %w", id, err)
 	}
-	na, err := r.ReadUint()
+	na, err := r.ReadCount()
 	if err != nil {
 		return fmt.Errorf("service: restore: task %q: %w", id, err)
 	}
@@ -290,7 +292,7 @@ func readAnswers(r *wire.Reader) ([]int64, error) {
 	if !present {
 		return nil, nil
 	}
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, err
 	}

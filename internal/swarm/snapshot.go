@@ -55,12 +55,12 @@ func Restore(data []byte) (*Store, error) {
 	if v != snapshotVersion {
 		return nil, fmt.Errorf("swarm: restore: snapshot version %d, want %d", v, snapshotVersion)
 	}
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("swarm: restore: object count: %w", err)
 	}
 	s := New()
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		content, err := r.ReadBytes()
 		if err != nil {
 			return nil, fmt.Errorf("swarm: restore: object %d: %w", i, err)

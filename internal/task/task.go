@@ -107,12 +107,9 @@ func (g Golden) Marshal() []byte {
 // UnmarshalGolden decodes golden standards encoded by Marshal.
 func UnmarshalGolden(data []byte) (Golden, error) {
 	r := wire.NewReader(data)
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return Golden{}, fmt.Errorf("task: decoding golden count: %w", err)
-	}
-	if n > 1<<20 {
-		return Golden{}, fmt.Errorf("task: absurd golden count %d", n)
 	}
 	g := Golden{Indices: make([]int, n), Answers: make([]int64, n)}
 	for i := range g.Indices {
@@ -153,12 +150,9 @@ func (t *Task) MarshalQuestions() []byte {
 // UnmarshalQuestions decodes a question list from off-chain storage.
 func UnmarshalQuestions(data []byte) ([]Question, error) {
 	r := wire.NewReader(data)
-	n, err := r.ReadUint()
+	n, err := r.ReadCount()
 	if err != nil {
 		return nil, fmt.Errorf("task: decoding question count: %w", err)
-	}
-	if n > 1<<20 {
-		return nil, fmt.Errorf("task: absurd question count %d", n)
 	}
 	qs := make([]Question, n)
 	for i := range qs {
@@ -166,12 +160,9 @@ func UnmarshalQuestions(data []byte) ([]Question, error) {
 		if err != nil {
 			return nil, fmt.Errorf("task: decoding question %d: %w", i, err)
 		}
-		opts, err := r.ReadUint()
+		opts, err := r.ReadCount()
 		if err != nil {
 			return nil, fmt.Errorf("task: decoding option count %d: %w", i, err)
-		}
-		if opts > 1<<16 {
-			return nil, fmt.Errorf("task: absurd option count %d", opts)
 		}
 		q := Question{Text: text, Options: make([]string, opts)}
 		for j := range q.Options {

@@ -29,9 +29,9 @@ func FuzzReaderOps(f *testing.F) {
 		for i := 0; i < 8; i++ {
 			before := r.Remaining()
 			var err error
-			// Mixing the op byte with a stride-5 walk reaches all six ops
-			// for every value of ops (5 and 6 are coprime).
-			switch (int(ops) + i*5) % 6 {
+			// Mixing the op byte with a stride-5 walk reaches all seven ops
+			// for every value of ops (5 and 7 are coprime).
+			switch (int(ops) + i*5) % 7 {
 			case 0:
 				_, err = r.ReadUint()
 			case 1:
@@ -44,6 +44,11 @@ func FuzzReaderOps(f *testing.F) {
 				_, err = r.ReadString()
 			case 5:
 				_, err = r.ReadFixed(int(ops) % 64)
+			case 6:
+				var n int
+				if n, err = r.ReadCount(); err == nil && n > r.Remaining() {
+					t.Fatalf("count %d exceeds the %d bytes left", n, r.Remaining())
+				}
 			}
 			if r.Remaining() > before {
 				t.Fatalf("reader gained input: %d -> %d", before, r.Remaining())

@@ -107,6 +107,21 @@ func (r *Reader) ReadUint() (uint64, error) {
 	return v, nil
 }
 
+// ReadCount decodes an element count: a ReadUint that fails with
+// ErrTruncated when the count exceeds Remaining(). Every encoded element
+// takes at least one byte, so a larger count cannot be honest, and a
+// decoder may size an allocation or a loop by the result.
+func (r *Reader) ReadCount() (int, error) {
+	n, err := r.ReadUint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(r.Remaining()) {
+		return 0, ErrTruncated
+	}
+	return int(n), nil
+}
+
 // ReadInt decodes a signed integer.
 func (r *Reader) ReadInt() (int64, error) {
 	v, n := binary.Varint(r.buf[r.off:])

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -125,6 +126,35 @@ func TestEncodedLengths(t *testing.T) {
 		w.WriteBytes(b)
 		if out := w.Bytes(); len(out) != wire.BytesLen(b) || cap(out) != len(out) {
 			t.Fatalf("%d bytes: BytesLen %d, wrote %d into cap %d", n, wire.BytesLen(b), len(out), cap(out))
+		}
+	}
+}
+
+// TestReadCount: a count is accepted up to the unread input that follows
+// it and rejected with ErrTruncated beyond it, at 2⁶² and at 2⁶⁴ − 1 too.
+func TestReadCount(t *testing.T) {
+	for _, tc := range []struct {
+		count uint64
+		tail  int
+		ok    bool
+	}{
+		{0, 0, true},
+		{3, 3, true},
+		{3, 5, true},
+		{4, 3, false},
+		{1, 0, false},
+		{1 << 62, 8, false},
+		{1<<64 - 1, 8, false},
+	} {
+		w := wire.NewWriter()
+		w.WriteUint(tc.count)
+		w.WriteFixed(make([]byte, tc.tail))
+		n, err := wire.NewReader(w.Bytes()).ReadCount()
+		switch {
+		case tc.ok && (err != nil || uint64(n) != tc.count):
+			t.Errorf("count %d before %d bytes: got %d, %v", tc.count, tc.tail, n, err)
+		case !tc.ok && !errors.Is(err, wire.ErrTruncated):
+			t.Errorf("count %d before %d bytes: err = %v, want ErrTruncated", tc.count, tc.tail, err)
 		}
 	}
 }
